@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.arch.dfg import compare_count_dfg, dot_product_dfg
 from repro.util.rng import DeterministicRng
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 
 
 class RecordScoring(Workload):
@@ -38,16 +38,36 @@ class RecordScoring(Workload):
 
     def __init__(self, num_records: int = 48, dict_terms: int = 2048,
                  max_len: int = 1024, seed: int = 0) -> None:
-        rng = DeterministicRng("records", num_records, max_len, seed)
-        self.lengths = [16 * s for s in
-                        rng.zipf_sizes(num_records, 1.2, max_len // 16)]
-        # A record is a list of term ids; the dictionary maps id -> weight.
-        self.records = [
-            [rng.randint(0, dict_terms - 1) for _ in range(length)]
-            for length in self.lengths
-        ]
-        self.weights = [rng.randint(-3, 3) for _ in range(dict_terms)]
+        # The constructor only stores its arguments: they are the
+        # workload's identity (the base class records them for the
+        # caches), so each must be a plain scalar or a tuple of them.
+        # Inputs are generated below, on first use (``first_use`` is
+        # ``functools.cached_property`` minus a lock that forked pool
+        # workers could inherit held).
+        self.num_records = num_records
+        self.dict_terms = dict_terms
+        self.max_len = max_len
+        self.seed = seed
         self.dict_bytes = dict_terms * 4
+
+    @first_use
+    def lengths(self) -> list[int]:
+        rng = DeterministicRng("records", self.num_records, self.max_len,
+                               self.seed)
+        return [16 * s for s in
+                rng.zipf_sizes(self.num_records, 1.2, self.max_len // 16)]
+
+    @first_use
+    def records(self) -> list[list[int]]:
+        # A record is a list of term ids; the dictionary maps id -> weight.
+        rng = DeterministicRng("record-terms", self.dict_terms, self.seed)
+        return [[rng.randint(0, self.dict_terms - 1) for _ in range(length)]
+                for length in self.lengths]
+
+    @first_use
+    def weights(self) -> list[int]:
+        rng = DeterministicRng("term-weights", self.dict_terms, self.seed)
+        return [rng.randint(-3, 3) for _ in range(self.dict_terms)]
 
     def build_program(self) -> Program:
         records, weights = self.records, self.weights
@@ -105,8 +125,9 @@ class RecordScoring(Workload):
                    for t in record)
 
     def check(self, state) -> None:
-        require(state["total"] == self.reference(),
-                f"total {state['total']} != {self.reference()}")
+        # ``expected`` is reference(), computed once per instance.
+        require(state["total"] == self.expected,
+                f"total {state['total']} != {self.expected}")
 
 
 def main() -> None:

@@ -22,7 +22,7 @@ comparison apples-to-apples.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Union
 
 from repro.arch.config import MachineConfig
 from repro.arch.lane import Lane
@@ -47,11 +47,18 @@ class StaticParallel:
         self.config = config
         self.partition = partition
 
-    def run(self, program: Program,
+    def recover(self, program: Program) -> TaskGraph:
+        """Recover ``program``'s structure for :meth:`run` (every kernel
+        runs, mutating its state). ``compare()`` also derives Delta's
+        scheduling hints from this graph, so a point recovers once."""
+        return recover_structure(program)
+
+    def run(self, program: Union[Program, TaskGraph],
             max_cycles: Optional[float] = None,
             trace: bool = False) -> RunResult:
         """Recover the program's structure, statically schedule each of
-        the IR's barrier phases, and simulate.
+        the IR's barrier phases, and simulate. A graph from
+        :meth:`recover` stands in for the program.
 
         Phase splitting goes through the configured scheduling policy's
         :meth:`~repro.sched.api.SchedulingPolicy.partition` hook — the
@@ -60,7 +67,8 @@ class StaticParallel:
         The default policy's hook delegates straight to the classic
         block/cyclic splitters, bit-identical to the pre-seam baseline.
         """
-        graph = recover_structure(program)
+        graph = (program if isinstance(program, TaskGraph)
+                 else self.recover(program))
         policy = create_policy(self.config.dispatch.policy)
         policy.bind(self.config.dispatch, self.config.lanes,
                     features=self.config.features)

@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="TCP port; 0 picks a free one (default 8023)")
     p_serve.add_argument("--jobs", type=int, default=None,
                          help="worker processes per sweep (default: "
-                              "os.cpu_count())")
+                              "$REPRO_JOBS, else 1)")
     p_serve.add_argument("--timeout", type=float, default=None,
                          help="per-point timeout in seconds; a timed-out "
                               "point is recomputed serially")

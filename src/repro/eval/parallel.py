@@ -131,7 +131,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return 1
 
 
-def _worker_init() -> None:
+def _worker_init(parent: int) -> None:
     """Reset inherited signal plumbing in a freshly started pool worker.
 
     Fork-context workers inherit the parent's signal handlers *and* its
@@ -143,10 +143,30 @@ def _worker_init() -> None:
     *forwarded into the parent's loop* through the shared pipe, making
     the server believe it was asked to shut down. Restoring defaults
     keeps worker signals inside the worker.
+
+    A worker also exits once ``parent`` — the pid of the process that
+    created the pool, read there rather than here, where a parent killed
+    right after the fork would already have been replaced by a reaper —
+    is gone: a parent killed by SIGKILL never shuts its pool down, and its
+    workers would otherwise block forever on a call queue whose write end
+    their siblings hold.
     """
     signal.set_wakeup_fd(-1)
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, signal.SIG_DFL)
+    threading.Thread(target=_exit_when_orphaned, args=(parent,),
+                     name="orphan-watch", daemon=True).start()
+
+
+#: How often a pool worker checks that its parent is still alive, in seconds.
+_ORPHAN_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """End this worker process once it is reparented away from ``parent``."""
+    while os.getppid() == parent:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
 
 
 def _compare_point(spec: PointSpec):
@@ -185,7 +205,8 @@ def _recover_point(spec: PointSpec, timeout: Optional[float],
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
         pool = ProcessPoolExecutor(max_workers=1, mp_context=context,
-                                   initializer=_worker_init)
+                                   initializer=_worker_init,
+                                   initargs=(os.getpid(),))
         future = pool.submit(_compare_point, spec)
         return _await_result(future, timeout, cancel)
     except _Cancelled:
@@ -292,7 +313,7 @@ def run_points(points: Sequence[PointSpec],
                 else "spawn")
             pool = ProcessPoolExecutor(
                 max_workers=min(jobs, len(pending)), mp_context=context,
-                initializer=_worker_init)
+                initializer=_worker_init, initargs=(os.getpid(),))
             broken_inflight: list[int] = []
             pool_broken = False
             try:

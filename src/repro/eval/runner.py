@@ -128,18 +128,19 @@ def compare(workload: Workload,
             static_config = static_config.with_faults(delta_config.faults)
 
     _simulations += 1
+    static = StaticParallel(static_config)
+    # The static baseline recovers its own program's structure; Delta's
+    # structure-aware policies read their hints from that same graph
+    # (hints key on (type, depth), so they fit Delta's fresh build).
+    graph = static.recover(workload.build_program())
     sched_hints = None
     if policy_uses_structure(delta_config.dispatch.policy):
-        # Structure-aware policies read hints recovered from a twin
-        # build (recovery executes kernels, so it must never touch the
-        # instance that will simulate). Online policies skip the cost.
-        from repro.sched.structure import hints_from_factory
+        from repro.sched.structure import hints_from_graph
 
-        sched_hints = hints_from_factory(workload.build_program)
+        sched_hints = hints_from_graph(graph)
     delta_result = Delta(delta_config).run(workload.build_program(),
                                            sched_hints=sched_hints)
-    static_result = StaticParallel(static_config).run(
-        workload.build_program())
+    static_result = static.run(graph)
     if verify:
         workload.check(delta_result.state)
         workload.check(static_result.state)

@@ -4,15 +4,18 @@ The bridge between the graph layer and structure-aware policies. Two
 entry points:
 
 - :func:`hints_from_graph` — digest an already-recovered
-  :class:`~repro.graph.ir.TaskGraph` (the static baseline, which holds
-  one anyway).
+  :class:`~repro.graph.ir.TaskGraph`. ``compare()`` passes the static
+  baseline's graph, which it recovers anyway, and hands the hints to
+  Delta's fresh build of the same workload.
 - :func:`hints_from_factory` — build a **twin** program instance and
-  recover its structure. This is the path dynamic (Delta) runs must use:
-  :func:`~repro.graph.ir.recover_structure` executes the kernels
+  recover its structure, for callers with no static graph (``repro
+  run``). :func:`~repro.graph.ir.recover_structure` executes the kernels
   functionally and mutates program state, so it must never run on the
-  same program instance the simulator will execute. The twin's task ids
-  differ (ids are process-global), which is why hints key on stable
-  (type name, depth) coordinates rather than ids or names.
+  same program instance the simulator will execute.
+
+Either way the hints come from another build than the one Delta runs.
+Its task ids differ (ids are process-global), which is why hints key on
+stable (type name, depth) coordinates rather than ids or names.
 
 Recovery failures degrade to ``None`` — every policy works hint-free.
 """

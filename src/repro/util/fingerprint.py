@@ -42,23 +42,35 @@ def stable_hash(*parts: object) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _stable_repr(value: object) -> bool:
+    """Whether ``repr(value)`` is the same in every process: a scalar, or
+    a tuple of such values."""
+    if isinstance(value, tuple):
+        return all(_stable_repr(v) for v in value)
+    return isinstance(value, _SCALAR_TYPES)
+
+
 def workload_cache_key(workload: "Workload") -> str:
     """Stable identity of a workload instance.
 
-    Captures the class, the display name, every scalar constructor-style
-    attribute (sizes, seeds, rows-per-task, ...), and the T2 description
-    row. Generated inputs themselves are *not* hashed: they are a
-    deterministic function of these parameters (the determinism contract).
-    Shared by the evaluation result cache and the structure cache, which
-    both key entries by (code version, workload identity, ...).
+    Hashes the class, the display name and the bound constructor
+    arguments (:attr:`~repro.workloads.base.Workload.arguments`, defaults
+    applied) — nothing the workload generates. Inputs are a deterministic
+    function of those arguments (the determinism contract), so keying
+    never generates them. Shared by the evaluation result cache and the
+    structure cache, which both key entries by (code version, workload
+    identity, ...). Raises :class:`TypeError` naming any argument whose
+    repr could differ between processes.
     """
     cls = type(workload)
-    scalars = sorted(
-        (k, v) for k, v in vars(workload).items()
-        if isinstance(v, _SCALAR_TYPES))
+    for parameter, value in workload.arguments:
+        if not _stable_repr(value):
+            raise TypeError(
+                f"{cls.__qualname__} argument {parameter}={value!r} has no "
+                f"stable repr; workload arguments must be None, bool, int, "
+                f"float, str, bytes or tuples of them")
     return stable_hash(f"{cls.__module__}.{cls.__qualname__}",
-                       workload.name, scalars,
-                       sorted(workload.describe().items()))
+                       workload.name, workload.arguments)
 
 
 def result_stats(result: "RunResult") -> tuple:

@@ -14,7 +14,7 @@ from repro.arch.dfg import edge_expand_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import Graph, power_law_graph
 
 _ELEM = 4
@@ -29,10 +29,16 @@ class BfsWorkload(Workload):
                  max_deg: int = 48, chunk_vertices: int = 16,
                  source: int = 0, seed: int = 0) -> None:
         self.num_vertices = num_vertices
+        self.alpha = alpha
+        self.max_deg = max_deg
         self.chunk_vertices = chunk_vertices
         self.source = source
-        self.graph: Graph = power_law_graph(
-            num_vertices, alpha=alpha, max_deg=max_deg, seed=seed)
+        self.seed = seed
+
+    @first_use
+    def graph(self) -> Graph:
+        return power_law_graph(self.num_vertices, alpha=self.alpha,
+                               max_deg=self.max_deg, seed=self.seed)
 
     def build_program(self) -> Program:
         graph = self.graph
@@ -116,7 +122,7 @@ class BfsWorkload(Workload):
         return dist
 
     def check(self, state: dict) -> None:
-        expected = self.reference()
+        expected = self.expected
         require(state["dist"] == expected,
                 f"bfs distances mismatch ({len(state['dist'])} vs "
                 f"{len(expected)} reached)")

@@ -14,7 +14,7 @@ from repro.arch.dfg import cholesky_update_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import Task, TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import spd_matrix
 
 _ELEM = 4
@@ -30,7 +30,11 @@ class CholeskyWorkload(Workload):
         self.tiles = tiles
         self.tile_size = tile_size
         self.n = tiles * tile_size
-        self.matrix = spd_matrix(self.n, seed=seed)
+        self.seed = seed
+
+    @first_use
+    def matrix(self) -> np.ndarray:
+        return spd_matrix(self.n, seed=self.seed)
 
     def _tile(self, state: dict, i: int, j: int) -> np.ndarray:
         b = self.tile_size
@@ -121,7 +125,7 @@ class CholeskyWorkload(Workload):
 
     def check(self, state: dict) -> None:
         computed = np.tril(state["a"])
-        require(np.allclose(computed, self.reference(), atol=1e-8),
+        require(np.allclose(computed, self.expected, atol=1e-8),
                 "cholesky factor mismatch")
 
     def describe(self) -> dict:

@@ -14,7 +14,8 @@ from repro.arch.dfg import histogram_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import Task, TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.util.rng import DeterministicRng
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import random_int_array
 
 _ELEM = 4
@@ -32,20 +33,29 @@ class HistogramWorkload(Workload):
         self.n = n
         self.bins = bins
         self.chunks = chunks
-        self.data = random_int_array(n, 0, bins - 1, seed=("hist", seed))
+        self.skew = skew
+        self.seed = seed
+
+    @first_use
+    def data(self) -> np.ndarray:
+        return random_int_array(self.n, 0, self.bins - 1,
+                                seed=("hist", self.seed))
+
+    @first_use
+    def bounds(self) -> list[int]:
         # Chunk boundaries are uneven (the input arrives pre-partitioned by
         # key range or source, not in equal slices), so per-task work is
         # skewed and balancing matters.
-        from repro.util.rng import DeterministicRng
-
-        rng = DeterministicRng("hist-bounds", n, chunks, skew, seed)
-        raw = rng.zipf_sizes(chunks, alpha=skew, max_size=8)
+        n = self.n
+        rng = DeterministicRng("hist-bounds", n, self.chunks, self.skew,
+                               self.seed)
+        raw = rng.zipf_sizes(self.chunks, alpha=self.skew, max_size=8)
         scale = n / sum(raw)
         bounds = [0]
         for r in raw[:-1]:
             bounds.append(min(n, bounds[-1] + max(16, int(r * scale))))
         bounds.append(n)
-        self.bounds = bounds
+        return bounds
 
     def build_program(self) -> Program:
         data, bins, chunks = self.data, self.bins, self.chunks
@@ -125,7 +135,7 @@ class HistogramWorkload(Workload):
 
     def check(self, state: dict) -> None:
         require(state["result"] is not None, "histogram never combined")
-        require(np.array_equal(state["result"], self.reference()),
+        require(np.array_equal(state["result"], self.expected),
                 "histogram mismatch")
 
     def describe(self) -> dict:

@@ -14,7 +14,7 @@ from repro.arch.dfg import distance_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import random_int_array
 from repro.util.rng import DeterministicRng
 
@@ -34,21 +34,33 @@ class KnnWorkload(Workload):
         self.dim = dim
         self.k = k
         self.chunks = chunks
-        flat = random_int_array(num_points * dim, -16, 16,
-                                seed=("knn-db", seed))
-        self.db = flat.reshape(num_points, dim)
-        qflat = random_int_array(num_queries * dim, -16, 16,
-                                 seed=("knn-q", seed))
-        self.queries = qflat.reshape(num_queries, dim)
+        self.seed = seed
+
+    @first_use
+    def db(self) -> np.ndarray:
+        flat = random_int_array(self.num_points * self.dim, -16, 16,
+                                seed=("knn-db", self.seed))
+        return flat.reshape(self.num_points, self.dim)
+
+    @first_use
+    def queries(self) -> np.ndarray:
+        qflat = random_int_array(self.num_queries * self.dim, -16, 16,
+                                 seed=("knn-q", self.seed))
+        return qflat.reshape(self.num_queries, self.dim)
+
+    @first_use
+    def bounds(self) -> list[int]:
         # Uneven chunk boundaries: Zipf-ish sizes summing to num_points.
-        rng = DeterministicRng("knn-chunks", num_points, chunks, seed)
-        raw = rng.zipf_sizes(chunks, alpha=0.9, max_size=8)
+        num_points = self.num_points
+        rng = DeterministicRng("knn-chunks", num_points, self.chunks,
+                               self.seed)
+        raw = rng.zipf_sizes(self.chunks, alpha=0.9, max_size=8)
         scale = num_points / sum(raw)
         bounds = [0]
         for r in raw[:-1]:
             bounds.append(min(num_points, bounds[-1] + max(8, int(r * scale))))
         bounds.append(num_points)
-        self.bounds = bounds
+        return bounds
 
     def build_program(self) -> Program:
         db, queries, k = self.db, self.queries, self.k
@@ -129,7 +141,7 @@ class KnnWorkload(Workload):
 
     def check(self, state: dict) -> None:
         require(state["result"] is not None, "knn never merged")
-        require(state["result"] == self.reference(), "knn result mismatch")
+        require(state["result"] == self.expected, "knn result mismatch")
 
     def describe(self) -> dict:
         sizes = [self.bounds[i + 1] - self.bounds[i]

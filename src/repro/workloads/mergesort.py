@@ -19,7 +19,7 @@ from repro.arch.dfg import merge_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import Task, TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import random_int_array
 
 _ELEM = 4
@@ -35,7 +35,11 @@ class MergesortWorkload(Workload):
             raise ValueError("n must be a multiple of leaf size")
         self.n = n
         self.leaf = leaf
-        self.data = random_int_array(n, 0, 1 << 20, seed=("msort", seed))
+        self.seed = seed
+
+    @first_use
+    def data(self) -> np.ndarray:
+        return random_int_array(self.n, 0, 1 << 20, seed=("msort", self.seed))
 
     def build_program(self) -> Program:
         leaf_size = self.leaf
@@ -102,7 +106,7 @@ class MergesortWorkload(Workload):
         return np.sort(self.data)
 
     def check(self, state: dict) -> None:
-        require(np.array_equal(state["array"], self.reference()),
+        require(np.array_equal(state["array"], self.expected),
                 "mergesort output not sorted correctly")
 
     def describe(self) -> dict:

@@ -16,7 +16,7 @@ from repro.arch.dfg import edge_expand_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import Graph, power_law_graph
 
 _ELEM = 4
@@ -34,8 +34,14 @@ class PagerankWorkload(Workload):
         self.num_vertices = num_vertices
         self.iterations = iterations
         self.chunk_vertices = chunk_vertices
-        self.graph: Graph = power_law_graph(
-            num_vertices, alpha=alpha, max_deg=max_deg, seed=seed)
+        self.alpha = alpha
+        self.max_deg = max_deg
+        self.seed = seed
+
+    @first_use
+    def graph(self) -> Graph:
+        return power_law_graph(self.num_vertices, alpha=self.alpha,
+                               max_deg=self.max_deg, seed=self.seed)
 
     def _chunk_bounds(self) -> list[tuple[int, int]]:
         step = self.chunk_vertices
@@ -125,7 +131,7 @@ class PagerankWorkload(Workload):
         return ranks
 
     def check(self, state: dict) -> None:
-        require(np.allclose(state["ranks"], self.reference(), atol=1e-12),
+        require(np.allclose(state["ranks"], self.expected, atol=1e-12),
                 "pagerank vector mismatch")
 
     def describe(self) -> dict:

@@ -15,7 +15,7 @@ from repro.arch.dfg import merge_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import CsrMatrix, power_law_csr
 
 _ELEM = 4
@@ -32,10 +32,19 @@ class SpgemmWorkload(Workload):
                  seed: int = 0) -> None:
         self.size = size
         self.rows_per_task = rows_per_task
-        self.a: CsrMatrix = power_law_csr(size, size, alpha=alpha,
-                                          max_nnz=max_nnz, seed=("A", seed))
-        self.b: CsrMatrix = power_law_csr(size, size, alpha=alpha,
-                                          max_nnz=max_nnz, seed=("B", seed))
+        self.alpha = alpha
+        self.max_nnz = max_nnz
+        self.seed = seed
+
+    @first_use
+    def a(self) -> CsrMatrix:
+        return power_law_csr(self.size, self.size, alpha=self.alpha,
+                             max_nnz=self.max_nnz, seed=("A", self.seed))
+
+    @first_use
+    def b(self) -> CsrMatrix:
+        return power_law_csr(self.size, self.size, alpha=self.alpha,
+                             max_nnz=self.max_nnz, seed=("B", self.seed))
 
     def _block_work(self, start: int) -> int:
         end = min(start + self.rows_per_task, self.size)
@@ -96,7 +105,7 @@ class SpgemmWorkload(Workload):
         return self.a.to_dense() @ self.b.to_dense()
 
     def check(self, state: dict) -> None:
-        require(np.array_equal(state["c"], self.reference()),
+        require(np.array_equal(state["c"], self.expected),
                 "spgemm product mismatch")
 
     def describe(self) -> dict:

@@ -13,7 +13,7 @@ from repro.arch.dfg import dot_product_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import CsrMatrix, power_law_csr, random_int_array
 
 _ELEM = 4
@@ -33,11 +33,20 @@ class SpmmWorkload(Workload):
         self.num_cols = num_cols
         self.width = width
         self.rows_per_task = rows_per_task
-        self.matrix: CsrMatrix = power_law_csr(
-            num_rows, num_cols, alpha=alpha, max_nnz=max_nnz, seed=seed)
-        flat = random_int_array(num_cols * width, -4, 4,
-                                seed=("spmm-b", seed))
-        self.b = flat.reshape(num_cols, width)
+        self.alpha = alpha
+        self.max_nnz = max_nnz
+        self.seed = seed
+
+    @first_use
+    def matrix(self) -> CsrMatrix:
+        return power_law_csr(self.num_rows, self.num_cols, alpha=self.alpha,
+                             max_nnz=self.max_nnz, seed=self.seed)
+
+    @first_use
+    def b(self) -> np.ndarray:
+        flat = random_int_array(self.num_cols * self.width, -4, 4,
+                                seed=("spmm-b", self.seed))
+        return flat.reshape(self.num_cols, self.width)
 
     def _block_nnz(self, start: int) -> int:
         end = min(start + self.rows_per_task, self.num_rows)
@@ -85,8 +94,7 @@ class SpmmWorkload(Workload):
         return self.matrix.to_dense() @ self.b
 
     def check(self, state: dict) -> None:
-        expected = self.reference()
-        require(np.array_equal(state["c"], expected), "spmm mismatch")
+        require(np.array_equal(state["c"], self.expected), "spmm mismatch")
 
     def describe(self) -> dict:
         blocks = [self._block_nnz(s) * self.width

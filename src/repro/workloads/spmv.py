@@ -16,7 +16,7 @@ from repro.arch.dfg import dot_product_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import CsrMatrix, power_law_csr, random_int_array
 
 _ELEM = 4
@@ -34,9 +34,19 @@ class SpmvWorkload(Workload):
         self.num_rows = num_rows
         self.num_cols = num_cols
         self.rows_per_task = rows_per_task
-        self.matrix: CsrMatrix = power_law_csr(
-            num_rows, num_cols, alpha=alpha, max_nnz=max_nnz, seed=seed)
-        self.x = random_int_array(num_cols, -8, 8, seed=("spmv-x", seed))
+        self.alpha = alpha
+        self.max_nnz = max_nnz
+        self.seed = seed
+
+    @first_use
+    def matrix(self) -> CsrMatrix:
+        return power_law_csr(self.num_rows, self.num_cols, alpha=self.alpha,
+                             max_nnz=self.max_nnz, seed=self.seed)
+
+    @first_use
+    def x(self) -> np.ndarray:
+        return random_int_array(self.num_cols, -8, 8,
+                                seed=("spmv-x", self.seed))
 
     def _block_nnz(self, start: int) -> int:
         end = min(start + self.rows_per_task, self.num_rows)
@@ -81,7 +91,7 @@ class SpmvWorkload(Workload):
         return self.matrix.to_dense() @ self.x
 
     def check(self, state: dict) -> None:
-        expected = self.reference()
+        expected = self.expected
         require(np.array_equal(state["y"], expected),
                 f"spmv mismatch: {np.sum(state['y'] != expected)} rows wrong")
 

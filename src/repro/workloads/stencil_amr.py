@@ -14,7 +14,7 @@ from repro.arch.dfg import stencil5_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import random_int_array, zipf_tile_sizes
 
 _ELEM = 4
@@ -46,17 +46,28 @@ class StencilAmrWorkload(Workload):
                  max_side: int = 64, alpha: float = 1.1,
                  sweeps: int = 4, seed: int = 0) -> None:
         self.num_tiles = num_tiles
+        self.min_side = min_side
+        self.max_side = max_side
+        self.alpha = alpha
         self.sweeps = sweeps
+        self.seed = seed
+
+    @first_use
+    def sides(self) -> list[int]:
         # Zipf over sides: most tiles are near ``min_side``, a few reach
         # ``max_side`` — and work scales with side^2, so the area skew is
         # severe (the AMR shape that breaks count-based balancing).
-        self.sides = zipf_tile_sizes(num_tiles, alpha, min_side, max_side,
-                                     seed=seed)
-        self.tiles = []
+        return zipf_tile_sizes(self.num_tiles, self.alpha, self.min_side,
+                               self.max_side, seed=self.seed)
+
+    @first_use
+    def tiles(self) -> list[np.ndarray]:
+        tiles = []
         for index, side in enumerate(self.sides):
             flat = random_int_array(side * side, -8, 8,
-                                    seed=("amr", seed, index))
-            self.tiles.append(flat.reshape(side, side))
+                                    seed=("amr", self.seed, index))
+            tiles.append(flat.reshape(side, side))
+        return tiles
 
     def build_program(self) -> Program:
         tiles = self.tiles
@@ -87,7 +98,7 @@ class StencilAmrWorkload(Workload):
         return [_stencil(t, self.sweeps) for t in self.tiles]
 
     def check(self, state: dict) -> None:
-        expected = self.reference()
+        expected = self.expected
         for index, (got, want) in enumerate(zip(state["out"], expected)):
             require(got is not None, f"tile {index} never computed")
             require(np.array_equal(got, want), f"tile {index} mismatch")

@@ -16,12 +16,20 @@ quickstart example, and the granularity/policy sensitivity figures:
 
 from __future__ import annotations
 
-from repro.arch.dfg import axpy_dfg, dot_product_dfg
+from repro.arch.dfg import (
+    axpy_dfg,
+    compare_count_dfg,
+    distance_dfg,
+    dot_product_dfg,
+    merge_dfg,
+    smith_waterman_dfg,
+    stencil5_dfg,
+)
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import TaskContext, TaskType
 from repro.util.rng import DeterministicRng
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 
 _ELEM = 4  # bytes per element
 
@@ -60,8 +68,7 @@ class UniformTasks(Workload):
                 for i in range(self.num_tasks)}
 
     def check(self, state: dict) -> None:
-        expected = self.reference()
-        require(state["sums"] == expected,
+        require(state["sums"] == self.expected,
                 f"uniform sums mismatch: got {len(state['sums'])} entries")
 
 
@@ -81,10 +88,13 @@ class SkewedTasks(Workload):
         self.alpha = alpha
         self.max_trips = max_trips
         self.seed = seed
-        rng = DeterministicRng("skewed", num_tasks, alpha, max_trips, seed)
-        self.trip_counts = [
-            t * 16 for t in rng.zipf_sizes(num_tasks, alpha, max_trips // 16)
-        ]
+
+    @first_use
+    def trip_counts(self) -> list[int]:
+        rng = DeterministicRng("skewed", self.num_tasks, self.alpha,
+                               self.max_trips, self.seed)
+        return [t * 16 for t in rng.zipf_sizes(self.num_tasks, self.alpha,
+                                                self.max_trips // 16)]
 
     def build_program(self) -> Program:
         state = {"sums": {}}
@@ -111,7 +121,7 @@ class SkewedTasks(Workload):
         return {i: t * (i + 1) for i, t in enumerate(self.trip_counts)}
 
     def check(self, state: dict) -> None:
-        require(state["sums"] == self.reference(), "skewed sums mismatch")
+        require(state["sums"] == self.expected, "skewed sums mismatch")
 
     @property
     def total_work(self) -> int:
@@ -159,7 +169,7 @@ class SharedReadTasks(Workload):
         return self.num_tasks
 
     def check(self, state: dict) -> None:
-        require(state["hits"] == self.num_tasks,
+        require(state["hits"] == self.expected,
                 f"expected {self.num_tasks} kernel runs, got {state['hits']}")
 
 
@@ -215,7 +225,7 @@ class ChainTasks(Workload):
         return list(range(self.depth))
 
     def check(self, state: dict) -> None:
-        require(sorted(state["stages_run"]) == self.reference(),
+        require(sorted(state["stages_run"]) == self.expected,
                 f"chain stages mismatch: {state['stages_run']}")
 
 
@@ -256,8 +266,8 @@ class SpawnTree(Workload):
         return 2 ** (self.depth + 1) - 1
 
     def check(self, state: dict) -> None:
-        require(len(state["visited"]) == self.reference(),
-                f"expected {self.reference()} nodes, "
+        require(len(state["visited"]) == self.expected,
+                f"expected {self.expected} nodes, "
                 f"got {len(state['visited'])}")
 
 
@@ -273,24 +283,21 @@ class ConfigThrash(Workload):
 
     name = "config-thrash"
 
+    _FACTORIES = (dot_product_dfg, merge_dfg, compare_count_dfg,
+                  distance_dfg, stencil5_dfg, smith_waterman_dfg)
+
     def __init__(self, num_tasks: int = 64, num_types: int = 4,
                  trips: int = 64) -> None:
-        from repro.arch.dfg import (
-            compare_count_dfg,
-            distance_dfg,
-            merge_dfg,
-            smith_waterman_dfg,
-            stencil5_dfg,
-        )
-
-        factories = [dot_product_dfg, merge_dfg, compare_count_dfg,
-                     distance_dfg, stencil5_dfg, smith_waterman_dfg]
-        if not 1 <= num_types <= len(factories):
-            raise ValueError(f"num_types must be 1..{len(factories)}")
+        if not 1 <= num_types <= len(self._FACTORIES):
+            raise ValueError(f"num_types must be 1..{len(self._FACTORIES)}")
         self.num_tasks = num_tasks
         self.num_types = num_types
         self.trips = trips
-        self._dfgs = [factories[i](f"thrash{i}") for i in range(num_types)]
+
+    @first_use
+    def _dfgs(self) -> list:
+        return [self._FACTORIES[i](f"thrash{i}")
+                for i in range(self.num_types)]
 
     def build_program(self) -> Program:
         state = {"ran": []}
@@ -316,5 +323,5 @@ class ConfigThrash(Workload):
         return list(range(self.num_tasks))
 
     def check(self, state: dict) -> None:
-        require(sorted(state["ran"]) == self.reference(),
+        require(sorted(state["ran"]) == self.expected,
                 "config-thrash task set mismatch")

@@ -12,7 +12,7 @@ from repro.arch.dfg import compare_count_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import Graph, power_law_graph
 
 _ELEM = 4
@@ -27,9 +27,15 @@ class TriangleWorkload(Workload):
                  max_deg: int = 32, vertices_per_task: int = 8,
                  seed: int = 0) -> None:
         self.num_vertices = num_vertices
+        self.alpha = alpha
+        self.max_deg = max_deg
         self.vertices_per_task = vertices_per_task
-        self.graph: Graph = power_law_graph(
-            num_vertices, alpha=alpha, max_deg=max_deg, seed=seed)
+        self.seed = seed
+
+    @first_use
+    def graph(self) -> Graph:
+        return power_law_graph(self.num_vertices, alpha=self.alpha,
+                               max_deg=self.max_deg, seed=self.seed)
 
     def _chunk_work(self, start: int) -> int:
         end = min(start + self.vertices_per_task, self.num_vertices)
@@ -90,9 +96,9 @@ class TriangleWorkload(Workload):
         return count
 
     def check(self, state: dict) -> None:
-        require(state["count"] == self.reference(),
+        require(state["count"] == self.expected,
                 f"triangle count mismatch: {state['count']} != "
-                f"{self.reference()}")
+                f"{self.expected}")
 
     def describe(self) -> dict:
         works = [self._chunk_work(s)

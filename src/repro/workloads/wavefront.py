@@ -15,7 +15,7 @@ from repro.arch.dfg import smith_waterman_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.core.program import Program
 from repro.core.task import Task, TaskContext, TaskType
-from repro.workloads.base import Workload, require
+from repro.workloads.base import Workload, first_use, require
 from repro.workloads.inputs import random_int_array
 
 _ELEM = 4
@@ -34,8 +34,15 @@ class WavefrontWorkload(Workload):
         self.tiles = tiles
         self.tile_size = tile_size
         self.n = tiles * tile_size
-        self.seq_a = random_int_array(self.n, 0, 3, seed=("wave-a", seed))
-        self.seq_b = random_int_array(self.n, 0, 3, seed=("wave-b", seed))
+        self.seed = seed
+
+    @first_use
+    def seq_a(self) -> np.ndarray:
+        return random_int_array(self.n, 0, 3, seed=("wave-a", self.seed))
+
+    @first_use
+    def seq_b(self) -> np.ndarray:
+        return random_int_array(self.n, 0, 3, seed=("wave-b", self.seed))
 
     def _fill_tile(self, score: np.ndarray, ti: int, tj: int) -> None:
         b = self.tile_size
@@ -95,7 +102,7 @@ class WavefrontWorkload(Workload):
         return score
 
     def check(self, state: dict) -> None:
-        require(np.array_equal(state["score"], self.reference()),
+        require(np.array_equal(state["score"], self.expected),
                 "wavefront score matrix mismatch")
 
     def describe(self) -> dict:

@@ -144,6 +144,36 @@ def _start_server(cache_dir):
     raise AssertionError("server never announced its port")
 
 
+def _proc_stat(pid):
+    """``(state, ppid)`` of ``pid`` from /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _descendants(pid):
+    """Every live descendant of ``pid``, from the /proc parent links."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        stat = _proc_stat(entry) if entry.isdigit() else None
+        if stat is not None and stat[0] != "Z":
+            children.setdefault(stat[1], []).append(int(entry))
+    found, stack = [], [pid]
+    while stack:
+        for kid in children.get(stack.pop(), []):
+            found.append(kid)
+            stack.append(kid)
+    return found
+
+
 @pytest.mark.slow
 def test_sigkilled_server_replays_jobs_after_restart(tmp_path):
     sweep = {"kind": "sweep", "sanitize": True, "lanes": 8,
@@ -169,9 +199,21 @@ def test_sigkilled_server_replays_jobs_after_restart(tmp_path):
                     break
             time.sleep(0.05)
         assert victim is not None, "no job ever started running"
+        # The running job's pool workers, which outlive a SIGKILLed
+        # parent unless they notice it is gone.
+        workers = []
+        while time.monotonic() < deadline and not workers:
+            workers = _descendants(server.pid)
+            time.sleep(0.05)
+        assert workers, "the running job never started its pool"
     finally:
         server.kill()
         server.wait(30)
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline and any(map(_alive, workers)):
+        time.sleep(0.1)
+    assert not [pid for pid in workers if _alive(pid)], \
+        "pool workers outlived their SIGKILLed server"
 
     reborn, port = _start_server(tmp_path)
     try:

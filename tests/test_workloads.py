@@ -6,12 +6,20 @@ and the simulated state must match the workload's reference
 implementation exactly.
 """
 
+import functools
+import inspect
+import multiprocessing
+import pickle
+import threading
+
 import pytest
 
 from repro.arch.config import default_baseline_config, default_delta_config
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
 from repro.core.program import expand_program
+from repro.eval.runner import compare
+from repro.util.fingerprint import workload_cache_key
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.base import WorkloadError
 from repro.workloads.bfs import BfsWorkload
@@ -23,6 +31,7 @@ from repro.workloads.registry import workload_names
 from repro.workloads.spmm import SpmmWorkload
 from repro.workloads.spmv import SpmvWorkload
 from repro.workloads.stencil_amr import StencilAmrWorkload
+from repro.workloads.synthetic import ChainTasks
 from repro.workloads.triangle import TriangleWorkload
 from repro.workloads.wavefront import WavefrontWorkload
 
@@ -181,3 +190,172 @@ class TestWorkloadStructure:
         w = StencilAmrWorkload(num_tiles=30)
         areas = sorted(s * s for s in w.sides)
         assert areas[-1] > 8 * areas[0]
+
+
+# -- identity: a workload is its bound constructor arguments ----------------
+
+ALL_NAMES = workload_names()
+
+
+def _generated(workload):
+    """Names of the first-use attributes ``workload`` has computed."""
+    return {name for name, attr in inspect.getmembers(type(workload))
+            if isinstance(attr, functools.cached_property)
+            and name in vars(workload)}
+
+
+def _changed(workload, parameter):
+    """A fresh instance of ``workload``'s class that differs only in
+    ``parameter``, moved to the first nearby value its constructor
+    accepts (mergesort wants ``n % leaf == 0``, histogram a power-of-two
+    chunk count, ...)."""
+    arguments = dict(workload.arguments)
+    value = arguments[parameter]
+    if isinstance(value, bool):
+        candidates = [not value]
+    elif isinstance(value, int):
+        candidates = [value + 1, value * 2, value - 1]
+    else:
+        candidates = [value * 2, value + 0.5]
+    for candidate in candidates:
+        if candidate == value:
+            continue
+        try:
+            return type(workload)(**{**arguments, parameter: candidate})
+        except ValueError:
+            continue
+    pytest.fail(f"no accepted neighbour of {parameter}={value!r}")
+
+
+ARGUMENT_CASES = [(name, parameter) for name in ALL_NAMES
+                  for parameter, _value in get_workload(name).arguments]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_arguments_follow_the_constructor_signature(name):
+    """``inspect.signature`` still sees through the recording wrapper
+    (the e2e benchmark's ``build_workloads`` relies on it), and the
+    recorded arguments are exactly those parameters with defaults."""
+    workload = get_workload(name)
+    signature = inspect.signature(type(workload))
+    assert [p for p, _v in workload.arguments] == list(signature.parameters)
+    assert dict(workload.arguments) == {
+        p.name: p.default for p in signature.parameters.values()}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_key_is_equal_before_and_after_build_program(name):
+    workload = get_workload(name)
+    before = workload_cache_key(workload)
+    assert not _generated(workload), "keying generated inputs"
+    workload.build_program()
+    assert workload_cache_key(workload) == before
+    assert workload_cache_key(get_workload(name)) == before
+
+
+@pytest.mark.parametrize("name,parameter", ARGUMENT_CASES,
+                         ids=[f"{n}-{p}" for n, p in ARGUMENT_CASES])
+def test_key_changes_with_every_argument(name, parameter):
+    workload = get_workload(name)
+    assert workload_cache_key(_changed(workload, parameter)) != \
+        workload_cache_key(workload)
+
+
+@pytest.mark.parametrize("cls", [CholeskyWorkload, MergesortWorkload,
+                                 WavefrontWorkload], ids=lambda c: c.name)
+def test_seed_reaches_the_key(cls):
+    # These three once keyed on attributes their seed never reached, so
+    # seeds 1 and 2 shared one cache entry.
+    assert workload_cache_key(cls(seed=1)) != workload_cache_key(cls(seed=2))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_untouched_instance_pickles_as_its_arguments(name):
+    workload = get_workload(name)
+    assert len(pickle.dumps(workload)) < 1024
+    assert not _generated(workload)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_compare_leaves_inputs_and_reference_unchanged(name):
+    """The memoised ``expected`` is sound: simulating both machines and
+    checking twice neither mutates an input nor the reference."""
+    workload = get_workload(name)
+    compare(workload, default_delta_config(lanes=2))
+    fresh = get_workload(name)
+    generated = _generated(workload)
+    assert "expected" in generated
+    for attr in generated - {"expected"}:
+        assert pickle.dumps(getattr(workload, attr)) == \
+            pickle.dumps(getattr(fresh, attr)), attr
+    assert pickle.dumps(workload.expected) == \
+        pickle.dumps(fresh.reference())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_first_use_survives_a_fork_mid_computation():
+    """A pool worker forked while another thread computes a first-use
+    value must not inherit a held lock. ``functools.cached_property``
+    before Python 3.12 shares one per attribute across instances, and
+    ``repro serve`` forks pools while its threads compute one-point
+    jobs: such a worker hung on its first read of ``expected``."""
+    computing, release = threading.Event(), threading.Event()
+
+    class Slow(ChainTasks):
+        def reference(self):
+            computing.set()
+            release.wait(30)
+            return super().reference()
+
+    thread = threading.Thread(target=lambda: Slow().expected)
+    thread.start()
+    child = None
+    try:
+        assert computing.wait(30)
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: ChainTasks().expected)
+        child.start()
+        child.join(30)
+        assert not child.is_alive(), "the forked worker hung on a held lock"
+        assert child.exitcode == 0
+    finally:
+        release.set()
+        thread.join(30)
+        if child is not None and child.is_alive():
+            child.kill()
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_unstable_argument_is_rejected_by_name(name):
+    # The last parameter (the seed, or a trip count) is only stored by
+    # every constructor, so an object() survives __init__.
+    workload = get_workload(name)
+    parameter = workload.arguments[-1][0]
+    odd = type(workload)(**{**dict(workload.arguments),
+                            parameter: object()})
+    with pytest.raises(TypeError, match=parameter):
+        workload_cache_key(odd)
+
+
+def test_tuple_arguments_are_stable():
+    workload = SpmvWorkload(seed=(1, "a", None))
+    assert workload_cache_key(workload) == \
+        workload_cache_key(SpmvWorkload(seed=(1, "a", None)))
+    assert workload_cache_key(workload) != \
+        workload_cache_key(SpmvWorkload(seed=(1, "b", None)))
+
+
+def test_subclass_is_identified_by_its_own_arguments():
+    class Fixed(SpmvWorkload):
+        def __init__(self, seed: int = 0) -> None:
+            super().__init__(num_rows=32, num_cols=32, seed=seed)
+
+    class Renamed(SpmvWorkload):
+        pass
+
+    assert Fixed(seed=3).arguments == (("seed", 3),)
+    assert Fixed(seed=3).num_rows == 32
+    assert Renamed(seed=3).arguments == SpmvWorkload(seed=3).arguments
+    assert workload_cache_key(Renamed(seed=3)) != \
+        workload_cache_key(SpmvWorkload(seed=3))
