@@ -3,7 +3,8 @@
 A cache entry is one pickled :class:`~repro.eval.runner.Comparison` keyed
 by a stable hash of everything that determines its value:
 
-- the workload's identity (class, name, scalar parameters, T2 description);
+- the workload's identity (class, name, and the bound constructor
+  arguments, defaults applied: ``Workload.arguments``);
 - both :class:`~repro.arch.config.MachineConfig` instances, including the
   seed (frozen dataclasses with exact-float reprs);
 - whether functional verification ran;

@@ -12,7 +12,11 @@ suite fans ``compare()`` calls out over ``multiprocessing`` workers:
    counted as ``cache.coalesced``);
 3. submit the remaining misses to a process pool (``--jobs`` workers,
    default ``os.cpu_count()``), each worker re-running the exact serial
-   ``compare()`` path;
+   ``compare()`` path. Misses are dispatched longest-first by the host
+   seconds their workload last took (points never timed go first, in
+   input order), so a long point does not start last and run alone
+   while the other workers idle; a reorder buffer still delivers pool
+   results in input order;
 4. any per-point failure — pickling, a per-point timeout, a crashed
    worker, pool creation itself — falls back to recomputing that point
    serially in the parent, so the parallel path can only ever be a
@@ -177,6 +181,45 @@ def _compare_point(spec: PointSpec):
     return compare(workload, delta_config, static_config, verify=verify)
 
 
+#: Host seconds the last computed point of each workload took, keyed by
+#: :func:`_cost_key`: the work estimate the pool dispatches by. One table
+#: per process, like the mapper's cache; every computed point refreshes it.
+_point_costs: dict[tuple[str, str], float] = {}
+
+
+def _cost_key(spec: PointSpec) -> tuple[str, str]:
+    """A point's cost identity: its workload's class and name. The points
+    of one batch share their configurations, so only their relative cost
+    matters, not the seed or the config."""
+    workload = spec[0]
+    return type(workload).__qualname__, workload.name
+
+
+def _timed_point(spec: PointSpec):
+    """Run one point; returns ``(result, host seconds it took)``.
+
+    Goes through the module global :func:`_compare_point`, so a patched
+    point function is honoured here and in fork-started workers alike.
+    """
+    start = time.perf_counter()
+    result = _compare_point(spec)
+    return result, time.perf_counter() - start
+
+
+def dispatch_order(points: Sequence[PointSpec]) -> list[int]:
+    """Indices of ``points`` in the order the pool submits them.
+
+    Points never timed come first, in input order, so a fresh process
+    dispatches exactly as given; then points by descending last measured
+    cost, ties in input order.
+    """
+    def rank(index: int) -> tuple[bool, float]:
+        cost = _point_costs.get(_cost_key(points[index]))
+        return (cost is not None, -(cost or 0.0))
+
+    return sorted(range(len(points)), key=rank)
+
+
 def _recover_point(spec: PointSpec, timeout: Optional[float],
                    cancel: Optional[threading.Event] = None):
     """Recompute one point serially, under the same per-point budget.
@@ -239,6 +282,11 @@ def run_points(points: Sequence[PointSpec],
                metrics=NULL_METRICS) -> list:
     """Evaluate points, fanning out over ``jobs`` worker processes.
 
+    The pool runs points in :func:`dispatch_order`, longest first by the
+    host seconds each workload's last computed point took (the serial
+    path and the pool time every point they compute); the order changes
+    only when points finish, never what they compute.
+
     ``timeout`` bounds each point's wall-clock seconds in the pool; a
     point that exceeds it (or fails to pickle) is recomputed serially in
     the parent — still under the same budget when the failure was a
@@ -260,12 +308,15 @@ def run_points(points: Sequence[PointSpec],
     ``pool_rebuilds``, ``retried_points`` and ``lost_worker_points``.
 
     ``cancel`` is a cooperative stop: once the event fires, every point
-    not yet computed — including one mid-recompute after a timeout —
-    resolves to result ``None`` with outcome ``"cancelled"``; nothing is
-    raised. ``heartbeat()`` fires once per poll slice while any point is
-    awaited — the lease-renewal seam for ``repro serve``.
+    not yet delivered — including one mid-recompute after a timeout, or
+    one computed but waiting on an earlier index — resolves to result
+    ``None`` with outcome ``"cancelled"``; nothing is raised.
+    ``heartbeat()`` fires once per poll slice while any point is awaited
+    — the lease-renewal seam for ``repro serve``.
     ``on_point(index, result, outcome)`` fires as each point resolves
-    (the streaming seam ``repro serve`` feeds from); a callback exception
+    (the streaming seam ``repro serve`` feeds from): pool points in index
+    order, then the points that left the pool (cancelled, lost-worker,
+    recovered), each group in index order. A callback exception
     propagates and aborts the batch.
 
     ``outcomes``, when given, is filled in place with one entry per
@@ -292,57 +343,82 @@ def run_points(points: Sequence[PointSpec],
             if cancel is not None and cancel.is_set():
                 settle(index, None, "cancelled")
             else:
-                settle(index, _compare_point(spec), "ok")
+                result, seconds = _timed_point(spec)
+                _point_costs[_cost_key(spec)] = seconds
+                settle(index, result, "ok")
         return results
 
-    redo: list[int] = []          # serial fallback: non-pool failures
-    lost: list[int] = []          # serial fallback: repeat worker-killers
+    # Points that leave the pool; they settle after it, in index order.
+    redo: set[int] = set()        # non-pool failures and timeouts
+    lost: set[int] = set()        # repeat worker-killers
     timed_out: set[int] = set()
     cancelled: set[int] = set()
     #: index -> how many times this point's worker died under it.
     deaths: dict[int, int] = {}
-    pending = list(range(len(points)))
+    # The reorder buffer: a pool result waits in ``held`` until every
+    # earlier index has settled or left the pool, so callers see pool
+    # points in input order whatever order they were dispatched in.
+    held: dict[int, tuple] = {}
+    cursor = 0
+
+    def release() -> None:
+        nonlocal cursor
+        while cursor < len(points):
+            if cursor in held:
+                if cancel is not None and cancel.is_set():
+                    return  # computed but unreleased: cancelled below
+                settle(cursor, *held.pop(cursor))
+            elif not (cursor in redo or cursor in lost
+                      or cursor in cancelled):
+                return  # still in the pool
+            cursor += 1
+
+    pending = dispatch_order(points)
     rebuilds = 0
-    try:
-        while pending:
-            # fork (where available) shares the already-imported
-            # simulator; spawn works too because workers only need the
-            # repro package.
-            context = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn")
+    while pending:
+        # fork (where available) shares the already-imported simulator;
+        # spawn works too because workers only need the repro package.
+        context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
+        pool = None
+        try:
             pool = ProcessPoolExecutor(
                 max_workers=min(jobs, len(pending)), mp_context=context,
                 initializer=_worker_init, initargs=(os.getpid(),))
-            broken_inflight: list[int] = []
-            pool_broken = False
-            try:
-                futures = {index: pool.submit(_compare_point, points[index])
-                           for index in pending}
-                for index in pending:
-                    future = futures[index]
-                    if cancel is not None and cancel.is_set():
-                        future.cancel()
-                        cancelled.add(index)
-                        continue
-                    if pool_broken:
-                        # Poisoned by the same break; classified below.
-                        broken_inflight.append(index)
-                        continue
+            futures = [pool.submit(_timed_point, points[index])
+                       for index in pending]
+        except Exception:
+            # Pool creation / submission failed: every point of this
+            # round falls back to serial.
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+            redo.update(pending)
+            break
+        broken_inflight: list[int] = []
+        pool_broken = False
+        try:
+            # Awaited in dispatch order: awaiting in input order would
+            # start a cheap, late-dispatched point's timeout clock while it
+            # still waits behind the long ones.
+            for index, future in zip(pending, futures):
+                if cancel is not None and cancel.is_set():
+                    future.cancel()
+                    cancelled.add(index)
+                elif pool_broken:
+                    # Poisoned by the same break; classified below.
+                    broken_inflight.append(index)
+                else:
                     try:
-                        settle(index,
-                               _await_result(future, timeout, cancel,
-                                             heartbeat),
-                               "retried" if deaths.get(index) else "ok")
-                        if deaths.get(index):
-                            metrics.add("retried_points")
+                        result, seconds = _await_result(future, timeout,
+                                                        cancel, heartbeat)
                     except _Cancelled:
                         future.cancel()
                         cancelled.add(index)
                     except FutureTimeoutError:
                         future.cancel()
                         timed_out.add(index)
-                        redo.append(index)
+                        redo.add(index)
                     except Exception:
                         # BrokenProcessPool poisons every later future;
                         # any other per-point error is retried serially
@@ -356,34 +432,41 @@ def run_points(points: Sequence[PointSpec],
                             metrics.add("worker_deaths")
                             broken_inflight.append(index)
                         else:
-                            redo.append(index)
-            finally:
-                # wait=False: a worker stuck past its timeout must not
-                # block the fallback path; its point is recomputed in
-                # the parent.
-                pool.shutdown(wait=False, cancel_futures=True)
-            pending = []
-            if broken_inflight:
+                            redo.add(index)
+                    else:
+                        _point_costs[_cost_key(points[index])] = seconds
+                        outcome = "ok"
+                        if deaths.get(index):
+                            metrics.add("retried_points")
+                            outcome = "retried"
+                        held[index] = (result, outcome)
+                release()
+        finally:
+            # wait=False: a worker stuck past its timeout must not block
+            # the fallback path; its point is recomputed in the parent.
+            pool.shutdown(wait=False, cancel_futures=True)
+        pending = []
+        if broken_inflight:
+            for index in broken_inflight:
+                deaths[index] = deaths.get(index, 0) + 1
+            if rebuilds < max_pool_rebuilds:
+                rebuilds += 1
+                metrics.add("pool_rebuilds")
                 for index in broken_inflight:
-                    deaths[index] = deaths.get(index, 0) + 1
-                if rebuilds < max_pool_rebuilds:
-                    rebuilds += 1
-                    metrics.add("pool_rebuilds")
-                    for index in broken_inflight:
-                        if deaths[index] > _WORKER_DEATH_RETRIES:
-                            lost.append(index)
-                        else:
-                            pending.append(index)
-                else:
-                    # Rebuild budget spent: whatever was in flight goes
-                    # to the bounded serial path instead of a new pool.
-                    lost.extend(broken_inflight)
-    except Exception:
-        # Pool creation / submission failed (e.g. unpicklable workload):
-        # everything unresolved falls back to serial.
-        redo = [i for i, r in enumerate(results) if r is None
-                and i not in cancelled and i not in lost]
+                    if deaths[index] > _WORKER_DEATH_RETRIES:
+                        lost.add(index)
+                    else:
+                        pending.append(index)
+            else:
+                # Rebuild budget spent: whatever was in flight goes to
+                # the bounded serial path instead of a new pool.
+                lost.update(broken_inflight)
+            release()
 
+    release()
+    # Only a cancel fired ahead of them can still hold results: computed
+    # but never delivered, they settle as cancelled, as unresolved points do.
+    cancelled.update(held)
     for index in sorted(cancelled):
         settle(index, None, "cancelled")
     for index in sorted(lost):
@@ -396,7 +479,7 @@ def run_points(points: Sequence[PointSpec],
             continue
         metrics.add("lost_worker_points")
         settle(index, result, "lost-worker")
-    for index in redo:
+    for index in sorted(redo):
         if heartbeat is not None:
             heartbeat()
         bounded = index in timed_out

@@ -4,24 +4,48 @@ The contract under test (see docs/evaluation.md):
 
 - the parallel path returns *field-identical* results to the serial path;
 - a warm cache serves every point without running a single simulation;
-- a corrupted cache entry is dropped and recomputed, never served.
+- a corrupted cache entry is dropped and recomputed, never served;
+- the pool dispatches longest-first by measured cost, yet delivers
+  results in input order.
 """
 
 import pickle
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.arch.config import default_baseline_config, default_delta_config
+from repro.eval import parallel as parallel_mod
 from repro.eval.cache import CACHE_FORMAT, EvalCache, workload_cache_key
-from repro.eval.parallel import resolve_jobs, run_suite_parallel
+from repro.eval.parallel import (
+    dispatch_order,
+    resolve_jobs,
+    run_points,
+    run_suite_parallel,
+)
 from repro.eval.runner import run_suite, simulation_count
 from repro.util.fingerprint import comparison_fingerprint, result_stats
+from repro.workloads import all_workloads
 from repro.workloads.spmv import SpmvWorkload
 from repro.workloads.synthetic import SharedReadTasks, SkewedTasks
 
 LANES = 4
+
+
+@pytest.fixture(autouse=True)
+def fresh_point_costs(monkeypatch):
+    """Every test starts with an empty cost table, so dispatch order never
+    depends on which tests ran before."""
+    monkeypatch.setattr(parallel_mod, "_point_costs", {})
+
+
+def reverse_dispatch(workloads):
+    """Seed the cost table so the pool dispatches ``workloads`` last first."""
+    for rank, workload in enumerate(workloads):
+        key = (type(workload).__qualname__, workload.name)
+        parallel_mod._point_costs[key] = float(rank + 1)
 
 
 def fast_workloads():
@@ -122,7 +146,8 @@ class TestCancellation:
         assert outcomes == ["cancelled", "cancelled"]
         assert simulation_count() == before
 
-    def test_cancel_mid_sweep_marks_remaining_points_cancelled(self):
+    @staticmethod
+    def cancel_mid_sweep(reversed_dispatch: bool) -> list:
         # The first settled point fires the cancel: everything after it
         # must resolve as cancelled, everything before it stays computed.
         cancel = threading.Event()
@@ -134,6 +159,8 @@ class TestCancellation:
             cancel.set()
 
         workloads = fast_workloads() + [SpmvWorkload()]
+        if reversed_dispatch:
+            reverse_dispatch(workloads)
         results = run_suite_parallel(lanes=LANES, workloads=workloads,
                                      jobs=2, outcomes=outcomes,
                                      cancel=cancel, on_result=on_result)
@@ -144,15 +171,23 @@ class TestCancellation:
                 assert comparison is None
             else:
                 assert comparison is not None
+        return outcomes
+
+    def test_cancel_mid_sweep_marks_remaining_points_cancelled(self):
+        self.cancel_mid_sweep(reversed_dispatch=False)
+
+    def test_cancel_mid_sweep_with_reversed_dispatch(self):
+        # Index 0 is dispatched last, so the later points are computed
+        # and held when its delivery fires the cancel: held results
+        # settle as cancelled too, never as delivered.
+        outcomes = self.cancel_mid_sweep(reversed_dispatch=True)
+        assert outcomes == ["ok", "cancelled", "cancelled"]
 
     def test_cancelled_timeout_recovery_reports_cancelled(self, monkeypatch):
         # Regression: a point that times out in the pool AND whose serial
         # recompute is then cancelled must settle as "cancelled" — not
         # raise PointTimeoutError or a pool-teardown error at the caller.
         import multiprocessing
-
-        from repro.eval import parallel as parallel_mod
-        from repro.eval.parallel import run_points
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork workers to inherit the patched point")
@@ -187,6 +222,90 @@ class TestCancellation:
         cancel.set()
         with pytest.raises(_Cancelled):
             _recover_point(spec, timeout=600.0, cancel=cancel)
+
+
+class Named:
+    """Stand-in workload: the dispatch order reads only class and name."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+
+class TestDispatchOrder:
+    """Longest-first dispatch by the last measured cost of each workload,
+    delivered in input order."""
+
+    def test_untimed_points_keep_input_order(self):
+        points = [(Named(name), None, None, True) for name in "abc"]
+        assert dispatch_order(points) == [0, 1, 2]
+
+    def test_untimed_first_then_longest_first_ties_in_input_order(self):
+        points = [(Named(name), None, None, True) for name in "abcdef"]
+        for name, cost in {"a": 1.0, "c": 3.0, "d": 1.0, "f": 2.0}.items():
+            parallel_mod._point_costs[("Named", name)] = cost
+        # b and e were never timed; then c (3.0), f (2.0), a and d (1.0).
+        assert dispatch_order(points) == [1, 4, 2, 5, 0, 3]
+
+    def test_reversed_dispatch_equals_serial_and_delivers_in_order(self):
+        serial = run_suite(lanes=LANES, workloads=all_workloads(), jobs=1)
+        workloads = all_workloads()
+        reverse_dispatch(workloads)
+        points = [(w, None, None, True) for w in workloads]
+        assert dispatch_order(points) == list(reversed(range(len(points))))
+        delivered: list = []
+        parallel = run_suite_parallel(
+            lanes=LANES, workloads=workloads, jobs=2,
+            on_result=lambda index, *_: delivered.append(index))
+        assert_field_identical(serial, parallel)
+        assert delivered == list(range(len(workloads)))
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+    def test_batch_times_one_entry_per_workload(self, jobs):
+        # Two points of one (class, name) with different arguments share
+        # one entry: the estimate ranks workloads, not configurations.
+        workloads = fast_workloads() + [SkewedTasks(num_tasks=12)]
+        delta = default_delta_config(lanes=LANES)
+        static = default_baseline_config(lanes=LANES)
+        points = [(w, delta, static, True) for w in workloads]
+        assert None not in run_points(points, jobs=jobs)
+        costs = parallel_mod._point_costs
+        assert set(costs) == {("SkewedTasks", "skewed"),
+                              ("SharedReadTasks", "shared-read")}
+        assert all(seconds > 0 for seconds in costs.values())
+
+    def test_concurrent_batches_share_the_table(self, monkeypatch):
+        # repro serve runs jobs on several threads against the one
+        # process-wide table: concurrent timing and ordering must neither
+        # raise nor leave more than one entry per workload.
+        monkeypatch.setattr(parallel_mod, "_compare_point",
+                            lambda spec: spec[0].name)
+        names = [f"w{i}" for i in range(8)]
+        points = [(Named(name), None, None, True) for name in names]
+        errors: list = []
+
+        def batches():
+            try:
+                for _ in range(200):
+                    assert run_points(points, jobs=1) == names
+                    assert sorted(dispatch_order(points)) == \
+                        list(range(len(points)))
+            except Exception as exc:  # reported below, not lost in a thread
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=batches) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert set(parallel_mod._point_costs) == \
+            {("Named", name) for name in names}
 
 
 class TestEvalCache:
