@@ -151,8 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8023,
                          help="TCP port; 0 picks a free one (default 8023)")
     p_serve.add_argument("--jobs", type=int, default=None,
-                         help="worker processes per sweep (default: "
-                              "$REPRO_JOBS, else 1)")
+                         help="worker processes shared by all running "
+                              "jobs (default: $REPRO_JOBS, else 1: jobs "
+                              "compute in the server process)")
     p_serve.add_argument("--timeout", type=float, default=None,
                          help="per-point timeout in seconds; a timed-out "
                               "point is recomputed serially")
@@ -173,8 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default 8)")
     p_serve.add_argument("--max-concurrent-jobs", type=int, default=2,
                          metavar="N",
-                         help="jobs executing at once; each fans out its "
-                              "own --jobs worker pool (default 2)")
+                         help="jobs executing at once, all sharing the "
+                              "--jobs worker processes (default 2)")
     p_serve.add_argument("--lease-s", type=float, default=15.0,
                          metavar="S",
                          help="running-job lease duration; a job whose "

@@ -10,17 +10,21 @@ suite fans ``compare()`` calls out over ``multiprocessing`` workers:
    this batch are never submitted — the leader's result fans out to them
    (the synchronous twin of :class:`repro.store.coalesce.Coalescer`,
    counted as ``cache.coalesced``);
-3. submit the remaining misses to a process pool (``--jobs`` workers,
-   default ``os.cpu_count()``), each worker re-running the exact serial
-   ``compare()`` path. Misses are dispatched longest-first by the host
-   seconds their workload last took (points never timed go first, in
-   input order), so a long point does not start last and run alone
+3. with ``jobs > 1``, submit the remaining misses — one point or many —
+   to the process-wide worker pool, each worker re-running the exact
+   serial ``compare()`` path. The first batch that needs the pool
+   creates it with ``jobs`` workers; every later batch, from any thread,
+   reuses it, so no batch pays a fork and concurrent ``repro serve``
+   jobs compute on separate cores instead of contending for the
+   server's interpreter lock. Misses are dispatched longest-first by the
+   host seconds their workload last took (points never timed go first,
+   in input order), so a long point does not start last and run alone
    while the other workers idle; a reorder buffer still delivers pool
    results in input order;
-4. any per-point failure — pickling, a per-point timeout, a crashed
-   worker, pool creation itself — falls back to recomputing that point
-   serially in the parent, so the parallel path can only ever be a
-   speedup, never a behaviour change.
+4. any per-point failure — pickling, a per-point timeout, a worker
+   that keeps dying under it, pool creation itself — falls back to
+   recomputing that point serially in the parent, so the parallel path
+   can only ever be a speedup, never a behaviour change.
 
 Results are field-identical to the serial path by the determinism
 contract: all randomness is seeded from the configuration
@@ -30,13 +34,17 @@ computes bit-for-bit the same :class:`Comparison` the parent would.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
+import stat
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+import weakref
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional, Sequence
 
 from repro.arch.config import (
@@ -75,24 +83,41 @@ _CANCEL_POLL_S = 0.05
 #: still be resubmitted to a rebuilt pool before the serial fallback.
 _WORKER_DEATH_RETRIES = 1
 
+#: How long a future may stay pending after its pool is seen broken, in
+#: seconds, before it is treated as lost with that pool.
+_BROKEN_GRACE_S = 1.0
+
+
+def _is_broken(executor: ProcessPoolExecutor) -> bool:
+    """Whether a worker of ``executor`` died (the executor's own flag)."""
+    return bool(executor._broken)
+
 
 def _await_result(future, timeout: Optional[float],
                   cancel: Optional[threading.Event],
-                  heartbeat: Optional[Callable[[], None]] = None):
+                  heartbeat: Optional[Callable[[], None]] = None,
+                  executor: Optional[ProcessPoolExecutor] = None):
     """Wait on a pool future under an optional budget and cancel event.
 
     Returns the future's result; raises :class:`FutureTimeoutError` when
     the budget runs out first, :class:`_Cancelled` when the event fires
-    first. Without a cancel event or heartbeat this is exactly
-    ``future.result``; with either, the wait polls in short slices so
-    cooperative cancellation takes effect within :data:`_CANCEL_POLL_S`
+    first. Without a cancel event, heartbeat or executor this is exactly
+    ``future.result``; with any of them, the wait polls in short slices
+    so cooperative cancellation takes effect within :data:`_CANCEL_POLL_S`
     rather than after the (possibly unbounded) point finishes, and
     ``heartbeat()`` fires every slice — how a served job's lease stays
     warm while its points compute.
+
+    ``executor`` is the pool the future was submitted to. A future still
+    pending :data:`_BROKEN_GRACE_S` after that pool is seen broken raises
+    :class:`BrokenProcessPool`: a broken pool fails its pending futures
+    without taking the lock ``submit`` holds, so a submission racing a
+    worker death can leave a future nobody will ever resolve.
     """
-    if cancel is None and heartbeat is None:
+    if cancel is None and heartbeat is None and executor is None:
         return future.result(timeout=timeout)
     deadline = None if timeout is None else time.monotonic() + timeout
+    broken_at = None
     while True:
         if heartbeat is not None:
             heartbeat()
@@ -107,7 +132,13 @@ def _await_result(future, timeout: Optional[float],
         try:
             return future.result(timeout=slice_s)
         except FutureTimeoutError:
-            continue  # re-check cancel / deadline, then keep waiting
+            pass  # re-check cancel / deadline / pool, then keep waiting
+        if executor is not None and _is_broken(executor):
+            if broken_at is None:
+                broken_at = time.monotonic()
+            elif time.monotonic() - broken_at >= _BROKEN_GRACE_S:
+                raise BrokenProcessPool(
+                    "the pool broke and never resolved this future")
 
 
 def default_jobs() -> int:
@@ -148,6 +179,14 @@ def _worker_init(parent: int) -> None:
     the server believe it was asked to shut down. Restoring defaults
     keeps worker signals inside the worker.
 
+    A fork-context worker also inherits every socket the parent has open:
+    under ``repro serve``, its listener and its clients' connections. A
+    worker lives as long as the shared pool, so it would keep a
+    connection open after the server closes it, and a client reading a
+    job's event stream to its end would wait forever. Each inherited
+    socket is therefore pointed at ``/dev/null``; the descriptor number
+    stays taken, so no stale socket object can close a reused one.
+
     A worker also exits once ``parent`` — the pid of the process that
     created the pool, read there rather than here, where a parent killed
     right after the fork would already have been replaced by a reaper —
@@ -158,8 +197,35 @@ def _worker_init(parent: int) -> None:
     signal.set_wakeup_fd(-1)
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, signal.SIG_DFL)
+    _release_sockets()
     threading.Thread(target=_exit_when_orphaned, args=(parent,),
                      name="orphan-watch", daemon=True).start()
+
+
+def _release_sockets() -> None:
+    """Point every socket descriptor of this process at ``/dev/null``.
+
+    The pool's own channels are pipes, never sockets, so they are left
+    alone.
+    """
+    for listing in ("/proc/self/fd", "/dev/fd"):
+        try:
+            descriptors = [int(name) for name in os.listdir(listing)]
+            break
+        except (OSError, ValueError):
+            continue
+    else:
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in descriptors:
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                pass  # the listing's own descriptor, closed since
+    finally:
+        os.close(devnull)
 
 
 #: How often a pool worker checks that its parent is still alive, in seconds.
@@ -171,6 +237,143 @@ def _exit_when_orphaned(parent: int) -> None:
     while os.getppid() == parent:
         time.sleep(_ORPHAN_POLL_S)
     os._exit(1)
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A started pool of ``workers`` workers reset by :func:`_worker_init`.
+
+    Fork-context workers start on a pool's first submission, so one
+    no-op is submitted here, with every object then alive frozen out of
+    the collector (:func:`gc.freeze`). A worker that collected the
+    parent's garbage could free a dead pool there, whose wakeup callback
+    takes that pool's lock; if another thread of the parent held that
+    lock at the fork, the worker would wait on it forever.
+    """
+    # fork (where available) shares the already-imported simulator;
+    # spawn works too because workers only need the repro package.
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn")
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                               initializer=_worker_init,
+                               initargs=(os.getpid(),))
+    with _start_lock:
+        gc.freeze()
+        try:
+            pool.submit(int)
+        finally:
+            gc.unfreeze()
+    return pool
+
+
+#: Serializes pool start-ups, so one start-up's unfreeze cannot thaw the
+#: heap while another thread's pool is forking.
+_start_lock = threading.Lock()
+
+
+class _SharedPool:
+    """The one worker pool every :func:`run_points` batch of a process uses.
+
+    The first batch that needs it creates it with that batch's ``jobs``
+    workers; later batches, from any thread, submit to the same warm
+    workers. It is replaced only when it is broken (a worker died), when
+    a point outlived its timeout in it (that worker is stuck), or when a
+    batch asks for a different worker count. A replaced pool is retired:
+    it takes no new points, but points other batches queued there still
+    finish there.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._jobs = 0
+        #: Workers of retired pools that may still be finishing points.
+        self._retired: list = []
+        #: Broken executors whose worker death has been counted.
+        self._counted = weakref.WeakSet()
+
+    def submit(self, specs: Sequence[PointSpec], jobs: int, metrics):
+        """Queue ``specs`` on the pool; returns ``(executor, futures)``.
+
+        A pool found broken here (an idle worker died since the last
+        batch) is replaced before anything is submitted. A submission the
+        executor refuses as broken yields a future failed with
+        :class:`BrokenProcessPool`, so that point takes the rebuild path.
+        """
+        with self._lock:
+            current = self._executor
+            if current is not None and _is_broken(current):
+                self.note_break(current, metrics)
+                metrics.add("pool_rebuilds")
+                self._retire(current)
+            elif current is not None and self._jobs != jobs:
+                self._retire(current)
+            if self._executor is None:
+                self._executor, self._jobs = _new_pool(jobs), jobs
+            executor = self._executor
+            futures = []
+            for spec in specs:
+                try:
+                    futures.append(executor.submit(_timed_point, spec))
+                except BrokenProcessPool as exc:
+                    failed: Future = Future()
+                    failed.set_exception(exc)
+                    futures.append(failed)
+        return executor, futures
+
+    def note_break(self, executor: ProcessPoolExecutor, metrics) -> None:
+        """Count a broken pool's worker death once, however many batches
+        saw it break."""
+        with self._lock:
+            if executor in self._counted:
+                return
+            self._counted.add(executor)
+        metrics.add("worker_deaths")
+
+    def retire(self, executor: ProcessPoolExecutor) -> None:
+        """Give ``executor`` no more batches: one of its workers is stuck."""
+        with self._lock:
+            if self._executor is executor:
+                self._retire(executor)
+
+    def _retire(self, executor: ProcessPoolExecutor) -> None:
+        self._executor = None
+        self._retired = [worker for worker in self._retired
+                         if worker.is_alive()]
+        # The executor forgets its workers on shutdown; keep them so
+        # shutdown() can still stop one stuck in a point.
+        self._retired += (executor._processes or {}).values()
+        executor.shutdown(wait=False)
+
+    def shutdown(self) -> None:
+        """Stop every worker now, busy or idle, retired pools' included.
+
+        Queued points are cancelled and running ones killed, so a point
+        stuck in a worker cannot hold up the caller or its exit. The next
+        batch creates a fresh pool.
+        """
+        with self._lock:
+            executor, self._executor = self._executor, None
+            workers, self._retired = self._retired, []
+            if executor is not None:
+                workers += (executor._processes or {}).values()
+                executor.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.terminate()
+        for worker in workers:
+            worker.join(timeout=5)
+
+
+_shared_pool = _SharedPool()
+
+
+def shutdown_pool() -> None:
+    """Stop the process-wide worker pool without waiting on a busy worker.
+
+    ``repro serve`` calls this when it stops, once its job threads are
+    gone. A later batch with ``jobs > 1`` starts a fresh pool.
+    """
+    _shared_pool.shutdown()
 
 
 def _compare_point(spec: PointSpec):
@@ -244,12 +447,7 @@ def _recover_point(spec: PointSpec, timeout: Optional[float],
         return _compare_point(spec)
     pool = None
     try:
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=context,
-                                   initializer=_worker_init,
-                                   initargs=(os.getpid(),))
+        pool = _new_pool(1)
         future = pool.submit(_compare_point, spec)
         return _await_result(future, timeout, cancel)
     except _Cancelled:
@@ -282,30 +480,38 @@ def run_points(points: Sequence[PointSpec],
                metrics=NULL_METRICS) -> list:
     """Evaluate points, fanning out over ``jobs`` worker processes.
 
-    The pool runs points in :func:`dispatch_order`, longest first by the
-    host seconds each workload's last computed point took (the serial
-    path and the pool time every point they compute); the order changes
-    only when points finish, never what they compute.
+    With ``jobs <= 1`` every point runs in the calling thread. Otherwise
+    every point goes to the process-wide pool of ``jobs`` workers, which
+    this call creates only if no batch has yet, and leaves running for
+    the next batch; concurrent calls share it. The pool runs points in
+    :func:`dispatch_order`, longest first by the host seconds each
+    workload's last computed point took (the serial path and the pool
+    time every point they compute); the order changes only when points
+    finish, never what they compute.
 
     ``timeout`` bounds each point's wall-clock seconds in the pool; a
     point that exceeds it (or fails to pickle) is recomputed serially in
     the parent — still under the same budget when the failure was a
-    timeout (see :func:`_recover_point`). Genuine simulation errors — a
-    workload failing functional verification, an invalid configuration —
-    therefore surface exactly as the serial path would raise them.
+    timeout (see :func:`_recover_point`). A timeout also retires the
+    pool, whose worker is stuck: later batches get a fresh one. Genuine
+    simulation errors — a workload failing functional verification, an
+    invalid configuration — therefore surface exactly as the serial path
+    would raise them.
 
     **Worker death is survivable.** A ``kill -9`` of a pool child breaks
     the whole ``ProcessPoolExecutor`` (every unfinished future poisons
     with ``BrokenProcessPool``); instead of falling back to serial for
-    the rest of the batch, the pool is rebuilt (up to
-    ``max_pool_rebuilds`` times) and only the poisoned points are
-    resubmitted. A point that completes in a rebuilt pool reports outcome
-    ``"retried"``; a point that keeps killing its worker (more than
+    the rest of the batch, the batch resubmits only its poisoned points
+    to a rebuilt pool (up to ``max_pool_rebuilds`` times). A point that
+    completes in a rebuilt pool reports outcome ``"retried"``; a point
+    that keeps killing its worker (more than
     :data:`_WORKER_DEATH_RETRIES` deaths, or deaths past the rebuild
     budget) is recomputed serially with outcome ``"lost-worker"`` — one
     murdered child degrades to one retried point, never a failed sweep.
-    ``metrics`` (an object with ``add``) counts ``worker_deaths``,
-    ``pool_rebuilds``, ``retried_points`` and ``lost_worker_points``.
+    ``metrics`` (an object with ``add``) counts ``worker_deaths`` and
+    ``pool_rebuilds`` once per broken pool, however many batches saw it
+    break, and this batch's ``retried_points`` and
+    ``lost_worker_points``.
 
     ``cancel`` is a cooperative stop: once the event fires, every point
     not yet delivered — including one mid-recompute after a timeout, or
@@ -336,7 +542,7 @@ def run_points(points: Sequence[PointSpec],
         if on_point is not None:
             on_point(index, result, outcome)
 
-    if jobs <= 1 or len(points) <= 1:
+    if jobs <= 1:
         for index, spec in enumerate(points):
             if heartbeat is not None:
                 heartbeat()
@@ -376,23 +582,12 @@ def run_points(points: Sequence[PointSpec],
     pending = dispatch_order(points)
     rebuilds = 0
     while pending:
-        # fork (where available) shares the already-imported simulator;
-        # spawn works too because workers only need the repro package.
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-        pool = None
         try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)), mp_context=context,
-                initializer=_worker_init, initargs=(os.getpid(),))
-            futures = [pool.submit(_timed_point, points[index])
-                       for index in pending]
+            executor, futures = _shared_pool.submit(
+                [points[index] for index in pending], jobs, metrics)
         except Exception:
             # Pool creation / submission failed: every point of this
             # round falls back to serial.
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
             redo.update(pending)
             break
         broken_inflight: list[int] = []
@@ -410,29 +605,25 @@ def run_points(points: Sequence[PointSpec],
                     broken_inflight.append(index)
                 else:
                     try:
-                        result, seconds = _await_result(future, timeout,
-                                                        cancel, heartbeat)
+                        result, seconds = _await_result(
+                            future, timeout, cancel, heartbeat, executor)
                     except _Cancelled:
                         future.cancel()
                         cancelled.add(index)
                     except FutureTimeoutError:
                         future.cancel()
+                        _shared_pool.retire(executor)
                         timed_out.add(index)
                         redo.add(index)
+                    except BrokenProcessPool:
+                        # A worker died: every later future is poisoned.
+                        pool_broken = True
+                        _shared_pool.note_break(executor, metrics)
+                        broken_inflight.append(index)
                     except Exception:
-                        # BrokenProcessPool poisons every later future;
-                        # any other per-point error is retried serially
+                        # Any other per-point error is retried serially,
                         # so the serial path is the one that reports it.
-                        from concurrent.futures.process import \
-                            BrokenProcessPool
-
-                        if isinstance(future.exception(),
-                                      BrokenProcessPool):
-                            pool_broken = True
-                            metrics.add("worker_deaths")
-                            broken_inflight.append(index)
-                        else:
-                            redo.add(index)
+                        redo.add(index)
                     else:
                         _point_costs[_cost_key(points[index])] = seconds
                         outcome = "ok"
@@ -442,16 +633,16 @@ def run_points(points: Sequence[PointSpec],
                         held[index] = (result, outcome)
                 release()
         finally:
-            # wait=False: a worker stuck past its timeout must not block
-            # the fallback path; its point is recomputed in the parent.
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Only this batch's own queued points are withdrawn: the pool
+            # and other batches' points are not ours to stop.
+            for future in futures:
+                future.cancel()
         pending = []
         if broken_inflight:
             for index in broken_inflight:
                 deaths[index] = deaths.get(index, 0) + 1
             if rebuilds < max_pool_rebuilds:
                 rebuilds += 1
-                metrics.add("pool_rebuilds")
                 for index in broken_inflight:
                     if deaths[index] > _WORKER_DEATH_RETRIES:
                         lost.add(index)

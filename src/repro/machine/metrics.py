@@ -281,9 +281,10 @@ class EvalMetrics(CounterGroup):
     prefix = "eval"
     worker_deaths = metric(
         "worker_deaths",
-        "Process-pool breakages observed (a worker died mid-point).")
+        "Worker pools broken by a worker death, once per pool however "
+        "many batches saw it.")
     pool_rebuilds = metric(
-        "pool_rebuilds", "Worker pools rebuilt after a breakage.")
+        "pool_rebuilds", "Broken worker pools replaced by a fresh one.")
     retried_points = metric(
         "retried_points",
         "Points that lost a worker and completed in a rebuilt pool.")

@@ -8,9 +8,12 @@ One :class:`Server` composes the whole subsystem:
 - the persistent :class:`~repro.serve.queue.JobQueue` (jobs survive
   restarts in the shared store's ``jobs`` namespace; priorities, tenant
   quotas, fair-share draining);
-- the :class:`~repro.serve.executor.JobExecutor`, which fans each claimed
-  job out through :mod:`repro.eval.parallel` in a small worker-thread
-  pool, coalescing duplicate in-flight sweeps;
+- the :class:`~repro.serve.executor.JobExecutor`, which runs each
+  claimed job through :mod:`repro.eval.parallel` on a small pool of job
+  threads, coalescing duplicate in-flight sweeps; with ``jobs > 1`` the
+  points of every running job go to the one worker-process pool of
+  :mod:`repro.eval.parallel`, so concurrent jobs compute on separate
+  cores;
 - a **watchdog task** that enforces job leases (a crashed or wedged
   worker's job is requeued with backoff, then failed typed once its
   retry budget is spent) and ages terminal job history out of the store;
@@ -36,6 +39,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.eval.cache import EvalCache
+from repro.eval.parallel import shutdown_pool
 from repro.machine.metrics import MetricsBus
 from repro.serve.executor import JobExecutor
 from repro.serve.http import Responder, read_request
@@ -161,6 +165,9 @@ class Server:
             # slice; cancel_futures covers claims that never started.
             self._workers.shutdown(wait=True, cancel_futures=True)
             self._workers = None
+        # No job thread is left to use the shared worker pool; a worker
+        # still busy with an abandoned point is stopped, not awaited.
+        shutdown_pool()
         self.ready.clear()
 
     def shutdown(self) -> None:

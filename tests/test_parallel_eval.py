@@ -6,13 +6,21 @@ The contract under test (see docs/evaluation.md):
 - a warm cache serves every point without running a single simulation;
 - a corrupted cache entry is dropped and recomputed, never served;
 - the pool dispatches longest-first by measured cost, yet delivers
-  results in input order.
+  results in input order;
+- one warm worker pool serves every batch of the process, concurrent
+  batches included, and is replaced only when broken or stuck.
 """
 
+import gc
+import multiprocessing
+import os
 import pickle
+import signal
 import sys
 import threading
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -26,6 +34,7 @@ from repro.eval.parallel import (
     run_suite_parallel,
 )
 from repro.eval.runner import run_suite, simulation_count
+from repro.machine.metrics import MetricsBus
 from repro.util.fingerprint import comparison_fingerprint, result_stats
 from repro.workloads import all_workloads
 from repro.workloads.spmv import SpmvWorkload
@@ -306,6 +315,258 @@ class TestDispatchOrder:
         assert errors == []
         assert set(parallel_mod._point_costs) == \
             {("Named", name) for name in names}
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="workers must inherit the patched point function")
+
+
+def named_points(names):
+    return [(Named(name), None, None, True) for name in names]
+
+
+def pid_after(seconds):
+    """Stand-in point function: sleep, then name the process that ran it."""
+    def point(spec):
+        time.sleep(seconds)
+        return os.getpid()
+    return point
+
+
+def run_threads(*targets, timeout=120):
+    """Run each target on its own thread; fail if any is still running."""
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=timeout)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class BreaksOnceStarted(ProcessPoolExecutor):
+    """A pool whose workers start, then one dies: every submission after
+    the one that started them meets a broken pool."""
+
+    started = False
+
+    def submit(self, fn, /, *args, **kwargs):
+        if not self.started:
+            self.started = True
+            return super().submit(fn, *args, **kwargs)
+        self._broken = "a child process terminated abruptly"
+        return self.submit_to_broken_pool()
+
+
+class LosesItsFuture(BreaksOnceStarted):
+    """The submission raced the worker death and landed after the pool
+    failed its pending futures, so nothing will ever resolve it."""
+
+    def submit_to_broken_pool(self):
+        return Future()
+
+
+class RefusesSubmit(BreaksOnceStarted):
+    """The pool broke before the submission reached it."""
+
+    def submit_to_broken_pool(self):
+        raise BrokenProcessPool(self._broken)
+
+
+@needs_fork
+class TestSharedPool:
+    """One warm pool per process: reused across batches and threads,
+    replaced only when it breaks or a worker is stuck."""
+
+    def test_consecutive_batches_reuse_the_workers(self, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "_compare_point", pid_after(0.3))
+        points = named_points("abcd")
+        first = set(run_points(points, jobs=2))
+        second = set(run_points(points, jobs=2))
+        assert len(first) == 2 and os.getpid() not in first
+        assert second == first
+
+    def test_one_point_batch_runs_in_a_worker(self):
+        serial = run_suite(lanes=LANES, workloads=[SkewedTasks(num_tasks=24)],
+                           jobs=1)
+        before = simulation_count()
+        pooled = run_suite_parallel(lanes=LANES,
+                                    workloads=[SkewedTasks(num_tasks=24)],
+                                    jobs=2)
+        assert simulation_count() == before, "the point ran in this process"
+        assert_field_identical(serial, pooled)
+
+    def test_concurrent_batches_equal_serial(self):
+        delta = default_delta_config(lanes=LANES)
+        static = default_baseline_config(lanes=LANES)
+        suites = [lambda: fast_workloads() + [SpmvWorkload()],
+                  lambda: [SkewedTasks(num_tasks=12),
+                           SharedReadTasks(num_tasks=24)]]
+
+        def specs(suite):
+            return [(w, delta, static, True) for w in suite()]
+
+        serial = [run_points(specs(suite), jobs=1) for suite in suites]
+        results: dict = {}
+        delivered: dict = {0: [], 1: []}
+
+        def batch(k):
+            results[k] = run_points(
+                specs(suites[k]), jobs=2,
+                on_point=lambda index, *_: delivered[k].append(index))
+
+        run_threads(lambda: batch(0), lambda: batch(1))
+        for k, expected in enumerate(serial):
+            assert [comparison_fingerprint(c) for c in results[k]] == \
+                [comparison_fingerprint(c) for c in expected]
+            assert delivered[k] == list(range(len(expected)))
+
+    def test_timeout_retires_the_pool_not_a_concurrent_batch(
+            self, monkeypatch, tmp_path):
+        # A stuck point times out and retires the pool. A batch queued
+        # there beside it still completes there; the next batch gets new
+        # workers.
+        stall = tmp_path / "stall-once"
+        stall.write_text("armed")
+
+        def point(spec):
+            if spec[0].name == "stuck":
+                try:
+                    os.remove(stall)
+                except FileNotFoundError:
+                    pass  # the serial recompute: not stuck this time
+                else:
+                    time.sleep(5)
+            else:
+                time.sleep(0.4)
+            return os.getpid()
+
+        monkeypatch.setattr(parallel_mod, "_compare_point", point)
+        stuck_outcomes: list = []
+        stuck = threading.Thread(target=run_points, args=(
+            named_points(["stuck"]), 2, 0.8, stuck_outcomes))
+        stuck.start()
+        deadline = time.monotonic() + 10
+        while stall.exists():
+            assert time.monotonic() < deadline, "the stuck point never ran"
+            time.sleep(0.01)
+        outcomes: list = []
+        beside = run_points(named_points("abcd"), jobs=2, outcomes=outcomes)
+        stuck.join(timeout=30)
+        assert not stuck.is_alive()
+        assert stuck_outcomes == ["recovered-after-timeout"]
+        assert outcomes == ["ok"] * 4
+        after = run_points(named_points("ef"), jobs=2)
+        assert set(after).isdisjoint(beside)
+
+    def test_one_death_under_two_batches_counts_once(self, monkeypatch,
+                                                     tmp_path):
+        kill = tmp_path / "kill-once"
+        kill.write_text("armed")
+
+        def point(spec):
+            if multiprocessing.parent_process() is not None:
+                try:
+                    os.remove(kill)
+                except FileNotFoundError:
+                    pass  # another worker already spent the kill
+                else:
+                    time.sleep(0.5)  # both batches are queued by now
+                    os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.3)
+            return spec[0].name
+
+        monkeypatch.setattr(parallel_mod, "_compare_point", point)
+        bus = MetricsBus()
+        start = threading.Barrier(2)
+        results: dict = {}
+        outcomes: dict = {"abc": [], "xyz": []}
+
+        def batch(names):
+            start.wait(timeout=30)
+            results[names] = run_points(named_points(names), jobs=2,
+                                        outcomes=outcomes[names],
+                                        metrics=bus.eval)
+
+        run_threads(lambda: batch("abc"), lambda: batch("xyz"))
+        assert not kill.exists()
+        assert bus.eval.get("worker_deaths") == 1
+        assert bus.eval.get("pool_rebuilds") == 1
+        for names in ("abc", "xyz"):
+            assert results[names] == list(names)
+            assert "retried" in outcomes[names]
+            assert set(outcomes[names]) <= {"ok", "retried"}
+
+    def test_pool_broken_between_batches_is_replaced_first(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(parallel_mod, "_compare_point", pid_after(0.3))
+        bus = MetricsBus()
+        points = named_points("abcd")
+        old = set(run_points(points, jobs=2, metrics=bus.eval))
+        os.kill(min(old), signal.SIGKILL)
+        # The pool sees the death and stops its other worker too.
+        deadline = time.monotonic() + 30
+        while old & {p.pid for p in multiprocessing.active_children()}:
+            assert time.monotonic() < deadline, "the pool never broke"
+            time.sleep(0.05)
+        outcomes: list = []
+        new = set(run_points(points, jobs=2, outcomes=outcomes,
+                             metrics=bus.eval))
+        assert outcomes == ["ok"] * 4
+        assert new.isdisjoint(old)
+        assert bus.eval.get("worker_deaths") == 1
+        assert bus.eval.get("pool_rebuilds") == 1
+
+    def test_workers_never_collect_the_parents_garbage(self, monkeypatch):
+        # A worker that collected garbage the parent left would run its
+        # finalizers there. A dead pool's wakeup callback is one: it takes
+        # a lock another thread of the parent may have held at the fork,
+        # and would wait on it forever.
+        finalized: list = []
+
+        class Finalizer:
+            def __del__(self):
+                finalized.append(os.getpid())
+
+        def point(spec):
+            gc.collect()
+            return list(finalized)
+
+        monkeypatch.setattr(parallel_mod, "_compare_point", point)
+        gc.disable()
+        try:
+            garbage = [Finalizer()]
+            garbage.append(garbage)
+            del garbage
+            assert run_points(named_points("ab"), jobs=2) == [[], []]
+        finally:
+            gc.enable()
+            gc.collect()
+        assert finalized == [os.getpid()]
+
+    @pytest.mark.parametrize("broken_pool", [LosesItsFuture, RefusesSubmit])
+    def test_point_lost_to_a_breaking_pool_is_retried(self, monkeypatch,
+                                                      broken_pool):
+        made: list = []
+
+        def pools(*args, **kwargs):
+            made.append((ProcessPoolExecutor if made else broken_pool)(
+                *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", pools)
+        serial = run_suite(lanes=LANES, workloads=[SkewedTasks(num_tasks=24)],
+                           jobs=1)
+        bus = MetricsBus()
+        outcomes: list = []
+        pooled: list = []
+        run_threads(lambda: pooled.extend(run_suite_parallel(
+            lanes=LANES, workloads=[SkewedTasks(num_tasks=24)], jobs=2,
+            outcomes=outcomes, metrics=bus.eval)), timeout=60)
+        assert outcomes == ["retried"]
+        assert_field_identical(serial, pooled)
+        assert bus.eval.get("worker_deaths") == 1
+        assert bus.eval.get("pool_rebuilds") == 1
 
 
 class TestEvalCache:

@@ -8,6 +8,9 @@ What must hold (see docs/serving.md):
 - **cancellation**: DELETE on a running job propagates into the in-flight
   evaluation points and leaves the queue and pool clean — conservation
   still balances and the server keeps serving;
+- **shared worker pool**: with ``jobs > 1`` every job computes on one
+  process-wide pool whose workers hold no client connection open, and
+  a stopped server leaves no worker running;
 - **quotas**: a tenant at its active-job quota gets a typed 429; other
   tenants are unaffected;
 - **restart recovery**: queued jobs persisted in the ``jobs`` store
@@ -32,6 +35,7 @@ thread; clients are plain ``http.client`` over the NDJSON protocol.
 
 import http.client
 import json
+import multiprocessing
 import threading
 import time
 from contextlib import contextmanager
@@ -459,6 +463,44 @@ class TestCancellation:
             assert stream(port, follow_up)[-1]["state"] == "completed"
             assert request(port, "GET", "/healthz")[1]["conservation_ok"] \
                 is True
+
+
+class TestSharedWorkerPool:
+    """Jobs of a server with ``jobs > 1`` share one process-wide pool."""
+
+    def test_stream_open_when_the_pool_forks_still_ends(self, tmp_path):
+        # The workers fork while this stream's connection is open; they
+        # must not keep it open after the server closes it.
+        with serving(tmp_path, jobs=2, start_paused=True) as server:
+            job_id = submit(server.port, sweep_spec())
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=60)
+            try:
+                conn.request("GET", f"/jobs/{job_id}/events")
+                response = conn.getresponse()
+                server.resume()
+                events = [json.loads(line) for line
+                          in response.read().decode().splitlines()]
+            finally:
+                conn.close()
+        assert events[-1]["state"] == "completed"
+
+    def test_stop_leaves_no_pool_worker(self, tmp_path, monkeypatch):
+        # Stopping must neither wait for a pool worker busy with a point
+        # nor leave one running.
+        slow_points(monkeypatch, delay_s=60)
+
+        def workers():
+            return {p.pid for p in multiprocessing.active_children()} - before
+
+        before = {p.pid for p in multiprocessing.active_children()}
+        with serving(tmp_path, jobs=2) as server:
+            submit(server.port, sweep_spec())
+            deadline = time.monotonic() + 30
+            while not workers():
+                assert time.monotonic() < deadline, "no pool worker started"
+                time.sleep(0.02)
+        assert not workers()
 
 
 class TestRestartRecovery:

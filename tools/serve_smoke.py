@@ -12,12 +12,17 @@ plain ``http.client``:
    balanced conservation counters;
 4. stop the server with SIGTERM and require a clean exit.
 
+``--jobs N`` passes through to ``repro serve``: with N > 1 the jobs run
+on its shared worker pool, so the same script smokes that pool on a live
+server.
+
 Exit code 0 on success; any protocol violation prints a diagnostic and
 exits 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import http.client
 import json
 import os
@@ -63,11 +68,17 @@ def stream(port: int, job_id: str) -> list:
         conn.close()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes for the server (default: "
+                             "the server's own default)")
+    args = parser.parse_args(argv)
+    jobs = [] if args.jobs is None else ["--jobs", str(args.jobs)]
     cache_dir = tempfile.mkdtemp(prefix="repro-serve-smoke-")
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--cache-dir", cache_dir, "--max-concurrent-jobs", "1"],
+         "--cache-dir", cache_dir, "--max-concurrent-jobs", "1", *jobs],
         cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
