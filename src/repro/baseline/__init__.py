@@ -1,20 +1,16 @@
-"""Baselines the paper compares against.
+"""The baseline the paper compares against.
 
-- :class:`StaticParallel` — the equivalent static-parallel design (the
-  paper's primary comparison): identical datapath, static partitioning,
-  barriers, no task hardware.
-- :class:`SoftwareRuntime` — a software task runtime on the same datapath
-  (the motivation comparison): dynamic work stealing with software
-  dispatch costs, and none of the recovered structure. (Implemented in
-  :mod:`repro.core.software` — it is a configuration of the Delta engine —
-  and re-exported here for compatibility.)
+:class:`StaticParallel` is the equivalent static-parallel design (the
+paper's primary comparison): identical datapath, static partitioning,
+barriers, no task hardware. The software task runtime of the motivation
+comparison is a configuration of the Delta engine, so it lives in
+:mod:`repro.core.software`.
 
-Both baselines run on the shared :mod:`repro.machine` datapath; nothing
+The baseline runs on the shared :mod:`repro.machine` datapath; nothing
 in this package constructs hardware components or reaches into
 :mod:`repro.core.delta` internals.
 """
 
 from repro.baseline.static import StaticParallel
-from repro.baseline.software import SoftwareRuntime
 
-__all__ = ["StaticParallel", "SoftwareRuntime"]
+__all__ = ["StaticParallel"]

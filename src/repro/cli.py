@@ -9,7 +9,7 @@ Commands:
 - ``suite``                     — the full evaluation suite (F1 data).
 - ``eval``                      — the suite through the parallel, cached
   harness (``--jobs``, ``--no-cache``, ``--clear-cache``, ``--cache-dir``,
-  ``--cache-max-mb``; both caches share one ``repro.store`` root).
+  ``--cache-max-mb``; the result cache lives in a ``repro.store`` root).
 - ``experiment ID``             — run one experiment (T1..T3, F1..F10, A1).
 - ``show WORKLOAD``             — DOT / ASCII views of a workload's task
   graph and kernels.
@@ -34,7 +34,6 @@ from repro.arch.config import (
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
 from repro.eval.experiments import ALL_EXPERIMENTS
-from repro.eval.runner import attach_structure
 from repro.eval.runner import compare as run_compare
 from repro.eval.runner import run_suite, suite_geomean
 from repro.eval.tables import format_table
@@ -117,11 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="always simulate; do not read or write the "
                              "result cache")
     p_eval.add_argument("--clear-cache", action="store_true",
-                        help="drop every cached entry (comparison AND "
-                             "structure) before running")
+                        help="drop every cached entry before running")
     p_eval.add_argument("--cache-dir", metavar="DIR",
-                        help="store location for both caches (default: "
-                             ".repro-cache/ or $REPRO_CACHE_DIR)")
+                        help="store location of the result cache "
+                             "(default: .repro-cache/ or $REPRO_CACHE_DIR)")
     p_eval.add_argument("--cache-max-mb", type=float, default=None,
                         metavar="MB",
                         help="size cap for the on-disk store; least-"
@@ -318,16 +316,13 @@ def _cmd_compare(args) -> int:
     if plan is not None:
         delta_cfg = delta_cfg.with_faults(plan)
     comparison = run_compare(workload, delta_cfg)
-    attach_structure([comparison], workloads=[workload])
     print(comparison.delta.summary())
     print(comparison.static.summary())
     print(f"speedup {comparison.speedup:.2f}x, "
           f"DRAM traffic reduction {comparison.traffic_ratio:.2f}x")
-    if comparison.cp_bound is not None:
-        s = comparison.structure
-        print(f"critical-path speedup bound {comparison.cp_bound:.2f}x "
-              f"at {comparison.lanes} lanes "
-              f"(inherent parallelism {s.parallelism:.2f})")
+    print(f"critical-path speedup bound {comparison.cp_bound:.2f}x "
+          f"at {comparison.lanes} lanes "
+          f"(inherent parallelism {comparison.parallelism:.2f})")
     return 0
 
 
@@ -350,12 +345,9 @@ def _cmd_eval(args) -> int:
     from repro.eval.cache import EvalCache
     from repro.eval.parallel import default_jobs, run_suite_parallel
     from repro.eval.runner import simulation_count
-    from repro.graph.cache import StructureCache
     from repro.machine.metrics import MetricsBus
     from repro.store import open_store
 
-    # One sharded store serves both caches: shared root, shared size
-    # budget, shared cache.* metrics — and one --clear-cache clears both.
     bus = MetricsBus()
     store = open_store(args.cache_dir, max_mb=args.cache_max_mb,
                        metrics=bus.cache)
@@ -366,11 +358,7 @@ def _cmd_eval(args) -> int:
                            for name, count in sorted(removed.items()))
         print(f"cleared {total} cached entr{'y' if total == 1 else 'ies'}"
               + (f" ({detail})" if detail else ""))
-    cache = None
-    structure_cache = None
-    if not args.no_cache:
-        cache = EvalCache(store=store)
-        structure_cache = StructureCache(store=store)
+    cache = None if args.no_cache else EvalCache(store=store)
     workloads = None
     if args.workloads:
         workloads = [get_workload(name) for name in args.workloads]
@@ -386,8 +374,6 @@ def _cmd_eval(args) -> int:
                                      cache=cache, sanitize=args.sanitize,
                                      faults=_fault_plan(args),
                                      outcomes=outcomes)
-    attach_structure(comparisons, workloads=workloads,
-                     cache=structure_cache)
     elapsed = time.perf_counter() - started
     rows = [c.row_with_bound() for c in comparisons]
     print(format_table(
@@ -407,9 +393,6 @@ def _cmd_eval(args) -> int:
               + ", ".join(slow))
     if cache is not None:
         print(cache.stats())
-    if structure_cache is not None:
-        print(structure_cache.stats())
-    if cache is not None or structure_cache is not None:
         # Eviction normally runs after writes; a fully-warm run writes
         # nothing, so enforce a (possibly just-lowered) budget here too.
         store.evict_to_budget()

@@ -23,7 +23,7 @@ This package is the paper's primary contribution:
 from repro.core.annotations import ReadSpec, WriteSpec, WorkHint
 from repro.core.task import Task, TaskType, TaskContext
 from repro.core.program import Program
-from repro.core.result import RunResult
+from repro.machine.result import RunResult
 from repro.core.delta import Delta
 from repro.core.software import SoftwareRuntime
 

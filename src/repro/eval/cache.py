@@ -15,26 +15,23 @@ by a stable hash of everything that determines its value:
 
 This keying is sound because of the determinism contract (see
 :mod:`repro.util.fingerprint`): a point's result is a pure function of the
-key's inputs. Each entry stores its comparison fingerprint alongside the
-payload and is re-verified on load, so a corrupted or tampered entry is
-discarded and recomputed instead of poisoning a sweep.
+key's inputs. Each entry stores one digest of its comparison fingerprint
+and its critical-path bound alongside the payload, re-verified on load,
+so a corrupted or tampered entry is discarded and recomputed instead of
+poisoning a sweep.
 
 Storage — sharding, atomic publish, per-shard locking, the size-cap
 eviction policy, and the ``cache.*`` metrics — is the shared
 :class:`~repro.store.sharded.ShardedStore`'s job; this module only
 defines what an entry *means*: the ``"eval"`` namespace, the pickle
-layout, and fingerprint verification. Entries live under
+layout, and digest verification. Entries live under
 ``<cache root>/eval/<shard>/<key>.pkl``.
 
 The default cache root is ``.repro-cache/`` at the repository root (next
 to ``pyproject.toml``), or ``~/.cache/repro-eval`` for installed copies;
 ``REPRO_CACHE_DIR`` overrides both. The code-version digest, cache-root
 resolution, and workload identity key form the store's key model
-(:mod:`repro.store.keys`, primitives in :mod:`repro.util.codebase` /
-:mod:`repro.util.fingerprint`); this module re-exports them under their
-historical names. Direct imports of those names from here are deprecated
-in favour of ``repro.store.keys`` (the shims stay until a major format
-bump).
+(:mod:`repro.store.keys`).
 """
 
 from __future__ import annotations
@@ -43,17 +40,9 @@ import pickle
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from repro.store.keys import (  # noqa: F401  (re-exported compat names)
-    code_version,
-    default_cache_root,
-    digest_tree,
-    entry_key,
-    source_files,
-    stable_hash,
-    workload_cache_key,
-)
+from repro.store.keys import code_version, stable_hash, workload_cache_key
 from repro.store.sharded import ShardedStore
-from repro.util.fingerprint import comparison_fingerprint  # noqa: F401
+from repro.util.fingerprint import comparison_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.config import MachineConfig
@@ -61,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.base import Workload
 
 #: Bump when the entry layout changes; old entries are simply never hit.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 #: The store namespace comparison entries live in.
 NAMESPACE = "eval"
@@ -75,12 +64,19 @@ def comparison_key(workload: "Workload",
 
     Module-level so the parallel executor can coalesce duplicate
     in-flight points by key even when no cache is attached. Composed from
-    this module's (re-exported) key-model names, so tests can monkeypatch
+    this module's imported key-model names, so tests can monkeypatch
     ``code_version`` here to prove invalidation.
     """
     return stable_hash(CACHE_FORMAT, code_version(),
                        workload_cache_key(workload),
                        delta_config, static_config, verify)
+
+
+def _entry_digest(comparison: "Comparison") -> str:
+    """What an entry is verified by: its comparison fingerprint and the
+    critical-path bound it carries, in one digest."""
+    return stable_hash(comparison_fingerprint(comparison),
+                       comparison.parallelism)
 
 
 class EvalCache:
@@ -126,11 +122,11 @@ class EvalCache:
         try:
             entry = pickle.loads(payload)
             comparison = entry["comparison"]
-            if entry["fingerprint"] != comparison_fingerprint(comparison):
-                raise ValueError("fingerprint mismatch")
+            if entry["digest"] != _entry_digest(comparison):
+                raise ValueError("digest mismatch")
         except Exception as exc:
-            # Truncated pickle, foreign object, failed fingerprint: discard
-            # the entry and let the caller recompute.
+            # Truncated pickle, foreign object, failed digest: discard the
+            # entry and let the caller recompute.
             self.store.discard_corrupt(NAMESPACE, key, repr(exc))
             self._miss()
             return None
@@ -145,7 +141,7 @@ class EvalCache:
     def put(self, key: str, comparison: "Comparison") -> None:
         """Store an entry (atomic publish + size-budget enforcement)."""
         payload = pickle.dumps(
-            {"fingerprint": comparison_fingerprint(comparison),
+            {"digest": _entry_digest(comparison),
              "comparison": comparison},
             protocol=pickle.HIGHEST_PROTOCOL)
         self.store.write(NAMESPACE, key, payload)

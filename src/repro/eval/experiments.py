@@ -9,10 +9,7 @@ throughout; pass smaller workload sets to iterate quickly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graph.cache import StructureCache
+from typing import Any, Optional, Sequence
 
 from repro.arch.area import estimate_area
 from repro.arch.config import (
@@ -24,12 +21,7 @@ from repro.arch.config import (
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
 from repro.eval.figures import bar_chart, series_table
-from repro.eval.runner import (
-    attach_structure,
-    compare,
-    run_suite,
-    suite_geomean,
-)
+from repro.eval.runner import compare, run_suite, suite_geomean
 from repro.eval.tables import format_table
 from repro.util.stats import geomean
 from repro.workloads import all_workloads, get_workload
@@ -87,19 +79,18 @@ def t1_machine_config(config: Optional[MachineConfig] = None,
 # --------------------------------------------------------------------- T2
 
 def t2_workload_table(workloads: Optional[Sequence[Workload]] = None,
-                      structure_cache: Optional["StructureCache"] = None,
                       ) -> ExperimentResult:
     """Workload-characteristics table.
 
     The last three columns come from the recovered task graph
     (:mod:`repro.graph`): barrier-phase count, inherent parallelism
     (T1/T∞), and the shared-region sharing sets (count and total reader
-    degree). ``structure_cache`` serves warm summaries from disk.
+    degree); a workload whose program fails validation shows dashes.
     """
-    from repro.eval.runner import workload_structures
+    from repro.graph.cache import structure_summary
+    from repro.graph.ir import GraphValidationError
 
     workloads = list(workloads) if workloads is not None else all_workloads()
-    structures = workload_structures(workloads, cache=structure_cache)
     rows = []
     for w in workloads:
         d = w.describe()
@@ -109,8 +100,9 @@ def t2_workload_table(workloads: Optional[Sequence[Workload]] = None,
                f"{float(mean_work):,.0f}" if mean_work else "-",
                f"{float(cv):.2f}" if cv else "-",
                d.get("mechanisms", "")]
-        s = structures.get(w.name)
-        if s is None:
+        try:
+            s = structure_summary(w)
+        except GraphValidationError:
             row += ["-", "-", "-"]
         else:
             degrees = sum(sh.degree for sh in s.sharing)
@@ -130,18 +122,15 @@ def t2_workload_table(workloads: Optional[Sequence[Workload]] = None,
 def f1_headline_speedup(lanes: int = 8,
                         workloads: Optional[Sequence[Workload]] = None,
                         jobs: Optional[int] = None,
-                        structure_cache: Optional["StructureCache"] = None,
                         ) -> ExperimentResult:
     """Per-workload Delta vs static speedup plus geomean (headline claim).
 
     The detail table's final ``cp bound`` column is the critical-path
-    speedup limit min(L, T1/T∞) from the recovered task graph — measured
-    speedups must sit below it (appended last so golden-file parsers keyed
-    on the leading columns keep working).
+    speedup limit min(L, T1/T∞) each comparison carries from its recovered
+    task graph — measured speedups must sit below it (appended last so
+    golden-file parsers keyed on the leading columns keep working).
     """
     comparisons = run_suite(lanes=lanes, workloads=workloads, jobs=jobs)
-    attach_structure(comparisons, workloads=workloads,
-                     cache=structure_cache)
     labels = [c.workload for c in comparisons] + ["GEOMEAN"]
     values = [c.speedup for c in comparisons]
     values.append(suite_geomean(comparisons))

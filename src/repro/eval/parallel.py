@@ -79,10 +79,6 @@ class _Cancelled(Exception):
 #: How often a cancellable wait re-checks the cancel event, in seconds.
 _CANCEL_POLL_S = 0.05
 
-#: How many times one point may lose its worker (breaking the pool) and
-#: still be resubmitted to a rebuilt pool before the serial fallback.
-_WORKER_DEATH_RETRIES = 1
-
 #: How long a future may stay pending after its pool is seen broken, in
 #: seconds, before it is treated as lost with that pool.
 _BROKEN_GRACE_S = 1.0
@@ -476,7 +472,6 @@ def run_points(points: Sequence[PointSpec],
                cancel: Optional[threading.Event] = None,
                on_point: Optional[PointCallback] = None,
                heartbeat: Optional[Callable[[], None]] = None,
-               max_pool_rebuilds: int = 1,
                metrics=NULL_METRICS) -> list:
     """Evaluate points, fanning out over ``jobs`` worker processes.
 
@@ -502,12 +497,10 @@ def run_points(points: Sequence[PointSpec],
     the whole ``ProcessPoolExecutor`` (every unfinished future poisons
     with ``BrokenProcessPool``); instead of falling back to serial for
     the rest of the batch, the batch resubmits only its poisoned points
-    to a rebuilt pool (up to ``max_pool_rebuilds`` times). A point that
-    completes in a rebuilt pool reports outcome ``"retried"``; a point
-    that keeps killing its worker (more than
-    :data:`_WORKER_DEATH_RETRIES` deaths, or deaths past the rebuild
-    budget) is recomputed serially with outcome ``"lost-worker"`` — one
-    murdered child degrades to one retried point, never a failed sweep.
+    to a replaced pool, once. A point that completes there reports
+    outcome ``"retried"``; a point poisoned again is recomputed serially
+    with outcome ``"lost-worker"`` — one murdered child degrades to one
+    retried point, never a failed sweep.
     ``metrics`` (an object with ``add``) counts ``worker_deaths`` and
     ``pool_rebuilds`` once per broken pool, however many batches saw it
     break, and this batch's ``retried_points`` and
@@ -556,11 +549,9 @@ def run_points(points: Sequence[PointSpec],
 
     # Points that leave the pool; they settle after it, in index order.
     redo: set[int] = set()        # non-pool failures and timeouts
-    lost: set[int] = set()        # repeat worker-killers
+    lost: set[int] = set()        # poisoned twice
     timed_out: set[int] = set()
     cancelled: set[int] = set()
-    #: index -> how many times this point's worker died under it.
-    deaths: dict[int, int] = {}
     # The reorder buffer: a pool result waits in ``held`` until every
     # earlier index has settled or left the pool, so callers see pool
     # points in input order whatever order they were dispatched in.
@@ -580,7 +571,7 @@ def run_points(points: Sequence[PointSpec],
             cursor += 1
 
     pending = dispatch_order(points)
-    rebuilds = 0
+    resubmitted = False
     while pending:
         try:
             executor, futures = _shared_pool.submit(
@@ -627,7 +618,7 @@ def run_points(points: Sequence[PointSpec],
                     else:
                         _point_costs[_cost_key(points[index])] = seconds
                         outcome = "ok"
-                        if deaths.get(index):
+                        if resubmitted:
                             metrics.add("retried_points")
                             outcome = "retried"
                         held[index] = (result, outcome)
@@ -639,19 +630,12 @@ def run_points(points: Sequence[PointSpec],
                 future.cancel()
         pending = []
         if broken_inflight:
-            for index in broken_inflight:
-                deaths[index] = deaths.get(index, 0) + 1
-            if rebuilds < max_pool_rebuilds:
-                rebuilds += 1
-                for index in broken_inflight:
-                    if deaths[index] > _WORKER_DEATH_RETRIES:
-                        lost.add(index)
-                    else:
-                        pending.append(index)
-            else:
-                # Rebuild budget spent: whatever was in flight goes to
-                # the bounded serial path instead of a new pool.
+            if resubmitted:
+                # Poisoned in the replaced pool too: recompute serially.
                 lost.update(broken_inflight)
+            else:
+                resubmitted = True
+                pending = broken_inflight
             release()
 
     release()

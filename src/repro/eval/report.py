@@ -104,53 +104,6 @@ def _harness_timing(jobs: Optional[int]) -> str:
             f"skips simulation entirely. See `docs/evaluation.md`.\n")
 
 
-def _structure_timing() -> str:
-    """Measure cold vs warm recovered-structure summaries for the suite.
-
-    The structure cache (:mod:`repro.graph.cache`) stores each workload's
-    :class:`StructureSummary` keyed by (code version, workload identity),
-    so suite-level reporting — the critical-path bound column in F1/`repro
-    eval`, the T2 structure columns — skips re-expanding every program's
-    kernels once the cache is warm.
-    """
-    from repro.graph.cache import StructureCache, structure_summary
-    from repro.workloads import all_workloads
-
-    workloads = all_workloads()
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = StructureCache(Path(tmp))
-        t0 = time.perf_counter()
-        for w in workloads:
-            structure_summary(w, cache=cache)
-        cold_s = time.perf_counter() - t0
-        cold_stores = cache.stores
-
-        t0 = time.perf_counter()
-        for w in workloads:
-            structure_summary(w, cache=cache)
-        warm_s = time.perf_counter() - t0
-        warm_hits = cache.hits
-
-    speedup = cold_s / warm_s if warm_s > 0 else float("inf")
-    return (f"\n## Harness: structure cache\n\n"
-            f"Recovered-structure summaries (TaskGraph IR expansion + "
-            f"critical-path/sharing analyses) for the "
-            f"{len(workloads)}-workload suite, cold vs warm "
-            f"(`repro.graph.cache.StructureCache`):\n\n"
-            f"| mode | wall-clock | programs expanded |\n"
-            f"|---|---|---|\n"
-            f"| cold (expand + analyse + store) | {cold_s:.3f} s "
-            f"| {cold_stores} |\n"
-            f"| warm (served from cache) | {warm_s:.3f} s | 0 "
-            f"({warm_hits} hits) |\n\n"
-            f"Warm summaries are {speedup:.0f}x faster — suite reporting "
-            f"(the F1 `cp bound` column, T2's structure columns, `repro "
-            f"eval`) pays kernel re-expansion only on the first run after "
-            f"a code or workload change. Entries are keyed by the code-"
-            f"version digest, so any `repro/` edit (including "
-            f"`repro/graph/` itself) invalidates them.\n")
-
-
 def _policy_tournament(jobs: Optional[int]) -> str:
     """Race every registered policy; fault-free and under the canned plan.
 
@@ -371,7 +324,6 @@ def generate(path: Path, jobs: Optional[int] = None) -> str:
         r.text))
 
     sections.append(_harness_timing(jobs))
-    sections.append(_structure_timing())
 
     elapsed = time.time() - started
     footer = (f"\n---\nGenerated in {elapsed:.0f}s of wall-clock "

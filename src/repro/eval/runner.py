@@ -18,8 +18,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.eval.cache import EvalCache
-    from repro.graph.analyses import StructureSummary
-    from repro.graph.cache import StructureCache
     from repro.sim.faults import FaultPlan
 
 from repro.arch.config import (
@@ -29,7 +27,8 @@ from repro.arch.config import (
 )
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
-from repro.core.result import RunResult
+from repro.graph.analyses import critical_path
+from repro.machine.result import RunResult
 from repro.sched import policy_uses_structure
 from repro.util.stats import geomean
 from repro.workloads import all_workloads
@@ -40,17 +39,17 @@ from repro.workloads.base import Workload
 class Comparison:
     """Delta vs static results for one workload.
 
-    ``structure`` is optionally filled by :func:`attach_structure` with the
-    workload's recovered-structure summary (:mod:`repro.graph`), which adds
-    the critical-path speedup bound to reports. It is deliberately outside
-    the comparison fingerprint: structure is an *analysis* of the program,
-    not a measured statistic.
+    ``parallelism`` is the program's inherent parallelism T1/T∞
+    (:mod:`repro.graph`), read off the task graph the static baseline
+    recovered; it gives reports the critical-path speedup bound. It is
+    deliberately outside the comparison fingerprint: it is an *analysis*
+    of the program, not a measured statistic.
     """
 
     workload: str
     delta: RunResult
     static: RunResult
-    structure: Optional["StructureSummary"] = None
+    parallelism: float
 
     @property
     def speedup(self) -> float:
@@ -72,15 +71,13 @@ class Comparison:
         return len(self.delta.lane_busy)
 
     @property
-    def cp_bound(self) -> Optional[float]:
-        """Critical-path speedup bound min(L, T1/T∞), if structure known.
+    def cp_bound(self) -> float:
+        """Critical-path speedup bound min(L, T1/T∞).
 
         An upper bound on *any* dynamic schedule's speedup at this lane
         count; the measured speedup should sit below it.
         """
-        if self.structure is None:
-            return None
-        return self.structure.speedup_bound(self.lanes)
+        return min(float(self.lanes), self.parallelism)
 
     def row(self) -> list:
         """Table row used by several reports."""
@@ -92,8 +89,7 @@ class Comparison:
     def row_with_bound(self) -> list:
         """:meth:`row` plus the critical-path bound column (appended last
         so golden-file parsers keyed on the first columns keep working)."""
-        bound = self.cp_bound
-        return self.row() + ["-" if bound is None else f"{bound:.2f}x"]
+        return self.row() + [f"{self.cp_bound:.2f}x"]
 
 
 #: Count of simulations run in this process — each compare() simulates the
@@ -131,7 +127,8 @@ def compare(workload: Workload,
     static = StaticParallel(static_config)
     # The static baseline recovers its own program's structure; Delta's
     # structure-aware policies read their hints from that same graph
-    # (hints key on (type, depth), so they fit Delta's fresh build).
+    # (hints key on (type, depth), so they fit Delta's fresh build), and
+    # the comparison carries its critical-path bound.
     graph = static.recover(workload.build_program())
     sched_hints = None
     if policy_uses_structure(delta_config.dispatch.policy):
@@ -144,7 +141,8 @@ def compare(workload: Workload,
     if verify:
         workload.check(delta_result.state)
         workload.check(static_result.state)
-    return Comparison(workload.name, delta_result, static_result)
+    return Comparison(workload.name, delta_result, static_result,
+                      critical_path(graph).parallelism)
 
 
 def run_suite(lanes: int = 8,
@@ -192,50 +190,3 @@ def run_suite(lanes: int = 8,
 def suite_geomean(comparisons: Sequence[Comparison]) -> float:
     """Geomean speedup across a comparison set."""
     return geomean([c.speedup for c in comparisons])
-
-
-def workload_structures(workloads: Sequence[Workload],
-                        cache: Optional["StructureCache"] = None,
-                        ) -> dict:
-    """Recovered-structure summaries keyed by workload name.
-
-    Workloads whose programs fail structure validation are skipped (they
-    cannot run either); with a cache, warm entries skip re-expansion.
-    """
-    from repro.graph.cache import structure_summary
-    from repro.graph.ir import GraphValidationError
-
-    structures = {}
-    for workload in workloads:
-        try:
-            structures[workload.name] = structure_summary(workload,
-                                                          cache=cache)
-        except GraphValidationError:
-            continue
-    return structures
-
-
-def attach_structure(comparisons: Sequence[Comparison],
-                     workloads: Optional[Sequence[Workload]] = None,
-                     cache: Optional["StructureCache"] = None,
-                     ) -> Sequence[Comparison]:
-    """Fill each comparison's ``structure`` with its recovered summary.
-
-    Resolves workloads by name (pass ``workloads`` when the comparisons
-    came from non-registered instances). With a
-    :class:`~repro.graph.cache.StructureCache`, warm entries skip program
-    re-expansion entirely. Returns the same list for chaining.
-    """
-    from repro.graph.cache import structure_summary
-    from repro.workloads import get_workload
-
-    by_name = {w.name: w for w in workloads} if workloads else {}
-    for comparison in comparisons:
-        workload = by_name.get(comparison.workload)
-        if workload is None:
-            try:
-                workload = get_workload(comparison.workload)
-            except KeyError:
-                continue  # unknown/ad-hoc workload: leave structure unset
-        comparison.structure = structure_summary(workload, cache=cache)
-    return comparisons

@@ -26,7 +26,7 @@ from repro.graph.analyses import (
     summarize,
     work_histogram,
 )
-from repro.graph.cache import StructureCache, structure_summary
+from repro.graph.cache import structure_summary
 from repro.graph.ir import (
     Edge,
     EdgeKind,
@@ -43,7 +43,6 @@ __all__ = [
     "GraphValidationError",
     "PhaseProfile",
     "SharingSet",
-    "StructureCache",
     "StructureSummary",
     "TaskGraph",
     "critical_path",

@@ -6,9 +6,10 @@ computed once per program:
 - :func:`critical_path` — the longest dependence chain (T∞ in Brent's
   bound), honouring edge semantics: ``after`` waits for the producer to
   *finish*, ``stream``/``spawn`` only for it to *start* (pipelining).
-  ``total_work / cp_work`` is the program's inherent parallelism; the
-  speedup achievable on L lanes is bounded by ``min(L, parallelism)``,
-  which evaluation reports print next to the measured speedup.
+  :func:`inherent_parallelism` — T1/T∞, the one definition every
+  consumer uses; the speedup achievable on L lanes is bounded by
+  ``min(L, parallelism)``, which evaluation reports print next to the
+  measured speedup.
 - :func:`parallelism_profile` — per-barrier-phase task count and work,
   showing where the static baseline's barriers leave lanes idle.
 - :func:`work_histogram` — log2-binned task work, quantifying the skew
@@ -18,8 +19,7 @@ computed once per program:
   consume these by region name.
 
 :class:`StructureSummary` packages all of the above as pure frozen data —
-no Task objects, no kernel closures — so the structure cache
-(:mod:`repro.graph.cache`) can pickle it.
+no Task objects, no kernel closures — for the reports that print them.
 """
 
 from __future__ import annotations
@@ -31,17 +31,31 @@ from typing import Optional
 from repro.graph.ir import EdgeKind, TaskGraph
 
 
+def inherent_parallelism(total_work: float, cp_work: float,
+                         tasks: int) -> float:
+    """Inherent parallelism T1/T∞ (>= 1 for non-empty graphs).
+
+    A graph whose critical path carries no work (every estimate zero)
+    gives no ratio; then each of its ``tasks`` could run on its own lane.
+    """
+    if cp_work <= 0:
+        return float(tasks) or 1.0
+    return total_work / cp_work
+
+
 @dataclass(frozen=True)
 class CriticalPath:
     """The longest dependence chain through a task graph.
 
     ``work`` is T∞ — the span; ``task_names`` walks the chain from entry
-    to exit; ``total_work`` is T1. ``parallelism`` is T1/T∞.
+    to exit; ``total_work`` is T1 and ``task_count`` the graph's task
+    count. ``parallelism`` is T1/T∞.
     """
 
     work: float
     task_names: tuple[str, ...]
     total_work: float
+    task_count: int
 
     @property
     def length(self) -> int:
@@ -50,10 +64,9 @@ class CriticalPath:
 
     @property
     def parallelism(self) -> float:
-        """Inherent parallelism T1/T∞ (>= 1 for non-empty graphs)."""
-        if self.work <= 0:
-            return float(len(self.task_names)) or 1.0
-        return self.total_work / self.work
+        """Inherent parallelism T1/T∞ (:func:`inherent_parallelism`)."""
+        return inherent_parallelism(self.total_work, self.work,
+                                    self.task_count)
 
     def speedup_bound(self, lanes: int) -> float:
         """Upper bound on speedup at ``lanes`` lanes: min(L, T1/T∞)."""
@@ -91,7 +104,7 @@ def critical_path(graph: TaskGraph) -> CriticalPath:
         finish[task.task_id] = t_finish
         via[task.task_id] = t_via
     if not finish:
-        return CriticalPath(0.0, (), 0.0)
+        return CriticalPath(0.0, (), 0.0, 0)
     # Ties broken toward the latest-spawned task so the reported chain is
     # the deepest one (a fully pipelined chain finishes all at once).
     tail = max(finish, key=lambda tid: (finish[tid], tid))
@@ -101,7 +114,8 @@ def critical_path(graph: TaskGraph) -> CriticalPath:
         chain.append(graph.node(cursor).name)
         cursor = via[cursor]
     chain.reverse()
-    return CriticalPath(finish[tail], tuple(chain), graph.total_work)
+    return CriticalPath(finish[tail], tuple(chain), graph.total_work,
+                        graph.task_count)
 
 
 def bottom_levels(graph: TaskGraph) -> dict[int, float]:
@@ -223,9 +237,8 @@ class StructureSummary:
     """Pure-data digest of one program's recovered structure.
 
     Unlike :class:`~repro.graph.ir.TaskGraph` this holds no Task objects
-    (whose types carry kernel closures), so it pickles cleanly — it is the
-    payload of the on-disk structure cache and the object evaluation
-    consumers (tables, reports, CLI) read.
+    (whose types carry kernel closures), so it pickles cleanly — it is
+    the object the T2 table and the multicast oracle read.
     """
 
     program: str
@@ -241,10 +254,9 @@ class StructureSummary:
 
     @property
     def parallelism(self) -> float:
-        """Inherent parallelism T1/T∞."""
-        if self.cp_work <= 0:
-            return float(self.tasks) or 1.0
-        return self.total_work / self.cp_work
+        """Inherent parallelism T1/T∞ (:func:`inherent_parallelism`)."""
+        return inherent_parallelism(self.total_work, self.cp_work,
+                                    self.tasks)
 
     def speedup_bound(self, lanes: int) -> float:
         """Upper bound on speedup at ``lanes`` lanes: min(L, T1/T∞)."""

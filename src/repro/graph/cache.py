@@ -1,155 +1,24 @@
-"""The structure cache: recovered program structure over :mod:`repro.store`.
+"""A workload's recovered-structure summary.
 
 Recovering structure means elaborating the whole program — every kernel
-runs. For the evaluation suite that cost is paid per (workload, experiment)
-point even though the structure depends only on the workload and the code
-version. This cache stores the picklable :class:`StructureSummary` as a
-typed schema over the shared sharded store, under exactly the contract of
-:class:`repro.eval.cache.EvalCache`:
-
-- keyed by ``stable_hash(format, code_version(), workload_cache_key(w))``
-  — any edit to any ``repro`` source file (including ``repro/graph/``
-  itself) invalidates every entry;
-- each entry stores a fingerprint alongside the payload and is re-verified
-  on load, so corruption is discarded and recomputed, never served;
-- entries live in the ``"structure"`` namespace of the shared store
-  (``<cache root>/structure/<shard>/<key>.pkl``), so the result cache and
-  this cache share the root, the size budget, and the ``cache.*`` metrics
-  sink without ever touching each other's files.
-
-Within one process, :func:`structure_summary` additionally coalesces
-concurrent recoveries of the same key (one kernel elaboration per
-in-flight workload), and across processes the store's ``get_or_compute``
-shard lock suppresses duplicate computes.
+runs. :func:`structure_summary` does it once for a workload and folds the
+graph into a picklable :class:`StructureSummary`. Sweeps never call it:
+each :class:`~repro.eval.runner.Comparison` carries the critical-path
+bound of the graph its static baseline recovered anyway.
 """
 
 from __future__ import annotations
 
-import pickle
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.graph.analyses import StructureSummary, summarize
+# This module stays: benchmarks/e2e/spans.py wraps its recover_structure.
 from repro.graph.ir import recover_structure
-from repro.store.coalesce import Coalescer
-from repro.store.keys import code_version, stable_hash, workload_cache_key
-from repro.store.sharded import ShardedStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.base import Workload
 
-#: Bump when StructureSummary's layout changes; old entries are never hit.
-STRUCTURE_FORMAT = 2
 
-#: The store namespace structure entries live in.
-NAMESPACE = "structure"
-
-
-def _summary_fingerprint(summary: StructureSummary) -> str:
-    return stable_hash(summary)
-
-
-class StructureCache:
-    """Content-addressed store of :class:`StructureSummary` payloads."""
-
-    def __init__(self, root: Optional[Path] = None, *,
-                 store: Optional[ShardedStore] = None) -> None:
-        self.store = store if store is not None else ShardedStore(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    @property
-    def root(self) -> Path:
-        """The namespace directory structure entries live under."""
-        return self.store.root / NAMESPACE
-
-    # -- keying ----------------------------------------------------------
-
-    def key_for(self, workload: "Workload") -> str:
-        """Cache key for one workload's recovered structure."""
-        return stable_hash(STRUCTURE_FORMAT, code_version(),
-                           workload_cache_key(workload))
-
-    def _path(self, key: str) -> Path:
-        return self.store.path_for(NAMESPACE, key)
-
-    # -- storage ---------------------------------------------------------
-
-    def get(self, key: str) -> Optional[StructureSummary]:
-        """Load an entry, or None on miss/corruption (entry then dropped)."""
-        payload = self.store.read(NAMESPACE, key)
-        if payload is None:
-            self._miss()
-            return None
-        try:
-            entry = pickle.loads(payload)
-            summary = entry["summary"]
-            if entry["fingerprint"] != _summary_fingerprint(summary):
-                raise ValueError("fingerprint mismatch")
-            if not isinstance(summary, StructureSummary):
-                raise TypeError("not a StructureSummary")
-        except Exception as exc:
-            self.store.discard_corrupt(NAMESPACE, key, repr(exc))
-            self._miss()
-            return None
-        self.hits += 1
-        self.store.metrics.add("hits")
-        return summary
-
-    def _miss(self) -> None:
-        self.misses += 1
-        self.store.metrics.add("misses")
-
-    def put(self, key: str, summary: StructureSummary) -> None:
-        """Store an entry (atomic publish + size-budget enforcement)."""
-        payload = pickle.dumps(
-            {"fingerprint": _summary_fingerprint(summary),
-             "summary": summary},
-            protocol=pickle.HIGHEST_PROTOCOL)
-        self.store.write(NAMESPACE, key, payload)
-        self.stores += 1
-
-    def clear(self) -> int:
-        """Delete every structure entry; returns how many were removed."""
-        return self.store.clear(NAMESPACE)
-
-    def __len__(self) -> int:
-        return self.store.entry_count(NAMESPACE)
-
-    def stats(self) -> str:
-        """One-line hit/miss summary for CLI output."""
-        return (f"structure cache {self.root}: {self.hits} hits, "
-                f"{self.misses} misses, {self.stores} stored, "
-                f"{len(self)} entries")
-
-
-#: Process-wide single-flight map: concurrent structure_summary() calls
-#: for the same key (threads in a future server) elaborate kernels once.
-_COALESCER = Coalescer()
-
-
-def structure_summary(workload: "Workload",
-                      cache: Optional[StructureCache] = None,
-                      ) -> StructureSummary:
-    """Recovered structure of a workload's program, through the cache.
-
-    With no cache the workload's program is built and elaborated fresh.
-    With a cache, a warm entry skips both program construction *and*
-    kernel re-expansion entirely — the wall-clock win recorded in
-    EXPERIMENTS.md. Cache misses are coalesced per process (and, via the
-    store's shard lock, per host), so identical in-flight recoveries run
-    once.
-    """
-    if cache is None:
-        return summarize(recover_structure(workload.build_program()))
-
-    def compute() -> StructureSummary:
-        summary = cache.get(key)
-        if summary is None:
-            summary = summarize(recover_structure(workload.build_program()))
-            cache.put(key, summary)
-        return summary
-
-    key = cache.key_for(workload)
-    return _COALESCER.run(key, compute)
+def structure_summary(workload: "Workload") -> StructureSummary:
+    """Recovered structure of a freshly built program of ``workload``."""
+    return summarize(recover_structure(workload.build_program()))

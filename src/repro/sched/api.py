@@ -81,10 +81,12 @@ class StructureHints:
 
     @property
     def parallelism(self) -> float:
-        """Inherent parallelism T1/T∞ (>= 1 for non-empty graphs)."""
-        if self.cp_work <= 0:
-            return float(self.task_count) or 1.0
-        return self.total_work / self.cp_work
+        """Inherent parallelism T1/T∞ (the graph layer's
+        :func:`~repro.graph.analyses.inherent_parallelism`)."""
+        from repro.graph.analyses import inherent_parallelism
+
+        return inherent_parallelism(self.total_work, self.cp_work,
+                                    self.task_count)
 
     @property
     def mean_task_work(self) -> float:

@@ -1,11 +1,9 @@
 """repro.store — the shared on-disk cache substrate.
 
-Both on-disk caches — the evaluation result cache
-(:mod:`repro.eval.cache`) and the structure cache
-(:mod:`repro.graph.cache`) — used to be near-duplicate single-writer
-implementations. This package extracts the storage layer they share, so
-concurrent tenants (the ``eval`` worker pool today, ``repro serve``
-tomorrow) read and write one store safely:
+The evaluation result cache (:mod:`repro.eval.cache`) and the job
+records of ``repro serve`` (:mod:`repro.serve.queue`) are typed schemas
+over this package, so concurrent tenants (the ``eval`` worker pool and
+``repro serve``) read and write one store safely:
 
 - :class:`ShardedStore` — a generic content-addressed store. Keys are
   hex digests sharded by prefix into subdirectories, entries publish via
@@ -28,8 +26,7 @@ tomorrow) read and write one store safely:
 
 Layering: this package imports only :mod:`repro.util` (enforced by
 ``tools/check_layering.py``). The typed schemas — what an entry *means*,
-how it serializes, how its fingerprint is verified — stay above, in
-``eval/cache.py`` and ``graph/cache.py``.
+how it serializes, how it is verified — live above it.
 """
 
 from repro.store.coalesce import Coalescer

@@ -4,9 +4,9 @@ One :class:`ShardedStore` manages a directory tree of opaque payloads::
 
     <root>/<namespace>/<shard>/<key>.pkl
 
-- **namespace** — one per schema ("eval" comparisons, "structure"
-  summaries), so schemas share the root, the size budget, and the
-  metrics sink without ever touching each other's files;
+- **namespace** — one per schema ("eval" comparisons, "jobs" records),
+  so schemas share the root, the size budget, and the metrics sink
+  without ever touching each other's files;
 - **shard** — the first two hex characters of the key, so a namespace
   with tens of thousands of entries never degenerates into one directory
   with tens of thousands of files, and writers contend per shard, not
@@ -15,8 +15,8 @@ One :class:`ShardedStore` manages a directory tree of opaque payloads::
   (:mod:`repro.store.keys`).
 
 Payloads are opaque bytes: what an entry means, how it serializes, and
-how its fingerprint is verified is the schema's job
-(:mod:`repro.eval.cache`, :mod:`repro.graph.cache`). The store guarantees
+how it is verified is the schema's job (:mod:`repro.eval.cache`,
+:mod:`repro.serve.queue`). The store guarantees
 the storage-level contract:
 
 - **atomic publish** — write-temp-then-rename, so a reader sees an old

@@ -1,10 +1,9 @@
 """Code-version digests and cache locations shared by every on-disk cache.
 
-Two caches key entries by "what code produced this": the evaluation result
-cache (:mod:`repro.eval.cache`) and the structure cache
-(:mod:`repro.graph.cache`). Both live above this leaf module, so the digest
+The evaluation result cache (:mod:`repro.eval.cache`) keys entries by
+"what code produced this". It lives above this leaf module, so the digest
 of the ``repro`` source tree and the resolution of the cache root directory
-are defined here once, below everything. Cache schemas reach these through
+are defined here, below everything. Cache schemas reach these through
 the store's key model (:mod:`repro.store.keys`), which re-exports them —
 this module is the physical home (the leaf the store builds on), that one
 is the front door.

@@ -24,7 +24,7 @@ import hashlib
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.result import RunResult
+    from repro.machine.result import RunResult
     from repro.eval.runner import Comparison
     from repro.workloads.base import Workload
 
@@ -57,10 +57,9 @@ def workload_cache_key(workload: "Workload") -> str:
     arguments (:attr:`~repro.workloads.base.Workload.arguments`, defaults
     applied) — nothing the workload generates. Inputs are a deterministic
     function of those arguments (the determinism contract), so keying
-    never generates them. Shared by the evaluation result cache and the
-    structure cache, which both key entries by (code version, workload
-    identity, ...). Raises :class:`TypeError` naming any argument whose
-    repr could differ between processes.
+    never generates them. The evaluation result cache keys its entries
+    by (code version, workload identity, ...). Raises :class:`TypeError`
+    naming any argument whose repr could differ between processes.
     """
     cls = type(workload)
     for parameter, value in workload.arguments:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -64,6 +66,58 @@ def test_run_invalid_config_clean_error(capsys):
 def test_compare_command(capsys):
     assert main(["compare", "micro-skewed", "--lanes", "2"]) == 0
     assert "speedup" in capsys.readouterr().out
+
+
+# -- the critical-path bound: one recovery per computed point -------------
+
+
+@pytest.fixture
+def recoveries(monkeypatch):
+    """Names of the programs ``recover_structure`` elaborates, counted in
+    every module that imported the function."""
+    from repro.graph import ir
+
+    original = ir.recover_structure
+    calls = []
+
+    def counted(program):
+        calls.append(program.name)
+        return original(program)
+
+    for module in list(sys.modules.values()):
+        if module is not None and \
+                vars(module).get("recover_structure") is original:
+            monkeypatch.setattr(module, "recover_structure", counted)
+    return calls
+
+
+def test_compare_recovers_structure_once(capsys, recoveries):
+    assert main(["compare", "micro-chain"]) == 0
+    out = capsys.readouterr().out
+    assert "critical-path speedup bound 6.00x at 8 lanes" in out
+    assert recoveries == ["chain"]
+
+
+def test_eval_recovers_structure_once_per_point(capsys, recoveries):
+    assert main(["eval", "--no-cache", "--jobs", "1",
+                 "--workloads", "micro-chain", "micro-skewed"]) == 0
+    assert "cp bound" in capsys.readouterr().out
+    assert recoveries == ["chain", "skewed"]
+
+
+def test_warm_eval_prints_the_cold_bounds_without_recovery(
+        tmp_path, capsys, monkeypatch, recoveries):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    argv = ["eval", "--jobs", "1", "--workloads", "micro-chain",
+            "micro-skewed"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out.split("geomean")[0]
+    recovered = len(recoveries)
+    assert main(argv) == 0
+    warm = capsys.readouterr().out.split("geomean")[0]
+    assert len(recoveries) == recovered, "a warm point recovered structure"
+    assert "cp bound" in cold
+    assert warm == cold
 
 
 def test_experiment_t1(capsys):

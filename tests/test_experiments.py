@@ -56,6 +56,16 @@ def test_f1_small():
     assert all(c.speedup > 0 for c in result.data)
 
 
+def test_f1_bound_belongs_to_each_instance():
+    # Both instances are named "skewed"; each row still carries the bound
+    # of its own program.
+    result = f1_headline_speedup(lanes=8, workloads=[
+        SkewedTasks(num_tasks=8), SkewedTasks(num_tasks=64)])
+    assert [c.workload for c in result.data] == ["skewed", "skewed"]
+    detail = result.text.split("\n\n")[-1].splitlines()[2:]
+    assert [row.split()[-1] for row in detail] == ["1.95x", "6.34x"]
+
+
 def test_f2_ladder_structure():
     result = f2_ablation(lanes=2, workloads=[SharedReadTasks(num_tasks=8)])
     assert set(result.data["per_step"]) == {l for l, _ in ABLATION_STEPS}

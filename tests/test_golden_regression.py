@@ -59,6 +59,9 @@ def test_f1_speedups_match_golden(live_suite):
         name, delta_cyc, static_cyc, speedup = row[0], _number(row[1]), \
             _number(row[2]), _number(row[3])
         live = live_suite[name]
+        assert live.cp_bound == pytest.approx(_number(row[6]),
+                                              rel=TOLERANCE), \
+            f"{name}: critical-path bound drifted from golden f1.txt"
         assert live.speedup == pytest.approx(speedup, rel=TOLERANCE), \
             f"{name}: speedup drifted from golden f1.txt"
         assert live.delta.cycles == pytest.approx(delta_cyc, rel=TOLERANCE), \

@@ -1,4 +1,4 @@
-"""Tests for repro.graph: the TaskGraph IR, analyses, and structure cache.
+"""Tests for repro.graph: the TaskGraph IR and its analyses.
 
 Covers the structural contracts the rest of the repository leans on:
 
@@ -9,9 +9,7 @@ Covers the structural contracts the rest of the repository leans on:
 - view equivalence: ``TaskGraph.as_expanded()`` reproduces the legacy
   ``expand_program`` output on every registered workload;
 - sharing sets vs the counters the simulator actually records (multicast
-  on Delta, duplicate-fetch bytes on the static baseline);
-- the on-disk structure cache: hit/miss/corruption semantics and
-  code-version invalidation covering ``repro/graph/`` itself.
+  on Delta, duplicate-fetch bytes on the static baseline).
 """
 
 import pickle
@@ -28,7 +26,6 @@ from repro.core.task import TaskType
 from repro.graph import (
     EdgeKind,
     GraphValidationError,
-    StructureCache,
     TaskGraph,
     critical_path,
     graph_dot,
@@ -40,6 +37,7 @@ from repro.graph import (
     summarize,
     work_histogram,
 )
+from repro.sched.structure import hints_from_graph
 from repro.workloads import get_workload
 from repro.workloads.registry import workload_names
 from repro.workloads.synthetic import SharedReadTasks
@@ -141,6 +139,17 @@ class TestCriticalPath:
         cp = critical_path(graph)
         assert cp.work == 100  # children hide under the root's work
         assert cp.total_work == 115
+
+    def test_zero_work_parallelism_is_the_task_count(self):
+        # No work on the path gives no ratio; every task gets its own lane.
+        tt = make_type()
+        tasks = [tt.instantiate({"work": 0}) for _ in range(6)]
+        graph = recover_structure(program_of(tasks))
+        cp = critical_path(graph)
+        assert cp.work == 0 and cp.length == 1
+        assert cp.parallelism == 6.0
+        assert summarize(graph).parallelism == 6.0
+        assert hints_from_graph(graph).parallelism == 6.0
 
     def test_empty_speedup_bound_clamps_to_lanes(self):
         tt = make_type()
@@ -361,66 +370,12 @@ class TestSharingAgainstSimulator:
 # ---------------------------------------------------------- structure cache
 
 class TestStructureCache:
-    def test_miss_then_hit(self, tmp_path):
-        cache = StructureCache(tmp_path)
-        workload = get_workload("micro-uniform")
-        first = structure_summary(workload, cache=cache)
-        assert (cache.misses, cache.stores) == (1, 1)
-        second = structure_summary(workload, cache=cache)
-        assert cache.hits == 1
-        assert second == first
-        assert len(cache) == 1
-
-    def test_different_workload_params_different_keys(self, tmp_path):
-        cache = StructureCache(tmp_path)
-        a = cache.key_for(SharedReadTasks(num_tasks=8))
-        b = cache.key_for(SharedReadTasks(num_tasks=9))
-        assert a != b
-
-    def test_corrupted_entry_dropped_and_recomputed(self, tmp_path):
-        cache = StructureCache(tmp_path)
-        workload = get_workload("micro-uniform")
-        structure_summary(workload, cache=cache)
-        # Entries are sharded: <root>/structure/<digest prefix>/<key>.pkl.
-        (entry,) = tmp_path.rglob("*.pkl")
-        entry.write_bytes(b"not a pickle")
-        summary = structure_summary(workload, cache=cache)
-        assert cache.misses == 2  # cold miss + corruption miss
-        assert summary.tasks > 0
-        assert not entry.exists() or cache.get(cache.key_for(workload))
-
-    def test_foreign_payload_rejected(self, tmp_path):
-        cache = StructureCache(tmp_path)
-        key = "0" * 16
-        path = cache._path(key)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(
-            pickle.dumps({"fingerprint": "x", "summary": ["not-a-summary"]}))
-        assert cache.get(key) is None
-
-    def test_clear_and_stats(self, tmp_path):
-        cache = StructureCache(tmp_path)
-        structure_summary(get_workload("micro-uniform"), cache=cache)
-        structure_summary(get_workload("micro-skewed"), cache=cache)
-        assert len(cache) == 2
-        assert "structure cache" in cache.stats()
-        assert cache.clear() == 2
-        assert len(cache) == 0
-
-    def test_code_version_change_invalidates_keys(self, tmp_path,
-                                                  monkeypatch):
-        import repro.graph.cache as cache_mod
-        cache = StructureCache(tmp_path)
-        workload = get_workload("micro-uniform")
-        old = cache.key_for(workload)
-        monkeypatch.setattr(cache_mod, "code_version",
-                            lambda: "graph-layer-edited")
-        assert cache.key_for(workload) != old
+    """Recovered structure has no cache of its own: its critical-path
+    bound rides in eval-cache entries, so editing repro/graph/ must
+    invalidate those through the shared code-version digest."""
 
     def test_graph_layer_is_covered_by_the_digest(self):
-        """Editing repro/graph/ must invalidate BOTH caches: the shared
-        code-version digest walks every repro source file."""
-        from repro.util.codebase import source_files
+        from repro.store.keys import source_files
         covered = {p.as_posix() for p in source_files()}
         for module in ("graph/__init__.py", "graph/ir.py",
                        "graph/analyses.py", "graph/cache.py",
@@ -428,24 +383,3 @@ class TestStructureCache:
             assert any(path.endswith(f"repro/{module}")
                        for path in covered), \
                 f"repro/{module} missing from code-version digest"
-
-    def test_graph_edit_changes_digest(self, tmp_path):
-        from repro.util.codebase import digest_tree
-        (tmp_path / "graph").mkdir()
-        source = tmp_path / "graph" / "ir.py"
-        source.write_text("EDGE_KINDS = 3\n")
-        before = digest_tree(tmp_path)
-        source.write_text("EDGE_KINDS = 4\n")
-        assert digest_tree(tmp_path) != before
-
-    def test_default_root_is_structure_subdir(self, tmp_path, monkeypatch):
-        """The structure cache must not share a directory with the eval
-        result cache (whose clear()/len() glob the root)."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval.cache import EvalCache
-        scache = StructureCache()
-        assert scache.root == tmp_path / "structure"
-        structure_summary(get_workload("micro-uniform"), cache=scache)
-        assert len(EvalCache()) == 0  # eval cache sees none of it
-        assert EvalCache().clear() == 0
-        assert len(scache) == 1

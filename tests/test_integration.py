@@ -16,10 +16,10 @@ from repro.arch.config import (
     default_delta_config,
 )
 from repro.arch.energy import estimate_energy
-from repro.baseline.software import SoftwareRuntime
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
 from repro.core.program import expand_program
+from repro.core.software import SoftwareRuntime
 from repro.eval.runner import compare
 from repro.workloads.synthetic import (
     ChainTasks,

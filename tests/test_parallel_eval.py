@@ -4,7 +4,8 @@ The contract under test (see docs/evaluation.md):
 
 - the parallel path returns *field-identical* results to the serial path;
 - a warm cache serves every point without running a single simulation;
-- a corrupted cache entry is dropped and recomputed, never served;
+- a corrupted cache entry, or one whose critical-path bound was altered,
+  is dropped and recomputed, never served;
 - the pool dispatches longest-first by measured cost, yet delivers
   results in input order;
 - one warm worker pool serves every batch of the process, concurrent
@@ -70,6 +71,7 @@ def assert_field_identical(left, right):
         assert result_stats(a.static) == result_stats(b.static)
         assert a.speedup == b.speedup
         assert a.traffic_ratio == b.traffic_ratio
+        assert a.parallelism == b.parallelism
         assert comparison_fingerprint(a) == comparison_fingerprint(b)
 
 
@@ -568,6 +570,31 @@ class TestSharedPool:
         assert bus.eval.get("worker_deaths") == 1
         assert bus.eval.get("pool_rebuilds") == 1
 
+    def test_point_that_kills_every_worker_is_recomputed_here(
+            self, monkeypatch):
+        # The batch resubmits the point to a replaced pool once; when it
+        # kills that pool's worker too, this process recomputes it.
+        serial = run_suite(lanes=LANES, workloads=[SkewedTasks(num_tasks=24)],
+                           jobs=1)
+        compare_point = parallel_mod._compare_point
+
+        def point(spec):
+            if multiprocessing.parent_process() is not None:
+                os._exit(1)
+            return compare_point(spec)
+
+        monkeypatch.setattr(parallel_mod, "_compare_point", point)
+        bus = MetricsBus()
+        outcomes: list = []
+        pooled = run_suite_parallel(
+            lanes=LANES, workloads=[SkewedTasks(num_tasks=24)], jobs=2,
+            outcomes=outcomes, metrics=bus.eval)
+        assert outcomes == ["lost-worker"]
+        assert_field_identical(serial, pooled)
+        assert bus.eval.get("worker_deaths") == 2
+        assert bus.eval.get("pool_rebuilds") == 1
+        assert bus.eval.get("lost_worker_points") == 1
+
 
 class TestEvalCache:
     def test_cache_hit_skips_simulation(self, tmp_path):
@@ -597,6 +624,28 @@ class TestEvalCache:
         assert simulation_count() == before + len(recomputed), \
             "corrupted entries must be recomputed"
         assert_field_identical(cold, recomputed)
+
+    def test_altered_bound_fails_the_entry_check(self, tmp_path):
+        cache = EvalCache(tmp_path)
+        workload = SkewedTasks(num_tasks=24)
+        key = cache.key_for(workload, default_delta_config(lanes=LANES),
+                            default_baseline_config(lanes=LANES))
+        (cold,) = run_suite_parallel(lanes=LANES, workloads=[workload],
+                                     jobs=1, cache=cache)
+        # The stats still match their fingerprint; only the carried bound
+        # changed, and that alone must discard the entry.
+        path = cache._path(key)
+        entry = pickle.loads(path.read_bytes())
+        entry["comparison"].parallelism += 1.0
+        path.write_bytes(pickle.dumps(entry))
+        before = simulation_count()
+        (fresh,) = run_suite_parallel(lanes=LANES,
+                                      workloads=[SkewedTasks(num_tasks=24)],
+                                      jobs=1, cache=cache)
+        assert simulation_count() == before + 1, \
+            "the altered entry must be recomputed"
+        assert cache.store.metrics.get("corrupt") == 1
+        assert fresh.parallelism == cold.parallelism
 
     def test_tampered_payload_fails_fingerprint_check(self, tmp_path):
         cache = EvalCache(tmp_path)
@@ -650,7 +699,7 @@ class TestCodeVersionInvalidation:
     invalidates cached comparisons."""
 
     def test_machine_layer_is_covered_by_the_digest(self):
-        from repro.eval.cache import source_files
+        from repro.store.keys import source_files
         covered = {p.as_posix() for p in source_files()}
         for module in ("machine/machine.py", "machine/session.py",
                        "machine/metrics.py", "machine/result.py"):
@@ -659,21 +708,32 @@ class TestCodeVersionInvalidation:
 
     def test_graph_layer_is_covered_by_the_digest(self):
         # The structure layer added after the machine layer must join the
-        # same digest: editing repro/graph/ invalidates eval-cache entries.
-        from repro.eval.cache import source_files
+        # same digest: editing repro/graph/ invalidates eval-cache entries,
+        # whose critical-path bounds the graph layer computes.
+        from repro.store.keys import source_files
         covered = {p.as_posix() for p in source_files()}
-        for module in ("graph/ir.py", "graph/analyses.py",
-                       "graph/cache.py", "graph/render.py"):
+        for module in ("graph/__init__.py", "graph/ir.py",
+                       "graph/analyses.py", "graph/cache.py",
+                       "graph/render.py"):
             assert any(path.endswith(f"repro/{module}") for path in covered), \
                 f"repro/{module} missing from code-version digest"
 
     def test_machine_layer_change_invalidates_digest(self, tmp_path):
-        from repro.eval.cache import digest_tree
+        from repro.store.keys import digest_tree
         (tmp_path / "machine").mkdir()
         source = tmp_path / "machine" / "session.py"
         source.write_text("STALL_LIMIT = 1\n")
         before = digest_tree(tmp_path)
         source.write_text("STALL_LIMIT = 2\n")
+        assert digest_tree(tmp_path) != before
+
+    def test_graph_edit_changes_digest(self, tmp_path):
+        from repro.store.keys import digest_tree
+        (tmp_path / "graph").mkdir()
+        source = tmp_path / "graph" / "ir.py"
+        source.write_text("EDGE_KINDS = 3\n")
+        before = digest_tree(tmp_path)
+        source.write_text("EDGE_KINDS = 4\n")
         assert digest_tree(tmp_path) != before
 
     def test_code_version_change_invalidates_cache_keys(self, tmp_path,

@@ -1,9 +1,9 @@
-"""Tests for the software-task-runtime baseline (repro.baseline.software)."""
+"""Tests for the software-task-runtime baseline (repro.core.software)."""
 
 import pytest
 
 from repro.arch.config import default_delta_config
-from repro.baseline.software import (
+from repro.core.software import (
     SOFTWARE_DISPATCH_CYCLES,
     SOFTWARE_TASK_OVERHEAD,
     SoftwareRuntime,

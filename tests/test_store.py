@@ -169,21 +169,6 @@ class TestCorruptEntries:
         assert cache.store.metrics.get("corrupt") == 1
         assert cache.misses == misses_before + 1, "corruption counts a miss"
 
-    def test_structure_truncation_recomputed(self, tmp_path, caplog):
-        from repro.graph.cache import StructureCache, structure_summary
-        from repro.workloads import get_workload
-
-        cache = StructureCache(store=ShardedStore(tmp_path, max_bytes=None))
-        workload = get_workload("micro-uniform")
-        first = structure_summary(workload, cache=cache)
-        (entry,) = tmp_path.rglob("*.pkl")
-        _truncate_mid_file(entry)
-        with caplog.at_level("WARNING", logger="repro.store"):
-            second = structure_summary(workload, cache=cache)
-        assert second == first
-        assert cache.store.metrics.get("corrupt") == 1
-        assert "corrupt" in caplog.text
-
 
 def _point(workload):
     from repro.arch.config import default_baseline_config, default_delta_config
@@ -624,30 +609,12 @@ class TestConcurrencyStress:
 # ------------------------------------------------------ unified clearing
 
 class TestUnifiedClear:
-    def test_one_store_clears_both_caches(self, tmp_path):
-        from repro.eval.cache import EvalCache
-        from repro.eval.parallel import run_suite_parallel
-        from repro.graph.cache import StructureCache, structure_summary
-        from repro.workloads import get_workload
-
-        store = ShardedStore(tmp_path, max_bytes=None)
-        cache = EvalCache(store=store)
-        structure_cache = StructureCache(store=store)
-        run_suite_parallel(lanes=4, workloads=[SkewedTasks(num_tasks=24)],
-                           jobs=1, cache=cache)
-        structure_summary(get_workload("micro-uniform"),
-                          cache=structure_cache)
-        assert len(cache) == 1 and len(structure_cache) == 1
-        report = store.clear_report()
-        assert report == {"eval": 1, "structure": 1}
-        assert len(cache) == 0 and len(structure_cache) == 0
-
     def test_cli_clear_cache_clears_both_namespaces(self, tmp_path,
                                                     capsys, monkeypatch):
         from repro import cli
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        # Seed both namespaces through the real eval path.
+        # Seed the store through the real eval path.
         assert cli.main(["eval", "--jobs", "1",
                          "--workloads", "micro-chain"]) == 0
         capsys.readouterr()
@@ -656,7 +623,7 @@ class TestUnifiedClear:
                          "--workloads", "micro-chain"]) == 0
         out = capsys.readouterr().out
         assert "cleared" in out
-        assert "eval" in out and "structure" in out
+        assert "eval" in out
         store = ShardedStore(tmp_path, max_bytes=None)
         assert store.entry_count() == 0
 

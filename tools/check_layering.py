@@ -17,10 +17,10 @@ The architecture is layered bottom-up::
     repro.cli       (top)
 
 The store layer is deliberately narrow: it sits just above util and
-below everything that simulates. Only the cache schemas (``eval`` and
-``graph``) and the CLI consume it; the simulation stack (``sim`` /
-``arch`` / ``machine`` / ``core``) must never know results are cached —
-caching above, simulating below.
+below everything that simulates. Only its schemas (the ``eval`` result
+cache, ``serve``'s job records) and the CLI consume it; the simulation
+stack (``sim`` / ``arch`` / ``machine`` / ``core``) must never know
+results are cached — caching above, simulating below.
 
 The sched layer is deliberately split-level: ``sched.api`` (protocol +
 registry) sits *below* core — the dispatcher resolves its policy from the
@@ -114,9 +114,9 @@ FORBIDDEN_EDGES: list[tuple[str, str, str]] = [
      "hint recovery runs above core (twin builds); core only carries "
      "hints opaquely"),
     # The store layer: util < store < everything that caches. The store
-    # imports only util; of the layers below the harness, only the cache
-    # schemas (eval/cache.py, graph/cache.py) and the CLI consume it —
-    # the simulation stack must never know results are cached.
+    # imports only util; its schemas (eval/cache.py, serve/queue.py) and
+    # the CLI consume it — the simulation stack must never know results
+    # are cached.
     ("repro.store", "repro.sim", "the store imports util only"),
     ("repro.store", "repro.arch", "the store imports util only"),
     ("repro.store", "repro.machine", "the store imports util only"),
