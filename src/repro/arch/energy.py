@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; arch stays below core
-    from repro.machine.result import RunResult
+    from repro.machine.result import RunStats
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,11 @@ class EnergyBreakdown:
         ]
 
 
-def estimate_energy(result: "RunResult",
+def estimate_energy(result: "RunStats",
                     params: EnergyParameters = EnergyParameters(),
                     ) -> EnergyBreakdown:
-    """Energy breakdown for one finished simulation run."""
+    """Energy breakdown for one finished simulation run: a live
+    ``RunResult`` or the ``RunRecord`` of a comparison."""
     counters = result.counters
     pj_to_nj = 1e-3
 
@@ -93,7 +94,7 @@ def estimate_energy(result: "RunResult",
                   if k.endswith(".config_cycles"))
               * params.config_per_cycle)
     dispatch = counters.get("dispatch.dispatched") * params.dispatch_event
-    static = (result.cycles * result.config.lanes
+    static = (result.cycles * result.lanes
               * params.static_per_lane_cycle)
 
     return EnergyBreakdown(

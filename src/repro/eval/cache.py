@@ -1,7 +1,10 @@
 """The evaluation result cache: a typed schema over :mod:`repro.store`.
 
-A cache entry is one pickled :class:`~repro.eval.runner.Comparison` keyed
-by a stable hash of everything that determines its value:
+A cache entry is a digest plus one pickled, frozen
+:class:`~repro.eval.runner.Comparison` of two run records
+(:class:`~repro.machine.result.RunRecord`) — pure data: the functional
+outputs are checked inside ``compare()`` but never stored. It is keyed by
+a stable hash of everything that determines its value:
 
 - the workload's identity (class, name, and the bound constructor
   arguments, defaults applied: ``Workload.arguments``);
@@ -50,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.base import Workload
 
 #: Bump when the entry layout changes; old entries are simply never hit.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 #: The store namespace comparison entries live in.
 NAMESPACE = "eval"
@@ -98,15 +101,6 @@ class EvalCache:
     @property
     def root(self) -> Path:
         return self.store.root
-
-    # -- keying ----------------------------------------------------------
-
-    def key_for(self, workload: "Workload",
-                delta_config: "MachineConfig",
-                static_config: "MachineConfig",
-                verify: bool = True) -> str:
-        """Cache key for one (workload, machine pair, verify) point."""
-        return comparison_key(workload, delta_config, static_config, verify)
 
     def _path(self, key: str) -> Path:
         return self.store.path_for(NAMESPACE, key)

@@ -134,15 +134,14 @@ def run_policy_matrix(lanes: int = 8,
             speedup=suite_geomean(clean),
             faulty_speedup=(geomean(faulty_speedups)
                             if faulty_speedups else float("nan")),
-            pool_peak=max((c.delta.counters.get("sched.pool_peak")
+            pool_peak=max((c.delta.metrics.sched.pool_peak
                            for c in clean), default=0.0),
-            steal_attempts=sum(c.delta.counters.get("sched.steal_attempts")
+            steal_attempts=sum(c.delta.metrics.sched.steal_attempts
                                for c in clean),
-            steal_hits=sum(c.delta.counters.get("sched.steal_hits")
+            steal_hits=sum(c.delta.metrics.sched.steal_hits
                            for c in clean),
-            inversions=sum(
-                c.delta.counters.get("sched.priority_inversions")
-                for c in clean),
+            inversions=sum(c.delta.metrics.sched.priority_inversions
+                           for c in clean),
             failures=tuple(failures)))
     return outcomes
 

@@ -2,7 +2,9 @@
 
 This is the core evaluation loop: build a fresh program for each machine
 (kernels mutate state), simulate, verify functional results against the
-workload's reference implementation, and return both run results.
+workload's reference implementation, and return both runs' statistics as
+pure data (:class:`~repro.machine.result.RunRecord`): the live results
+never leave :func:`compare`.
 
 Sweeps go through :func:`run_suite`, which can fan points out over worker
 processes and serve repeats from the on-disk result cache (see
@@ -28,16 +30,16 @@ from repro.arch.config import (
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
 from repro.graph.analyses import critical_path
-from repro.machine.result import RunResult
+from repro.machine.result import RunRecord
 from repro.sched import policy_uses_structure
 from repro.util.stats import geomean
 from repro.workloads import all_workloads
 from repro.workloads.base import Workload
 
 
-@dataclass
+@dataclass(frozen=True)
 class Comparison:
-    """Delta vs static results for one workload.
+    """Delta vs static results for one workload: the two runs' records.
 
     ``parallelism`` is the program's inherent parallelism T1/T∞
     (:mod:`repro.graph`), read off the task graph the static baseline
@@ -47,8 +49,8 @@ class Comparison:
     """
 
     workload: str
-    delta: RunResult
-    static: RunResult
+    delta: RunRecord
+    static: RunRecord
     parallelism: float
 
     @property
@@ -68,7 +70,7 @@ class Comparison:
     @property
     def lanes(self) -> int:
         """Lane count both machines ran with."""
-        return len(self.delta.lane_busy)
+        return self.delta.lanes
 
     @property
     def cp_bound(self) -> float:
@@ -111,7 +113,8 @@ def compare(workload: Workload,
 
     A derived static config inherits ``delta_config.sanitize`` and
     ``delta_config.faults``, so one flag (or one fault plan) covers the
-    whole comparison.
+    whole comparison. Both live runs are checked here; the comparison
+    keeps only their records.
     """
     global _simulations
     delta_config = delta_config or default_delta_config()
@@ -141,7 +144,8 @@ def compare(workload: Workload,
     if verify:
         workload.check(delta_result.state)
         workload.check(static_result.state)
-    return Comparison(workload.name, delta_result, static_result,
+    return Comparison(workload.name, delta_result.record(),
+                      static_result.record(),
                       critical_path(graph).parallelism)
 
 

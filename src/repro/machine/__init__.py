@@ -11,6 +11,8 @@ Delta, :mod:`repro.baseline`):
 - :class:`RunSession` — the shared run lifecycle: max-cycle guard,
   stall detection (:class:`ExecutionStalled`), progress accounting, and
   canonical :class:`RunResult` assembly.
+- :class:`RunRecord` — a result's statistics as frozen pure data, the
+  only form of a run that crosses a process or disk boundary.
 - :class:`MetricsBus` — structured, namespaced run statistics (the typed
   successor to the raw counter bag).
 
@@ -34,13 +36,14 @@ from repro.machine.metrics import (
     TaskMetrics,
     metric,
 )
-from repro.machine.result import RunResult
+from repro.machine.result import RunRecord, RunResult
 from repro.machine.session import ExecutionStalled, RunSession
 
 __all__ = [
     "Machine",
     "RunSession",
     "RunResult",
+    "RunRecord",
     "ExecutionStalled",
     "MetricsBus",
     "CounterGroup",

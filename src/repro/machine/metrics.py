@@ -10,8 +10,10 @@ instead of scattering raw string keys across the codebase.
 
 A group is a view: it holds no state of its own, reads and writes land in
 the shared store, and :meth:`MetricsBus.adopt` can wrap any plain
-``Counters`` (e.g. one carried by an unpickled :class:`RunResult`) without
-copying.
+``Counters`` without copying. A
+:class:`~repro.machine.result.RunRecord` — what the result cache and the
+worker pool carry — holds only the sorted counter snapshot; its bus is
+rebuilt from that (:meth:`~repro.sim.stats.Counters.from_snapshot`).
 """
 
 from __future__ import annotations

@@ -3,9 +3,13 @@
 Every simulator built on :mod:`repro.machine` — the Delta runtime, the
 static-parallel baseline, the software task runtime — returns a
 :class:`RunResult` assembled by :class:`~repro.machine.session.RunSession`,
-so every experiment compares like with like. Derived statistics read the
-typed metrics bus (:class:`~repro.machine.metrics.MetricsBus`) rather than
-raw counter strings.
+so every experiment compares like with like. Its :class:`RunRecord` —
+the canonical statistics alone, without functional outputs, trace or
+configuration — is the only form of a run that crosses a process or disk
+boundary. Derived statistics are defined once for both, in
+:class:`RunStats`, and read the typed metrics bus
+(:class:`~repro.machine.metrics.MetricsBus`) rather than raw counter
+strings.
 """
 
 from __future__ import annotations
@@ -20,25 +24,19 @@ from repro.sim.trace import Tracer
 from repro.util.stats import coefficient_of_variation
 
 
-@dataclass
-class RunResult:
-    """Outcome of simulating one program on one machine."""
+class RunStats:
+    """Derived statistics of one run, shared by :class:`RunResult` and
+    :class:`RunRecord`: both have ``machine``, ``program_name``,
+    ``cycles``, ``tasks_executed``, ``lane_busy`` and a ``counters`` bag."""
 
-    machine: str
-    program_name: str
-    config: MachineConfig
-    cycles: float
-    tasks_executed: int
-    counters: Counters
-    lane_busy: list[float]
-    state: Any
-    #: Timeline of the run when tracing was requested (see Delta.run /
-    #: StaticParallel.run ``trace=`` parameter), else None.
-    trace: Optional["Tracer"] = None
+    @property
+    def lanes(self) -> int:
+        """Lane count the run used."""
+        return len(self.lane_busy)
 
     @property
     def metrics(self) -> MetricsBus:
-        """Typed, namespaced view of the counter bag."""
+        """Typed, namespaced view of the run's counters."""
         return MetricsBus.adopt(self.counters)
 
     @property
@@ -65,12 +63,6 @@ class RunResult:
         """Total NoC link-bytes moved."""
         return self.metrics.noc.bytes
 
-    def speedup_over(self, other: "RunResult") -> float:
-        """``other.cycles / self.cycles`` — this result's speedup."""
-        if self.cycles <= 0:
-            raise ValueError("cannot compute speedup of a zero-cycle run")
-        return other.cycles / self.cycles
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         return (f"{self.machine:>7} {self.program_name:<14} "
@@ -78,3 +70,63 @@ class RunResult:
                 f"CV={self.imbalance_cv:.3f}  "
                 f"DRAM={self.dram_bytes / 1024:.1f} KiB  "
                 f"NoC={self.noc_bytes / 1024:.1f} KiB")
+
+
+@dataclass(frozen=True)
+class RunRecord(RunStats):
+    """The pure-data statistics of one finished run.
+
+    Its six fields are the canonical stats tuple in order, already in
+    canonical form, so :attr:`stats` is free and two records are equal
+    exactly when their runs are bit-identical. ``counter_snapshot`` is
+    the sorted ``(name, value)`` snapshot of the run's counter bag.
+    """
+
+    machine: str
+    program_name: str
+    cycles: float
+    tasks_executed: int
+    lane_busy: tuple[float, ...]
+    counter_snapshot: tuple[tuple[str, float], ...]
+
+    @property
+    def stats(self) -> tuple:
+        """The canonical stats tuple: the fields as stored."""
+        return (self.machine, self.program_name, self.cycles,
+                self.tasks_executed, self.lane_busy, self.counter_snapshot)
+
+    @property
+    def counters(self) -> MetricsBus:
+        """The run's counter bag, rebuilt from the snapshot: a fresh copy
+        on every read, so the record itself never changes."""
+        return MetricsBus.from_snapshot(self.counter_snapshot)
+
+
+@dataclass
+class RunResult(RunStats):
+    """Outcome of simulating one program on one machine."""
+
+    machine: str
+    program_name: str
+    config: MachineConfig
+    cycles: float
+    tasks_executed: int
+    counters: Counters
+    lane_busy: list[float]
+    state: Any
+    #: Timeline of the run when tracing was requested (see Delta.run /
+    #: StaticParallel.run ``trace=`` parameter), else None.
+    trace: Optional["Tracer"] = None
+
+    @property
+    def stats(self) -> tuple:
+        """The canonical stats tuple, converted from the live run."""
+        return (self.machine, self.program_name, float(self.cycles),
+                int(self.tasks_executed),
+                tuple(float(b) for b in self.lane_busy),
+                self.counters.snapshot())
+
+    def record(self) -> RunRecord:
+        """This run's statistics as pure data, without its state, trace,
+        counter bag or configuration."""
+        return RunRecord(*self.stats)

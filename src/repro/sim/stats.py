@@ -71,6 +71,13 @@ class Counters:
         """
         return tuple(sorted(self._values.items()))
 
+    @classmethod
+    def from_snapshot(cls, snapshot) -> "Counters":
+        """A fresh bag holding the counters of a :meth:`snapshot`."""
+        counters = cls()
+        counters._values = dict(snapshot)
+        return counters
+
     def render(self, prefix: str = "") -> str:
         """Readable multi-line dump, optionally filtered by prefix."""
         rows = [(k, v) for k, v in self.items() if k.startswith(prefix)]

@@ -9,7 +9,8 @@ promise into something checkable and cacheable:
 - :func:`stable_hash` — a SHA-256 digest over canonical reprs, identical
   across processes and interpreter restarts (unlike builtin ``hash``).
 - :func:`result_stats` / :func:`result_fingerprint` — the canonical tuple
-  of everything an experiment reads from a :class:`RunResult`, and its
+  of everything an experiment reads from a run (a live
+  :class:`RunResult` or its pure-data :class:`RunRecord`), and its
   digest. Two runs are "bit-identical" exactly when these match.
 - :func:`comparison_fingerprint` — the same for a Delta-vs-static pair.
 
@@ -24,7 +25,7 @@ import hashlib
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.machine.result import RunResult
+    from repro.machine.result import RunRecord, RunResult
     from repro.eval.runner import Comparison
     from repro.workloads.base import Workload
 
@@ -72,25 +73,21 @@ def workload_cache_key(workload: "Workload") -> str:
                        workload.name, workload.arguments)
 
 
-def result_stats(result: "RunResult") -> tuple:
+def result_stats(result: "RunResult | RunRecord") -> tuple:
     """Canonical tuple of every statistic the harness reads from a run.
 
-    Covers cycles, task count, the per-lane busy vector, and the full
-    counter bag (DRAM/NoC bytes, multicast and pipeline counters, ...).
-    Excludes ``state`` (verified separately against the reference
-    implementation) and ``trace`` (absent in evaluation runs).
+    Covers the machine and program names, cycles, task count, the
+    per-lane busy vector, and the sorted snapshot of the full counter bag
+    (DRAM/NoC bytes, multicast and pipeline counters, ...). Excludes
+    ``state`` (verified separately against the reference implementation)
+    and ``trace`` (absent in evaluation runs). A :class:`RunRecord`'s six
+    fields are this tuple, returned as stored; a live :class:`RunResult`
+    converts its values.
     """
-    return (
-        result.machine,
-        result.program_name,
-        float(result.cycles),
-        int(result.tasks_executed),
-        tuple(float(b) for b in result.lane_busy),
-        result.counters.snapshot(),
-    )
+    return result.stats
 
 
-def result_fingerprint(result: "RunResult") -> str:
+def result_fingerprint(result: "RunResult | RunRecord") -> str:
     """Digest of :func:`result_stats` — equal iff stats are bit-identical."""
     return stable_hash(result_stats(result))
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.arch.config import default_delta_config
 from repro.core.delta import Delta
-from repro.eval.cache import EvalCache
+from repro.eval.cache import comparison_key
 from repro.eval.runner import compare
 from repro.util.fingerprint import result_fingerprint, result_stats
 from repro.workloads.registry import get_workload, workload_names
@@ -53,9 +53,8 @@ def test_different_seeds_differ_where_the_seed_matters():
     assert runs[0] != runs[1]
 
 
-def test_different_seeds_get_different_cache_keys(tmp_path):
+def test_different_seeds_get_different_cache_keys():
     """Distinct seeds are distinct cache points — never served as repeats."""
-    cache = EvalCache(tmp_path)
     workload = get_workload("spmv")
     keys = set()
     for seed in (0, 1):
@@ -63,17 +62,16 @@ def test_different_seeds_get_different_cache_keys(tmp_path):
         from repro.arch.config import default_baseline_config
 
         static_cfg = default_baseline_config(lanes=LANES, seed=seed)
-        keys.add(cache.key_for(workload, delta_cfg, static_cfg))
+        keys.add(comparison_key(workload, delta_cfg, static_cfg))
     assert len(keys) == 2
 
 
-def test_same_seed_same_cache_key_across_instances(tmp_path):
+def test_same_seed_same_cache_key_across_instances():
     """Rebuilding the same workload yields the same key (stable hashing)."""
-    cache = EvalCache(tmp_path)
     from repro.arch.config import default_baseline_config
 
     delta_cfg = default_delta_config(lanes=LANES)
     static_cfg = default_baseline_config(lanes=LANES)
-    key_a = cache.key_for(get_workload("spmv"), delta_cfg, static_cfg)
-    key_b = cache.key_for(get_workload("spmv"), delta_cfg, static_cfg)
+    key_a = comparison_key(get_workload("spmv"), delta_cfg, static_cfg)
+    key_b = comparison_key(get_workload("spmv"), delta_cfg, static_cfg)
     assert key_a == key_b

@@ -1,5 +1,7 @@
 """Tests for the evaluation harness (repro.eval)."""
 
+import pickle
+
 import pytest
 
 from repro.arch.config import default_delta_config
@@ -14,7 +16,9 @@ from repro.eval.experiments import (
     t3_area,
 )
 from repro.eval.runner import run_suite, suite_geomean
+from repro.machine import RunRecord
 from repro.workloads.synthetic import SkewedTasks, SharedReadTasks
+from repro.workloads.wavefront import WavefrontWorkload
 
 
 FAST_WORKLOADS = [SkewedTasks(num_tasks=24), SharedReadTasks(num_tasks=12)]
@@ -74,6 +78,16 @@ class TestRunner:
     def test_traffic_ratio(self):
         c = compare(FAST_WORKLOADS[1], default_delta_config(lanes=4))
         assert c.traffic_ratio > 1.0  # shared reads multicast
+
+    def test_compare_returns_pure_data_records(self):
+        # wavefront has the largest functional output (~1 MB pickled); it
+        # is checked inside compare() and must never leave it.
+        c = compare(WavefrontWorkload(), default_delta_config(lanes=8))
+        assert len(pickle.dumps(c, pickle.HIGHEST_PROTOCOL)) < 16 * 1024
+        for side in (c.delta, c.static):
+            assert isinstance(side, RunRecord)
+            assert not hasattr(side, "state")
+            assert not hasattr(side, "trace")
 
 
 class TestExperiments:

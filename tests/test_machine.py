@@ -6,9 +6,15 @@ assembly); MetricsBus layers typed namespaced groups over the plain
 Counters store without changing any dotted counter name.
 """
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.arch.config import default_baseline_config, default_delta_config
+from repro.arch.energy import estimate_energy
+from repro.baseline.static import StaticParallel
+from repro.core.delta import Delta
 from repro.machine import (
     ExecutionStalled,
     Machine,
@@ -19,6 +25,8 @@ from repro.machine import (
 from repro.machine.metrics import CounterGroup, LaneMetrics
 from repro.sim import Counters
 from repro.sim.trace import NullTracer, Tracer
+from repro.util.fingerprint import result_stats
+from repro.workloads.synthetic import SharedReadTasks
 
 
 class TestMachineBuild:
@@ -213,6 +221,16 @@ class TestMetricsBus:
         assert bus.snapshot() == (("dram.read_bytes", 2.0),
                                   ("noc.bytes", 1.0))
 
+    def test_from_snapshot_round_trips(self):
+        bus = MetricsBus()
+        bus.noc.add("bytes", 1)
+        bus.dram.add("read_bytes", 2)
+        rebuilt = MetricsBus.from_snapshot(bus.snapshot())
+        assert rebuilt.snapshot() == bus.snapshot()
+        assert rebuilt.dram.total_bytes == 2
+        rebuilt.noc.add("bytes", 1)
+        assert bus.noc.bytes == 1  # a copy, not a view
+
 
 class TestRunResultMetrics:
     def make_result(self, counters):
@@ -231,3 +249,33 @@ class TestRunResultMetrics:
         assert result.metrics.dram.total_bytes == 42
         assert result.dram_bytes == 42
         assert result.noc_bytes == 8
+
+
+@pytest.fixture(params=["delta", "static"])
+def live(request):
+    """A live result of one direct run on either machine."""
+    program = SharedReadTasks(num_tasks=12).build_program()
+    if request.param == "delta":
+        return Delta(default_delta_config(lanes=4)).run(program)
+    return StaticParallel(default_baseline_config(lanes=4)).run(program)
+
+
+class TestRunRecord:
+    def test_record_reads_like_its_live_run(self, live):
+        record = live.record()
+        assert result_stats(record) == result_stats(live)
+        assert estimate_energy(record) == estimate_energy(live)
+        assert record.lanes == live.lanes == live.config.lanes
+        assert record.imbalance_cv == live.imbalance_cv
+        assert record.mean_lane_utilization == live.mean_lane_utilization
+        assert record.metrics.snapshot() == live.metrics.snapshot()
+        assert record.summary() == live.summary()
+
+    def test_record_is_frozen_pure_data(self, live):
+        record = live.record()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.cycles = 0.0
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert {f.name for f in dataclasses.fields(record)} == {
+            "machine", "program_name", "cycles", "tasks_executed",
+            "lane_busy", "counter_snapshot"}

@@ -12,6 +12,7 @@ The contract under test (see docs/evaluation.md):
   batches included, and is replaced only when broken or stuck.
 """
 
+import dataclasses
 import gc
 import multiprocessing
 import os
@@ -27,7 +28,12 @@ import pytest
 
 from repro.arch.config import default_baseline_config, default_delta_config
 from repro.eval import parallel as parallel_mod
-from repro.eval.cache import CACHE_FORMAT, EvalCache, workload_cache_key
+from repro.eval.cache import (
+    CACHE_FORMAT,
+    EvalCache,
+    comparison_key,
+    workload_cache_key,
+)
 from repro.eval.parallel import (
     dispatch_order,
     resolve_jobs,
@@ -81,6 +87,13 @@ class TestParallelExecutor:
         parallel = run_suite_parallel(lanes=LANES,
                                       workloads=fast_workloads(), jobs=4)
         assert_field_identical(serial, parallel)
+
+    def test_pool_point_equals_serial_point(self):
+        (serial,) = run_suite(lanes=LANES,
+                              workloads=[SkewedTasks(num_tasks=24)], jobs=1)
+        (pooled,) = run_suite_parallel(
+            lanes=LANES, workloads=[SkewedTasks(num_tasks=24)], jobs=2)
+        assert pooled == serial
 
     def test_run_suite_delegates_jobs(self):
         serial = run_suite(lanes=LANES, workloads=fast_workloads(), jobs=1)
@@ -610,6 +623,15 @@ class TestEvalCache:
         assert cache.hits == len(warm)
         assert_field_identical(cold, warm)
 
+    def test_hit_equals_the_stored_comparison(self, tmp_path):
+        cache = EvalCache(tmp_path)
+        workload = SkewedTasks(num_tasks=24)
+        (cold,) = run_suite_parallel(lanes=LANES, workloads=[workload],
+                                     jobs=1, cache=cache)
+        key = comparison_key(workload, default_delta_config(lanes=LANES),
+                             default_baseline_config(lanes=LANES))
+        assert cache.get(key) == cold
+
     def test_corrupted_entry_falls_back_to_recompute(self, tmp_path):
         cache = EvalCache(tmp_path)
         cold = run_suite_parallel(lanes=LANES, workloads=fast_workloads(),
@@ -628,15 +650,17 @@ class TestEvalCache:
     def test_altered_bound_fails_the_entry_check(self, tmp_path):
         cache = EvalCache(tmp_path)
         workload = SkewedTasks(num_tasks=24)
-        key = cache.key_for(workload, default_delta_config(lanes=LANES),
-                            default_baseline_config(lanes=LANES))
+        key = comparison_key(workload, default_delta_config(lanes=LANES),
+                             default_baseline_config(lanes=LANES))
         (cold,) = run_suite_parallel(lanes=LANES, workloads=[workload],
                                      jobs=1, cache=cache)
         # The stats still match their fingerprint; only the carried bound
         # changed, and that alone must discard the entry.
         path = cache._path(key)
         entry = pickle.loads(path.read_bytes())
-        entry["comparison"].parallelism += 1.0
+        entry["comparison"] = dataclasses.replace(
+            entry["comparison"],
+            parallelism=entry["comparison"].parallelism + 1.0)
         path.write_bytes(pickle.dumps(entry))
         before = simulation_count()
         (fresh,) = run_suite_parallel(lanes=LANES,
@@ -652,14 +676,17 @@ class TestEvalCache:
         workload = SkewedTasks(num_tasks=24)
         delta_cfg = default_delta_config(lanes=LANES)
         static_cfg = default_baseline_config(lanes=LANES)
-        key = cache.key_for(workload, delta_cfg, static_cfg)
+        key = comparison_key(workload, delta_cfg, static_cfg)
         comparison = run_suite_parallel(lanes=LANES, workloads=[workload],
                                         jobs=1, cache=cache)[0]
         # Valid pickle, wrong contents: the stored fingerprint no longer
         # matches, so the entry must be dropped, not served.
         path = cache._path(key)
         entry = pickle.loads(path.read_bytes())
-        entry["comparison"].delta.cycles += 1
+        stored = entry["comparison"]
+        entry["comparison"] = dataclasses.replace(
+            stored, delta=dataclasses.replace(stored.delta,
+                                              cycles=stored.delta.cycles + 1))
         path.write_bytes(pickle.dumps(entry))
         assert cache.get(key) is None
         assert not path.exists()
@@ -668,15 +695,14 @@ class TestEvalCache:
                                    jobs=1, cache=cache)[0]
         assert result_stats(fresh.delta) == result_stats(comparison.delta)
 
-    def test_key_distinguishes_configs_and_params(self, tmp_path):
-        cache = EvalCache(tmp_path)
+    def test_key_distinguishes_configs_and_params(self):
         static = default_baseline_config(lanes=LANES)
-        base = cache.key_for(SpmvWorkload(), default_delta_config(LANES),
-                             static)
-        other_lanes = cache.key_for(SpmvWorkload(),
-                                    default_delta_config(8), static)
-        other_grain = cache.key_for(SpmvWorkload(rows_per_task=2),
-                                    default_delta_config(LANES), static)
+        base = comparison_key(SpmvWorkload(), default_delta_config(LANES),
+                              static)
+        other_lanes = comparison_key(SpmvWorkload(),
+                                     default_delta_config(8), static)
+        other_grain = comparison_key(SpmvWorkload(rows_per_task=2),
+                                     default_delta_config(LANES), static)
         assert len({base, other_lanes, other_grain}) == 3
 
     def test_workload_cache_key_is_stable(self):
@@ -736,17 +762,15 @@ class TestCodeVersionInvalidation:
         source.write_text("EDGE_KINDS = 4\n")
         assert digest_tree(tmp_path) != before
 
-    def test_code_version_change_invalidates_cache_keys(self, tmp_path,
-                                                        monkeypatch):
+    def test_code_version_change_invalidates_cache_keys(self, monkeypatch):
         import repro.eval.cache as cache_mod
-        cache = EvalCache(tmp_path)
         workload = SpmvWorkload()
         delta_cfg = default_delta_config(LANES)
         static_cfg = default_baseline_config(lanes=LANES)
-        old = cache.key_for(workload, delta_cfg, static_cfg)
+        old = comparison_key(workload, delta_cfg, static_cfg)
         monkeypatch.setattr(cache_mod, "code_version",
                             lambda: "machine-layer-edited")
-        new = cache.key_for(workload, delta_cfg, static_cfg)
+        new = comparison_key(workload, delta_cfg, static_cfg)
         assert new != old
 
 
@@ -754,6 +778,8 @@ class TestSpeedupGuard:
     def test_zero_cycle_delta_yields_infinite_speedup(self):
         comparison = run_suite(lanes=LANES,
                                workloads=[SkewedTasks(num_tasks=24)])[0]
-        comparison.delta.cycles = 0
+        comparison = dataclasses.replace(
+            comparison, delta=dataclasses.replace(comparison.delta,
+                                                  cycles=0.0))
         assert comparison.speedup == float("inf")
         assert comparison.traffic_ratio > 0

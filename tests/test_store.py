@@ -132,14 +132,14 @@ class TestCorruptEntries:
     recomputed — never raise and never be served."""
 
     def _cached_comparison(self, tmp_path):
-        from repro.eval.cache import EvalCache
+        from repro.eval.cache import EvalCache, comparison_key
         from repro.eval.parallel import run_suite_parallel
 
         cache = EvalCache(store=ShardedStore(tmp_path, max_bytes=None))
         workload = SkewedTasks(num_tasks=24)
         (cold,) = run_suite_parallel(lanes=4, workloads=[workload],
                                      jobs=1, cache=cache)
-        key = cache.key_for(*_point(workload))
+        key = comparison_key(*_point(workload))
         return cache, workload, key, cold
 
     def test_truncated_entry_recomputed_not_raised(self, tmp_path, caplog):
