@@ -141,33 +141,28 @@ class Noc:
     # -- transfers ---------------------------------------------------------
 
     def unicast(self, src: str, dst: str, nbytes: float) -> Event:
-        """Send one message; returns an event firing on delivery."""
+        """Send one message; returns an event firing on delivery.
+
+        Every link on the route is booked at once, in route order, with
+        :meth:`~repro.sim.BandwidthServer.reserve`; delivery then follows
+        the fixed slot chain of :meth:`_deliver`.
+        """
         servers, hops = self._route_links(src, dst)
         if hops == 0:
             return self.env.timeout(0)
         payload = nbytes + self.header_bytes
-        if self.env.fast:
-            counters = self.counters
-            finish = self.env.now
-            for _ in range(1 + self._drops("unicast")):
-                for server in servers:
-                    counters.add("noc.bytes", payload)
-                    booked = server.reserve(payload)
-                    if booked > finish:
-                        finish = booked
-                counters.add("noc.messages")
-                self.sanitizer.noc_message("unicast", payload, self.env.now)
-            return self._deliver_fast(finish, self.hop_latency * hops,
-                                      "unicast-delivery")
-        events = []
+        counters = self.counters
+        finish = self.env.now
         for _ in range(1 + self._drops("unicast")):
             for server in servers:
-                self.counters.add("noc.bytes", payload)
-                events.append(server.transfer(payload))
-            self.counters.add("noc.messages")
+                counters.add("noc.bytes", payload)
+                booked = server.reserve(payload)
+                if booked > finish:
+                    finish = booked
+            counters.add("noc.messages")
             self.sanitizer.noc_message("unicast", payload, self.env.now)
-        return self._chain_delivery(events, self.hop_latency * hops,
-                                    "unicast-delivery")
+        return self._deliver(finish, self.hop_latency * hops,
+                             "unicast-delivery")
 
     def multicast(self, src: str, dsts: Sequence[str],
                   nbytes: float) -> Event:
@@ -175,7 +170,9 @@ class Noc:
 
         With multicast hardware, the payload traverses each link of the
         union-of-routes tree exactly once. Without it, falls back to
-        repeated unicasts (and the counters show the difference).
+        repeated unicasts (and the counters show the difference). The
+        tree's links are booked and delivered like :meth:`unicast`'s
+        route, with the per-hop latency of the farthest leaf.
         """
         dsts = list(dict.fromkeys(dsts))  # dedupe, keep order
         if not dsts:
@@ -186,32 +183,19 @@ class Noc:
 
         tree, max_hops = self._tree_links(src, tuple(dsts))
         payload = nbytes + self.header_bytes
-        if self.env.fast and tree:
-            counters = self.counters
-            finish = self.env.now
-            for _ in range(1 + self._drops("multicast")):
-                for server in tree:
-                    counters.add("noc.bytes", payload)
-                    counters.add("noc.multicast_link_bytes", payload)
-                    booked = server.reserve(payload)
-                    if booked > finish:
-                        finish = booked
-                counters.add("noc.multicasts")
-                self.sanitizer.noc_message("multicast", payload,
-                                           self.env.now)
-            return self._deliver_fast(finish, self.hop_latency * max_hops,
-                                      "multicast-delivery")
-        events = []
+        counters = self.counters
+        finish = self.env.now
         for _ in range(1 + self._drops("multicast")):
             for server in tree:
-                self.counters.add("noc.bytes", payload)
-                self.counters.add("noc.multicast_link_bytes", payload)
-                events.append(server.transfer(payload))
-            self.counters.add("noc.multicasts")
+                counters.add("noc.bytes", payload)
+                counters.add("noc.multicast_link_bytes", payload)
+                booked = server.reserve(payload)
+                if booked > finish:
+                    finish = booked
+            counters.add("noc.multicasts")
             self.sanitizer.noc_message("multicast", payload, self.env.now)
-        # Per-hop latency to the farthest leaf.
-        return self._chain_delivery(events, self.hop_latency * max_hops,
-                                    "multicast-delivery")
+        return self._deliver(finish, self.hop_latency * max_hops,
+                             "multicast-delivery")
 
     def _drops(self, kind: str) -> int:
         """Link-level packet loss: how many times the next message is
@@ -230,30 +214,19 @@ class Noc:
             self.sanitizer.noc_retransmit(kind, drops, self.env.now)
         return drops
 
-    def _chain_delivery(self, events: list[Event], tail_delay: float,
-                        name: str) -> Event:
-        """Reference delivery: all link transfers, then per-hop latency."""
-        done = self.env.event(name=name)
-        tail = self.env.all_of(events)
+    def _deliver(self, finish: float, tail_delay: float,
+                 name: str) -> Event:
+        """The delivery event of a message whose links are booked.
 
-        def after(_ev: Event) -> None:
-            self.env.timeout(tail_delay).add_callback(
-                lambda _t: done.succeed())
-
-        tail.add_callback(after)
-        return done
-
-    def _deliver_fast(self, finish: float, tail_delay: float,
-                      name: str) -> Event:
-        """Closed-form delivery for the fast kernel.
-
-        The link serialization times are already booked (``reserve``), so
-        delivery is fully determined: the message clears its last link at
-        ``finish`` and arrives ``tail_delay`` later. The three chained call
-        slots reproduce the reference chain's queue positions exactly —
-        last-link timeout, ``all_of`` tail, hop-latency timeout — so the
-        ``done`` event lands in the same slot of the same time bucket as
-        the reference kernel's would (see tests/test_engine_equivalence.py).
+        The message clears its last link at ``finish`` and arrives
+        ``tail_delay`` (the per-hop latency) later. ``done`` fires from
+        the third of three chained call slots: one at ``finish``, a second
+        queued behind it at the same time, and a third ``tail_delay``
+        later. Those are the slots of the last link's transfer event, the
+        join over all link transfers, and the hop-latency timeout, each
+        stage running in the slot of the event it awaits. They fix where
+        a delivery falls among other same-cycle events, so they are part
+        of the frozen fingerprints (``tests/golden_fingerprints.json``).
         """
         env = self.env
         done = Event(env, name)
@@ -275,14 +248,3 @@ class Noc:
     def total_bytes(self) -> float:
         """Total link-bytes moved (each hop counts)."""
         return self.counters.get("noc.bytes")
-
-    def peak_link_utilization(self) -> float:
-        """Busy fraction of the most loaded link."""
-        if not self._links:
-            return 0.0
-        return max(l.utilization() for l in self._links.values())
-
-    def lane_names(self) -> list[str]:
-        """All lane endpoint names in id order."""
-        return sorted((n for n in self.coords if n.startswith("lane")),
-                      key=lambda s: int(s[4:]))

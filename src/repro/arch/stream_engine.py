@@ -5,12 +5,21 @@ stage pipeline (DRAM channel -> NoC links -> scratchpad banks), and each
 stage is a FIFO bandwidth server, so the stream's steady-state rate is set
 by the slowest stage while other streams contend naturally.
 
-Pipelining is modeled by decoupling issue from delivery: the pump process
-waits for the DRAM stage of chunk *k*, then hands the downstream stages to
-a detached delivery process and immediately issues chunk *k+1*. In-flight
+Pipelining is modeled by decoupling issue from delivery: the pump waits
+for the DRAM stage of chunk *k*, then hands the downstream stages to a
+detached delivery chain and immediately issues chunk *k+1*. In-flight
 chunks are bounded by a credit :class:`~repro.sim.Resource`, so downstream
 backpressure (a slow consumer of ``dest_store``) throttles DRAM issue —
 exactly the behaviour hardware credit-based streams have.
+
+``stream_in``, ``read_resident`` and ``stream_out`` are callback chains,
+not generator processes (``forward`` is one). Their ordering rule is the
+one a process obeys: each stage runs inside the scheduling slot of the
+event it awaits, and each chain starts from a call slot of its own at the
+current time, where a freshly started process would take its first step.
+So every stage lands in a fixed queue position among the other events of
+its cycle, which the frozen fingerprints pin
+(``tests/golden_fingerprints.json``).
 """
 
 from __future__ import annotations
@@ -64,44 +73,16 @@ class StreamEngine:
 
     def stream_in(self, nbytes: float, locality: float = 1.0,
                   dest_store: Optional[Store] = None,
-                  close_dest: bool = False) -> Process:
+                  close_dest: bool = False) -> Event:
         """Stream ``nbytes`` from DRAM into this lane's scratchpad.
 
         If ``dest_store`` is given, a token is put per delivered chunk so a
         compute process can consume data as it arrives. The returned
-        process completes when the final chunk has landed.
-        """
-        if self.env.fast:
-            return self._stream_in_fast(nbytes, locality, dest_store,
-                                        close_dest)
-        return self.env.process(
-            self._pump_from_dram(nbytes, locality, dest_store, close_dest),
-            name=f"{self.lane_name}.stream_in")
+        event fires when the final chunk has landed.
 
-    def _pump_from_dram(self, nbytes: float, locality: float,
-                        dest_store: Optional[Store], close_dest: bool,
-                        ) -> Generator:
-        credits = Resource(self.env, self.max_inflight_chunks,
-                           name=self._credits_name)
-        tails = []
-        for size in self.chunks_of(nbytes):
-            yield credits.acquire()
-            yield self.dram.fetch(size, locality)
-            tails.append(self.env.process(
-                self._deliver_chunk(size, dest_store, credits)))
-        yield self.env.all_of(tails)
-        self.counters.add(self._in_key, nbytes)
-        if dest_store is not None and close_dest:
-            dest_store.close()
-
-    def _stream_in_fast(self, nbytes: float, locality: float,
-                        dest_store: Optional[Store],
-                        close_dest: bool) -> Event:
-        """Callback-chain form of :meth:`_pump_from_dram` (fast kernel).
-
-        Stage code runs in exactly the slots the generator version's
-        resumes would occupy (callbacks fire synchronously inside the
-        awaited event's slot), so both forms are schedule-identical.
+        Per chunk: take an in-flight credit, fetch from DRAM, then hand
+        the chunk to :meth:`_deliver_chunk` and issue the next one. Each
+        stage runs in the slot of the event it awaits.
         """
         env = self.env
         complete = Event(env, "stream_in")
@@ -118,7 +99,7 @@ class StreamEngine:
             complete.succeed()
 
         def after_fetch(_ev: object) -> None:
-            tails.append(self._deliver_chunk_fast(
+            tails.append(self._deliver_chunk(
                 sizes[idx[0]], dest_store, credits))
             idx[0] += 1
             next_chunk(None)
@@ -137,24 +118,10 @@ class StreamEngine:
         return complete
 
     def _deliver_chunk(self, size: int, dest_store: Optional[Store],
-                       credits: Resource) -> Generator:
-        yield self.noc.unicast(MEM_NODE, self.lane_name, size)
-        yield self.spad.access(size, is_write=True)
-        if dest_store is not None:
-            yield dest_store.put(size)
-        credits.release()
-
-    def _deliver_chunk_fast(self, size: int, dest_store: Optional[Store],
-                            credits: Resource) -> Event:
-        """Callback-chain form of :meth:`_deliver_chunk` (fast kernel).
-
-        Each stage runs in exactly the queue slot where the generator
-        version's ``Process._resume`` would run it — callbacks fire
-        synchronously inside the awaited event's slot, just like a process
-        resume does — so the two forms are schedule-identical while this
-        one skips the generator frame, the Process object, and four
-        ``send`` round-trips per chunk.
-        """
+                       credits: Resource) -> Event:
+        """Move one fetched chunk on: NoC from memory to this lane, a
+        scratchpad write, a token into ``dest_store``, then return the
+        credit. Starts from its own call slot, like a spawned process."""
         env = self.env
         complete = Event(env, "deliver_chunk")
 
@@ -175,7 +142,6 @@ class StreamEngine:
             self.noc.unicast(MEM_NODE, self.lane_name,
                              size).add_callback(after_noc)
 
-        # Same bootstrap slot a freshly spawned process would occupy.
         env._schedule_call(start, complete)
         return complete
 
@@ -183,32 +149,14 @@ class StreamEngine:
 
     def read_resident(self, nbytes: float,
                       dest_store: Optional[Store] = None,
-                      close_dest: bool = False) -> Process:
+                      close_dest: bool = False) -> Event:
         """Feed on-chip (multicast-resident) data to the fabric.
 
-        No DRAM or NoC traffic — only scratchpad bank reads. This is the
-        payoff of read-sharing recovery.
+        No DRAM or NoC traffic — only scratchpad bank reads, one chunk at
+        a time, each followed by its token into ``dest_store``. This is
+        the payoff of read-sharing recovery. Each stage runs in the slot
+        of the event it awaits.
         """
-        if self.env.fast:
-            return self._read_resident_fast(nbytes, dest_store, close_dest)
-        return self.env.process(
-            self._pump_resident(nbytes, dest_store, close_dest),
-            name=f"{self.lane_name}.read_resident")
-
-    def _pump_resident(self, nbytes: float, dest_store: Optional[Store],
-                       close_dest: bool) -> Generator:
-        for size in self.chunks_of(nbytes):
-            yield self.spad.access(size, is_write=False)
-            if dest_store is not None:
-                yield dest_store.put(size)
-        self.counters.add(self._resident_key, nbytes)
-        if dest_store is not None and close_dest:
-            dest_store.close()
-
-    def _read_resident_fast(self, nbytes: float,
-                            dest_store: Optional[Store],
-                            close_dest: bool) -> Event:
-        """Callback-chain form of :meth:`_pump_resident` (fast kernel)."""
         env = self.env
         complete = Event(env, "read_resident")
         sizes = self.chunks_of(nbytes)
@@ -243,58 +191,21 @@ class StreamEngine:
     # -- lane -> memory ----------------------------------------------------
 
     def stream_out(self, nbytes: float, locality: float = 1.0,
-                   src_store: Optional[Store] = None) -> Process:
+                   src_store: Optional[Store] = None) -> Event:
         """Stream ``nbytes`` of results back to DRAM.
 
         With ``src_store``, chunks are drained as compute produces them
         (tokens put by the compute process); otherwise the whole transfer
-        is issued immediately (end-of-task writeback).
+        is issued immediately (end-of-task writeback). Each chunk is a
+        scratchpad read, a NoC message to memory and a DRAM writeback, in
+        that order, and the next chunk starts when its writeback is done.
+        Each stage runs in the slot of the event it awaits.
         """
-        if self.env.fast:
-            return self._stream_out_fast(nbytes, locality, src_store)
-        return self.env.process(
-            self._pump_to_dram(nbytes, locality, src_store),
-            name=f"{self.lane_name}.stream_out")
-
-    def _pump_to_dram(self, nbytes: float, locality: float,
-                      src_store: Optional[Store]) -> Generator:
-        if src_store is None:
-            for size in self.chunks_of(nbytes):
-                yield from self._writeback_chunk(size, locality)
-        else:
-            # Consume *every* compute token (or the producer would block on
-            # a full store), writing back at most ``nbytes`` total; any
-            # bytes left after the stream closes go out as a trailing burst.
-            remaining = float(nbytes)
-            while True:
-                token = yield src_store.get()
-                if token is Store.END:
-                    break
-                size = min(self.chunk_bytes, remaining)
-                if size > 0:
-                    yield from self._writeback_chunk(size, locality)
-                    remaining -= size
-            while remaining > 0:
-                size = min(self.chunk_bytes, remaining)
-                yield from self._writeback_chunk(size, locality)
-                remaining -= size
-        self.counters.add(self._out_key, nbytes)
-
-    def _writeback_chunk(self, size: float, locality: float) -> Generator:
-        yield self.spad.access(size, is_write=False)
-        yield self.noc.unicast(self.lane_name, MEM_NODE, size)
-        yield self.dram.writeback(size, locality)
-
-    def _stream_out_fast(self, nbytes: float, locality: float,
-                         src_store: Optional[Store]) -> Event:
-        """Callback-chain form of :meth:`_pump_to_dram` (fast kernel)."""
         env = self.env
         complete = Event(env, "stream_out")
         remaining = [float(nbytes)]
 
         def writeback(size: float, then) -> None:
-            # spad read -> NoC to MEM -> DRAM writeback, like
-            # _writeback_chunk, each stage in its awaited event's slot.
             def after_noc(_ev: object) -> None:
                 self.dram.writeback(size, locality).add_callback(then)
 
@@ -325,6 +236,9 @@ class StreamEngine:
             env._schedule_call(step, complete)
             return complete
 
+        # Consume *every* compute token (or the producer would block on a
+        # full store), writing back at most ``nbytes`` total; any bytes
+        # left after the stream closes go out as a trailing burst.
         def trailing(_arg: object) -> None:
             if remaining[0] > 0:
                 size = min(self.chunk_bytes, remaining[0])

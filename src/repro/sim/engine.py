@@ -21,10 +21,10 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 
 #: Scheduling slots drained by every environment in this process — the
-#: denominator of the events/sec metric in BENCH_*.json. Outside the
-#: counter bag on purpose: the two kernels process different slot counts
-#: (the fast engine elides shim events), so this must never reach a
-#: fingerprint.
+#: denominator of the events/sec metric in BENCH_*.json. Both kernels
+#: drain the same slots for a run; the count is still kept out of the
+#: counter bag, and so out of every fingerprint, because it measures the
+#: kernel's work rather than anything the modeled hardware does.
 _process_events_total = 0
 
 
@@ -188,8 +188,8 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         # Kick off the process via an immediate scheduling slot so creation
         # order matches execution order. The environment owns how that slot
-        # is represented (the fast kernel uses a bare call slot instead of
-        # a bootstrap event — same queue position either way).
+        # is represented (a shim event on the reference heap, a bare call
+        # slot in the fast kernel — same queue position either way).
         env._schedule_process_start(self)
 
     def _start(self, _arg: Any = None) -> None:
@@ -270,11 +270,6 @@ class Environment:
         a simulator where a modeling bug should abort the experiment.
     """
 
-    #: Class tag the arch components consult to pick their fast paths;
-    #: the reference kernel reports False, :class:`~repro.sim.fastengine.
-    #: FastEnvironment` overrides it.
-    fast = False
-
     def __init__(self, strict: bool = True) -> None:
         self.now: float = 0.0
         self.strict = strict
@@ -295,22 +290,33 @@ class Environment:
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, event))
 
+    def _schedule_call_at(self, at: float, fn: Callable[[Any], None],
+                          arg: Any = None) -> None:
+        """Queue ``fn(arg)`` as one scheduling slot at absolute time ``at``.
+
+        The slot is a pre-triggered shim event pushed straight onto the
+        heap: going through ``_schedule_event`` would compute
+        ``now + (at - now)``, which float rounding can move off ``at``.
+        The fast kernel queues a bare ``(fn, arg)`` call slot in the same
+        position instead.
+        """
+        shim = Event(self, name="call-shim")
+        shim._triggered = shim._ok = True
+        shim._callbacks = [lambda _ev: fn(arg)]
+        self._seq += 1
+        heapq.heappush(self._heap, (at, self._seq, shim))
+
     def _schedule_call(self, fn: Callable[[Event], None],
                        event: Event) -> None:
-        shim = Event(self, name="callback-shim")
-        shim.add_callback(lambda _ev: fn(event))
-        shim.succeed()
+        self._schedule_call_at(self.now, fn, event)
 
     def _schedule_process_start(self, process: "Process") -> None:
         """Queue the first resume of a freshly created process.
 
         One scheduling slot at the current time, so creation order matches
-        execution order. The fast kernel overrides this with a bare call
-        slot — same queue position, no bootstrap Event object.
+        execution order.
         """
-        bootstrap = Event(self, name=f"init:{process.name}")
-        bootstrap.add_callback(process._start)
-        bootstrap.succeed()
+        self._schedule_call_at(self.now, process._start)
 
     # -- public API ------------------------------------------------------
 
@@ -356,36 +362,6 @@ class Environment:
 
         for i, ev in enumerate(events):
             ev.add_callback(make_cb(i))
-        return done
-
-    def all_done(self, events: Iterable[Event]) -> Event:
-        """Like :meth:`all_of` but the value is always ``None``.
-
-        Most aggregation points in the machine model only gate on
-        completion and drop the value list; this variant skips the
-        per-child closures and value bookkeeping. Scheduling behaviour is
-        identical to ``all_of`` — the aggregate fires from the last
-        child's callback slot either way.
-        """
-        events = list(events)
-        done = self.event(name="all_done")
-        if not events:
-            done.succeed()
-            return done
-        remaining = [len(events)]
-
-        def cb(ev: Event) -> None:
-            if done.triggered:
-                return
-            if ev.ok is False:
-                done.fail(ev.value)
-                return
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                done.succeed()
-
-        for ev in events:
-            ev.add_callback(cb)
         return done
 
     def any_of(self, events: Iterable[Event]) -> Event:

@@ -9,9 +9,14 @@
   is the sequence order — the reference kernel's monotonically increasing
   ``seq`` tiebreaker produces exactly the same total order, because both
   kernels enqueue from the same single-threaded call sites.
-- Zero-delay shim events (callback-after-processed, process bootstrap)
-  become bare ``(fn, arg)`` call slots in the same queue position, with
-  no Event allocation or callback-list churn.
+- Call slots (callback-after-processed, process bootstrap, and the
+  timed slots of the NoC delivery chain), which the reference kernel
+  queues as pre-triggered shim events, become bare ``(fn, arg)`` tuples
+  in the same queue position, with no Event allocation or callback-list
+  churn.
+
+Both kernels run the same component code: they differ only in how they
+queue a slot, so they drain the same slots in the same order.
 
 Equivalence with the reference kernel is enforced bit-for-bit by
 ``tests/test_engine_equivalence.py`` over the full workload matrix.
@@ -59,8 +64,6 @@ class FastEnvironment(Environment):
     values than everything already heaped.
     """
 
-    fast = True
-
     def __init__(self, strict: bool = True) -> None:
         super().__init__(strict=strict)
         self._buckets: dict[float, list[Any]] = {}
@@ -89,12 +92,8 @@ class FastEnvironment(Environment):
 
     def _schedule_call_at(self, at: float, fn: Callable[[Any], None],
                           arg: Any = None) -> None:
-        """Place a bare call slot at absolute time ``at``.
-
-        The closed-form component fast paths (NoC delivery chains) use
-        this to occupy exactly the queue positions their reference-path
-        event chains would.
-        """
+        """Queue ``fn(arg)`` as a bare call slot at absolute time ``at``:
+        the bucket form of :meth:`Environment._schedule_call_at`."""
         bucket = self._buckets.get(at)
         if bucket is None:
             self._buckets[at] = [(fn, arg)]

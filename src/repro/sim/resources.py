@@ -215,8 +215,9 @@ class BandwidthServer:
         """Book a transfer and return its absolute delivery time.
 
         Identical channel bookkeeping to :meth:`transfer` without creating
-        an event — the closed-form NoC/DRAM fast paths use this and place
-        their own completion slot at the returned time.
+        an event. The NoC books every link of a message this way and
+        queues one delivery chain for the whole message
+        (:meth:`repro.arch.noc.Noc.unicast`).
         """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")

@@ -123,9 +123,10 @@ def test_committed_trajectory_schema():
     assert set(payload["pinned"]["workloads"]) == \
         set(bench_trajectory.PINNED_WORKLOADS)
     assert payload["speedup_vs_reference"] > 0
-    # Event counts are deterministic, so both recorded engines must agree
-    # with what the simulator produces structurally: fast never processes
-    # more slots than the reference kernel (it only elides events).
+    # Event counts are deterministic. Both kernels now drain the same
+    # slots; the committed BENCH_6–8 predate that, when the reference
+    # kernel ran generator forms of the stream and NoC operations that
+    # drained more slots, so the fast count may be lower but never higher.
     assert payload["suite"]["events"] <= payload["reference"]["events"]
 
 

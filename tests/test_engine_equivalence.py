@@ -1,17 +1,20 @@
 """Fast-vs-reference engine equivalence: the bit-identity contract.
 
-``REPRO_ENGINE=fast`` (the default) swaps the heap-based event kernel for
-the calendar-queue kernel in :mod:`repro.sim.fastengine`, plus the
-closed-form component fast paths it enables (NoC delivery, CPS stream
-pumps). The contract is that the switch is *invisible*: every statistic
-the harness reads — fingerprints, :class:`RunResult` fields, the full
-MetricsBus counter bag — is bit-identical between the two engines.
+``REPRO_ENGINE`` picks the event queue only: the calendar-queue kernel in
+:mod:`repro.sim.fastengine` (``fast``, the default) or the heap kernel
+(``reference``). Every component runs the same code under both; the
+kernels differ only in how they queue a scheduling slot. The contract is
+that the switch is *invisible*: every statistic the harness reads —
+fingerprints, :class:`RunResult` fields, the full MetricsBus counter bag
+— is bit-identical between the two engines, and both drain the same
+number of slots.
 
 This module is the enforcement: the full workload registry at two lane
 counts on both runtimes, Hypothesis-random programs under seeded-random
 machine configurations, and the raw kernel primitives. The reference
-kernel is the oracle; any divergence here is a fast-path bug by
-definition.
+heap is the oracle for the queue, so any divergence here is a fast-kernel
+bug by definition; the components' oracle is the frozen fingerprints
+(``tests/golden_fingerprints.json``).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.sim import (
     Store,
     engine_name,
     make_environment,
+    total_events_processed,
 )
 from repro.sim.fastengine import ENGINE_VAR
 from repro.util.fingerprint import (
@@ -71,15 +75,18 @@ def engine(name: str):
 
 
 def _compare_under(engine_choice: str, workload_name: str, lanes: int):
-    """One Delta-vs-static comparison under the chosen kernel.
+    """One Delta-vs-static comparison under the chosen kernel, and the
+    number of scheduling slots its runs drained.
 
     A fresh workload/program pair is built inside the block: programs are
     stateful across runs, so reusing one across engines would diverge for
     reasons that have nothing to do with the kernel.
     """
     with engine(engine_choice):
-        return compare(get_workload(workload_name),
-                       default_delta_config(lanes=lanes), verify=False)
+        before = total_events_processed()
+        comparison = compare(get_workload(workload_name),
+                             default_delta_config(lanes=lanes), verify=False)
+        return comparison, total_events_processed() - before
 
 
 def _assert_results_identical(reference, fast, label: str) -> None:
@@ -110,13 +117,19 @@ def _assert_results_identical(reference, fast, label: str) -> None:
 @pytest.mark.parametrize("workload_name", workload_names())
 def test_engines_bit_identical_on_workload(workload_name, lanes):
     """Every registered workload, both runtimes, both lane counts."""
-    reference = _compare_under("reference", workload_name, lanes)
-    fast = _compare_under("fast", workload_name, lanes)
+    reference, reference_slots = _compare_under("reference", workload_name,
+                                                lanes)
+    fast, fast_slots = _compare_under("fast", workload_name, lanes)
     _assert_results_identical(reference.delta, fast.delta,
                               f"{workload_name}@lanes={lanes} [delta]")
     _assert_results_identical(reference.static, fast.static,
                               f"{workload_name}@lanes={lanes} [static]")
     assert comparison_fingerprint(fast) == comparison_fingerprint(reference)
+    # Same component code on both kernels, so the same slots: a slot the
+    # fast kernel skips or adds is a divergence even if no number moved.
+    assert fast_slots == reference_slots, (
+        f"{workload_name}@lanes={lanes}: fast drained {fast_slots} slots, "
+        f"reference {reference_slots}")
 
 
 # ------------------------------------------------- randomized configs
@@ -237,6 +250,44 @@ def test_fast_kernel_until_bound_matches_reference():
         assert env.now == 35
 
 
+@pytest.mark.parametrize("env_cls", [Environment, FastEnvironment])
+def test_call_slots_interleave_like_reference(env_cls):
+    """``_schedule_call_at`` slots keep their queue positions among
+    timeouts and ``_schedule_call`` slots, same-time ties included, on
+    both kernels."""
+    env = env_cls()
+    log = []
+
+    def note(tag):
+        return lambda _arg: log.append((env.now, tag))
+
+    env.timeout(5).add_callback(note("timeout@5"))
+    env._schedule_call_at(5, note("at@5"))
+    env._schedule_call_at(0, note("at@0"))
+    env._schedule_call(note("call@0"), None)
+    env.timeout(0).add_callback(note("timeout@0"))
+    env._schedule_call_at(3, lambda arg: log.append((env.now, arg)), "at@3")
+
+    def chain(_arg):
+        log.append((env.now, "at@3 chain"))
+        # Same-time schedules made while a time is draining go after
+        # everything already queued for it, slot by slot.
+        env._schedule_call_at(env.now, note("at@3 again"))
+        env._schedule_call(note("call@3"), None)
+        env._schedule_call_at(env.now + 2, note("at@5 late"))
+        env.timeout(2).add_callback(note("timeout@5 late"))
+
+    env._schedule_call_at(3, chain)
+    env.run()
+    assert log == [
+        (0, "at@0"), (0, "call@0"), (0, "timeout@0"),
+        (3, "at@3"), (3, "at@3 chain"), (3, "at@3 again"), (3, "call@3"),
+        (5, "timeout@5"), (5, "at@5"), (5, "at@5 late"),
+        (5, "timeout@5 late"),
+    ]
+    assert env.events_processed == len(log)
+
+
 # ------------------------------------------------- engine selection
 
 def test_engine_defaults_to_fast(monkeypatch):
@@ -250,7 +301,6 @@ def test_engine_switch_selects_reference(monkeypatch):
     assert engine_name() == "reference"
     env = make_environment()
     assert type(env) is Environment
-    assert not env.fast
 
 
 def test_engine_rejects_unknown_name(monkeypatch):

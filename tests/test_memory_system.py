@@ -203,7 +203,6 @@ def test_noc_places_all_nodes():
     names = set(noc.coords)
     assert MEM_NODE in names and DISP_NODE in names
     assert {f"lane{i}" for i in range(6)} <= names
-    assert noc.lane_names() == [f"lane{i}" for i in range(6)]
 
 
 def test_noc_route_is_contiguous_xy():
@@ -300,14 +299,3 @@ def test_noc_multicast_no_destinations_rejected():
     _env, _counters, noc = make_noc()
     with pytest.raises(SimulationError):
         noc.multicast(MEM_NODE, [], 64)
-
-
-def test_noc_peak_link_utilization_bounded():
-    env, _counters, noc = make_noc()
-
-    def proc():
-        yield noc.unicast(MEM_NODE, "lane2", 512)
-
-    env.process(proc())
-    env.run()
-    assert 0.0 < noc.peak_link_utilization() <= 1.0

@@ -515,7 +515,7 @@ class TestDifferentialMatrix:
     The matrix closes the loop between the sanitizer's invariants and the
     fast event kernel (tests/test_engine_equivalence.py): for each point,
     sanitized-fast == sanitized-reference == unsanitized-reference,
-    bit-identically. A fast-path shortcut that broke an invariant — or
+    bit-identically. A fast-kernel shortcut that broke an invariant — or
     dodged the sanitizer's observation hooks — diverges here.
     """
 

@@ -206,9 +206,9 @@ def build_payload(bench_id: int, lanes: int = 8,
         "description": (
             "Perf trajectory point: tier-1 workload matrix "
             "(Delta-vs-static compare per workload), serial, "
-            "REPRO_ENGINE as keyed. events = scheduling slots drained; "
-            "events differ between engines by design (the fast kernel "
-            "elides shim events)."),
+            "REPRO_ENGINE as keyed. events = scheduling slots drained, "
+            "equal under both engines (they run the same component code "
+            "and differ only in the event queue)."),
         "lanes": lanes,
         "suite": fast,
         "reference": reference,
