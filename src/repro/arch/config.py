@@ -84,11 +84,6 @@ class LaneConfig:
         check_non_negative("lane.task_overhead_cycles",
                            self.task_overhead_cycles)
 
-    @property
-    def spad_bytes_per_cycle(self) -> float:
-        """Aggregate scratchpad bandwidth across banks."""
-        return self.spad_banks * self.spad_bank_bytes_per_cycle
-
 
 @dataclass(frozen=True)
 class NocConfig:
@@ -239,10 +234,6 @@ class MachineConfig:
         if self.mcast_window is not None:
             return self.mcast_window
         return max(16, self.lanes * self.dispatch.dispatch_cycles)
-
-    def with_lanes(self, lanes: int) -> "MachineConfig":
-        """Copy with a different lane count (scaling sweeps)."""
-        return replace(self, lanes=lanes)
 
     def with_features(self, features: FeatureFlags) -> "MachineConfig":
         """Copy with different TaskStream feature flags (ablations)."""

@@ -362,11 +362,6 @@ class DfgBuilder:
         self._dfg.connect(node_id, node_id, distance=distance)
         return self
 
-    def connect(self, src: str, dst: str, distance: int = 0) -> "DfgBuilder":
-        """Add an explicit edge between named nodes."""
-        self._dfg.connect(self._by_name[src], self._by_name[dst], distance)
-        return self
-
     def build(self) -> Dfg:
         """Validate and return the graph."""
         self._dfg.validate()

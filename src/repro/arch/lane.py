@@ -91,7 +91,7 @@ class Lane:
     def run_pipeline(self, mapping: Mapping, trips: int,
                      in_streams: Optional[list[tuple[Store, int]]] = None,
                      out_stores: Optional[list[Store]] = None,
-                     close_outputs: bool = True) -> Generator:
+                     ) -> Generator:
         """Execute the configured pipeline for ``trips`` loop iterations.
 
         ``in_streams`` pairs each input store with its expected total chunk
@@ -103,15 +103,15 @@ class Lane:
         whole pipeline.
 
         Each step advances the clock by ``II * step_trips`` cycles and
-        emits one token per output store. Busy time accrues only for
-        fabric-active cycles, not input stalls.
+        emits one token per output store, and every output store is
+        closed at the end. Busy time accrues only for fabric-active
+        cycles, not input stalls.
         """
         in_streams = in_streams or []
         out_stores = out_stores or []
         if trips <= 0:
             for store in out_stores:
-                if close_outputs:
-                    store.close()
+                store.close()
             return
         chunk_elems = max(
             1, self.config.stream_chunk_bytes // self.element_bytes)
@@ -146,8 +146,7 @@ class Lane:
                 yield store.put(step_trips)
         self.counters.add(self._trips_key, trips)
         for store in out_stores:
-            if close_outputs:
-                store.close()
+            store.close()
 
     # -- reporting ---------------------------------------------------------
 

@@ -35,6 +35,9 @@ from repro.util.rng import DeterministicRng
 Coord = tuple[int, int]
 Link = tuple[Coord, Coord]
 
+#: Placement attempts after the first; the best-II attempt wins.
+REFINE_PASSES = 2
+
 
 @dataclass
 class Mapping:
@@ -58,6 +61,11 @@ class Mapping:
     def throughput_elements_per_cycle(self) -> float:
         """Steady-state elements produced per cycle (1 / II)."""
         return 1.0 / self.ii
+
+    def compute_cycles(self, trips: int) -> float:
+        """Nominal fabric cycles of ``trips`` loop iterations: the
+        pipeline fill plus one II per trip (0 for an empty task)."""
+        return 0.0 if trips <= 0 else float(self.depth + self.ii * trips)
 
 
 class MappingError(RuntimeError):
@@ -92,17 +100,14 @@ class Mapper:
 
     _cache: dict[tuple, Mapping] = {}
 
-    def __init__(self, fabric_config: FabricConfig, seed: int = 0,
-                 refine_passes: int = 2) -> None:
+    def __init__(self, fabric_config: FabricConfig, seed: int = 0) -> None:
         self.fabric_config = fabric_config
         self.fabric = Fabric(fabric_config)
         self.seed = seed
-        self.refine_passes = refine_passes
 
     def map(self, dfg: Dfg) -> Mapping:
         """Place and route ``dfg``; cached by (dfg, fabric, seed)."""
-        key = (dfg.signature(), self.fabric_config, self.seed,
-               self.refine_passes)
+        key = (dfg.signature(), self.fabric_config, self.seed)
         cached = Mapper._cache.get(key)
         if cached is not None:
             return cached
@@ -139,7 +144,7 @@ class Mapper:
         rng = DeterministicRng("mapper", dfg.name, self.seed)
         best: Optional[tuple[int, _PlacementState, dict[int, Coord],
                              dict[tuple[int, int, int], list[Coord]]]] = None
-        for attempt in range(1 + self.refine_passes):
+        for attempt in range(1 + REFINE_PASSES):
             placement = self._place(dfg, rng.fork("place", attempt))
             state = _PlacementState()
             for pos in placement.values():

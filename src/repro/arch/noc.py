@@ -242,9 +242,3 @@ class Noc:
 
         env._schedule_call_at(finish, slot_last_link)
         return done
-
-    # -- reporting ---------------------------------------------------------
-
-    def total_bytes(self) -> float:
-        """Total link-bytes moved (each hop counts)."""
-        return self.counters.get("noc.bytes")

@@ -13,8 +13,7 @@ backpressure (a slow consumer of ``dest_store``) throttles DRAM issue —
 exactly the behaviour hardware credit-based streams have.
 
 ``stream_in``, ``read_resident`` and ``stream_out`` are callback chains,
-not generator processes (``forward`` is one). Their ordering rule is the
-one a process obeys: each stage runs inside the scheduling slot of the
+not generator processes. Their ordering rule is the one a process obeys: each stage runs inside the scheduling slot of the
 event it awaits, and each chain starts from a call slot of its own at the
 current time, where a freshly started process would take its first step.
 So every stage lands in a fixed queue position among the other events of
@@ -25,20 +24,23 @@ its cycle, which the frozen fingerprints pin
 from __future__ import annotations
 
 import math
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.arch.dram import Dram
 from repro.arch.noc import MEM_NODE, Noc
 from repro.arch.spad import Scratchpad
-from repro.sim import Counters, Environment, Event, Process, Resource, Store
+from repro.sim import Counters, Environment, Event, Resource, Store
+
+#: In-flight chunk credits per inbound stream.
+MAX_INFLIGHT_CHUNKS = 4
 
 
 class StreamEngine:
     """All stream data movement for one lane."""
 
     def __init__(self, env: Environment, counters: Counters, lane_name: str,
-                 noc: Noc, dram: Dram, spad: Scratchpad, chunk_bytes: int,
-                 max_inflight_chunks: int = 4) -> None:
+                 noc: Noc, dram: Dram, spad: Scratchpad,
+                 chunk_bytes: int) -> None:
         self.env = env
         self.counters = counters
         self.lane_name = lane_name
@@ -46,7 +48,6 @@ class StreamEngine:
         self.dram = dram
         self.spad = spad
         self.chunk_bytes = chunk_bytes
-        self.max_inflight_chunks = max_inflight_chunks
         self._in_key = f"{lane_name}.stream_in_bytes"
         self._resident_key = f"{lane_name}.resident_read_bytes"
         self._out_key = f"{lane_name}.stream_out_bytes"
@@ -86,7 +87,7 @@ class StreamEngine:
         """
         env = self.env
         complete = Event(env, "stream_in")
-        credits = Resource(env, self.max_inflight_chunks,
+        credits = Resource(env, MAX_INFLIGHT_CHUNKS,
                            name=self._credits_name)
         sizes = self.chunks_of(nbytes)
         tails: list[Event] = []
@@ -270,38 +271,3 @@ class StreamEngine:
 
         env._schedule_call(get_next, complete)
         return complete
-
-    # -- lane -> lane (pipelined inter-task dependences) --------------------
-
-    def forward(self, dst_lane: str, nbytes: float,
-                src_store: Store, dest_store: Store,
-                close_dest: bool = True) -> Process:
-        """Forward a produced stream directly to a consumer lane.
-
-        Used when TaskStream recovers a pipelined inter-task dependence:
-        the producer's output bypasses DRAM entirely and lands in the
-        consumer's scratchpad, chunk by chunk, with backpressure carried
-        through the bounded stores.
-        """
-        return self.env.process(
-            self._pump_forward(dst_lane, nbytes, src_store, dest_store,
-                               close_dest),
-            name=f"{self.lane_name}->{dst_lane}.forward")
-
-    def _pump_forward(self, dst_lane: str, nbytes: float, src_store: Store,
-                      dest_store: Store, close_dest: bool) -> Generator:
-        moved = 0.0
-        while True:
-            token = yield src_store.get()
-            if token is Store.END:
-                break
-            size = token if isinstance(token, (int, float)) else self.chunk_bytes
-            yield self.spad.access(size, is_write=False)
-            if dst_lane != self.lane_name:
-                yield self.noc.unicast(self.lane_name, dst_lane, size)
-            yield dest_store.put(size)
-            moved += size
-        self.counters.add(f"{self.lane_name}.forward_bytes", moved)
-        self.counters.add("noc.forwarded_stream_bytes", moved)
-        if close_dest:
-            dest_store.close()

@@ -4,8 +4,8 @@ This models how the same program runs on an *equivalent static-parallel
 design* — identical lanes, scratchpads, NoC and DRAM (the shared
 :class:`repro.machine.Machine` composition), but:
 
-- work is partitioned **statically** (block or cyclic split of each phase's
-  task list, oblivious to per-task work);
+- work is partitioned **statically** (a block split of each phase's task
+  list, oblivious to per-task work);
 - phases are separated by **barriers** (phase *k+1* starts only when every
   lane has finished phase *k*), so producer→consumer parallelism across
   phases is impossible;
@@ -26,12 +26,10 @@ from typing import Generator, Optional, Union
 
 from repro.arch.config import MachineConfig
 from repro.arch.lane import Lane
-from repro.core.program import Program
+from repro.core.program import Program, partition_block
 from repro.core.task import Task
 from repro.graph.ir import TaskGraph, recover_structure
 from repro.machine import Machine, RunResult, RunSession
-from repro.sched.api import SchedulingPolicy, create_policy
-from repro.sched.structure import hints_from_graph
 from repro.sim import Store
 from repro.sim.faults import UnrecoverableFault
 from repro.sim.trace import NullTracer, Tracer
@@ -40,12 +38,8 @@ from repro.sim.trace import NullTracer, Tracer
 class StaticParallel:
     """Simulator for the static-parallel baseline."""
 
-    def __init__(self, config: MachineConfig,
-                 partition: str = "block") -> None:
-        if partition not in ("block", "cyclic"):
-            raise ValueError(f"partition must be block|cyclic: {partition}")
+    def __init__(self, config: MachineConfig) -> None:
         self.config = config
-        self.partition = partition
 
     def recover(self, program: Program) -> TaskGraph:
         """Recover ``program``'s structure for :meth:`run` (every kernel
@@ -56,40 +50,28 @@ class StaticParallel:
     def run(self, program: Union[Program, TaskGraph],
             max_cycles: Optional[float] = None,
             trace: bool = False) -> RunResult:
-        """Recover the program's structure, statically schedule each of
-        the IR's barrier phases, and simulate. A graph from
-        :meth:`recover` stands in for the program.
-
-        Phase splitting goes through the configured scheduling policy's
-        :meth:`~repro.sched.api.SchedulingPolicy.partition` hook — the
-        same code path the block-partition dynamic policy uses — so a
-        static schedule and Delta share one source of partition logic.
-        The default policy's hook delegates straight to the classic
-        block/cyclic splitters, bit-identical to the pre-seam baseline.
+        """Recover the program's structure, block-split each of the IR's
+        barrier phases across the lanes
+        (:func:`~repro.core.program.partition_block`), and simulate. A
+        graph from :meth:`recover` stands in for the program. The
+        configured dispatch policy plays no part: a static schedule has
+        no dispatcher.
         """
         graph = (program if isinstance(program, TaskGraph)
                  else self.recover(program))
-        policy = create_policy(self.config.dispatch.policy)
-        policy.bind(self.config.dispatch, self.config.lanes,
-                    features=self.config.features)
-        policy.attach(hints_from_graph(graph))
         machine = Machine.build(self.config,
                                 tracer=Tracer() if trace else NullTracer(),
                                 multicast_enabled=False)
-        return _StaticRun(machine, graph, self.partition,
-                          policy).run(max_cycles)
+        return _StaticRun(machine, graph).run(max_cycles)
 
 
 class _StaticRun:
     """The static phase schedule of one recovered task graph."""
 
-    def __init__(self, machine: Machine, graph: TaskGraph,
-                 partition: str, policy: SchedulingPolicy) -> None:
+    def __init__(self, machine: Machine, graph: TaskGraph) -> None:
         self.machine = machine
         self.config = machine.config
         self.graph = graph
-        self.partition = partition
-        self.policy = policy
         self.tracer = machine.tracer
         self.env = machine.env
         self.metrics = machine.metrics
@@ -128,8 +110,7 @@ class _StaticRun:
         for phase_index, phase in enumerate(self.graph.phases):
             if not phase:
                 continue
-            assignments = self.policy.partition(phase, self.config.lanes,
-                                                mode=self.partition)
+            assignments = partition_block(phase, self.config.lanes)
             workers = []
             for lane, tasks in zip(self.lanes, assignments):
                 if tasks:
@@ -218,7 +199,8 @@ class _StaticRun:
         self.metrics.tasks.add(task.type.name)
 
         if self.injector.enabled:
-            yield from self._ride_out_task_faults(lane, task, mapping)
+            yield from self.session.ride_out_task_faults(lane, task,
+                                                         mapping)
 
         procs = []
         in_streams: list[tuple[Store, int]] = []
@@ -255,46 +237,13 @@ class _StaticRun:
             lane.run_pipeline(mapping, task.trips, in_streams, out_stores),
             name=f"compute:{task.name}")
         yield compute
-        drains = [self.env.process(self._drain(store))
-                  for store, _total in in_streams
-                  if not (store.closed and store.level == 0)]
-        yield self.env.all_of(procs + drains)
+        yield self.env.all_of(procs + self.session.drain(in_streams))
         self.tracer.span("task", task.name, lane.name, t_begin,
                          self.env.now, type=task.type.name)
         self.sanitizer.compute_expected(
-            lane.lane_id, task,
-            0.0 if task.trips <= 0
-            else float(mapping.depth + mapping.ii * task.trips))
+            lane.lane_id, task, mapping.compute_cycles(task.trips))
         self.session.task_completed()
         task.completed = True
         self.sanitizer.task_completed(task, lane.lane_id, self.env.now,
                                       counted=False)
         self.sanitizer.lane_released(lane.lane_id, task, self.env.now)
-
-    def _ride_out_task_faults(self, lane: Lane, task: Task,
-                              mapping) -> Generator:
-        """Transient-fault window (same policy as Delta's): dead attempts
-        waste a fraction of the nominal compute time plus backoff as idle
-        lane time; only the final successful pass drives the fabric."""
-        nominal = (0.0 if task.trips <= 0
-                   else float(mapping.depth + mapping.ii * task.trips))
-        attempt = 1
-        while True:
-            wasted = self.injector.task_fault_delay(
-                task.name, lane.lane_id, attempt, nominal, self.env.now)
-            if wasted is None:
-                return
-            self.metrics.faults.add("injected")
-            self.metrics.faults.add("task_transient")
-            self.sanitizer.task_retried(task, lane.lane_id, attempt,
-                                        self.env.now)
-            self.metrics.recovery.add("retries")
-            self.metrics.recovery.add("recovery_cycles", wasted)
-            yield self.env.timeout(wasted)
-            attempt += 1
-
-    def _drain(self, store: Store) -> Generator:
-        while True:
-            token = yield store.get()
-            if token is Store.END:
-                return

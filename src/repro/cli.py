@@ -226,9 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_show.add_argument("workload")
     p_show.add_argument("--what", default="tasks",
                         choices=["tasks", "dfg", "mapping", "graph"],
-                        help="task graph DOT, kernel DFG DOT, the fabric "
-                             "placement, or the recovered TaskGraph IR "
-                             "(typed-edge DOT + structure summary)")
+                        help="the recovered TaskGraph IR as typed-edge DOT "
+                             "(graph adds its structure summary), kernel "
+                             "DFG DOT, or the fabric placement")
     p_show.add_argument("--lanes", type=int, default=8,
                         help="lane count for the --what graph speedup "
                              "bound (default 8)")
@@ -279,9 +279,12 @@ def _cmd_run(args) -> int:
             config = config.with_faults(plan)
         sched_hints = None
         if policy_uses_structure(args.policy):
-            from repro.sched.structure import hints_from_factory
+            # Recovery runs the kernels, so it reads its own build.
+            from repro.graph import recover_structure
+            from repro.sched.structure import hints_from_graph
 
-            sched_hints = hints_from_factory(workload.build_program)
+            sched_hints = hints_from_graph(
+                recover_structure(workload.build_program()))
         result = Delta(config).run(program, trace=bool(args.trace),
                                    sched_hints=sched_hints)
     else:
@@ -530,26 +533,19 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_show(args) -> int:
     from repro.arch.mapper import Mapper
-    from repro.core.program import expand_program
-    from repro.core.visualize import dfg_dot, mapping_ascii, task_graph_dot
+    from repro.core.visualize import dfg_dot, mapping_ascii
+    from repro.graph import graph_dot, graph_summary, recover_structure
 
-    workload = get_workload(args.workload)
-    program = workload.build_program()
-    if args.what == "tasks":
-        print(task_graph_dot(expand_program(program)))
-        return 0
-    if args.what == "graph":
-        from repro.graph import graph_dot, graph_summary, recover_structure
-
-        graph = recover_structure(program)
+    graph = recover_structure(get_workload(args.workload).build_program())
+    if args.what in ("tasks", "graph"):
         print(graph_dot(graph))
-        print()
-        print(graph_summary(graph, lanes=args.lanes))
+        if args.what == "graph":
+            print()
+            print(graph_summary(graph, lanes=args.lanes))
         return 0
     # One rendering per distinct kernel DFG in the program.
-    expanded = expand_program(program)
     seen = {}
-    for task in expanded.tasks:
+    for task in graph.tasks:
         seen.setdefault(task.type.dfg.signature(), task.type.dfg)
     for dfg in seen.values():
         if args.what == "dfg":

@@ -30,7 +30,7 @@ is how the ablation experiments (figure F2) switch them off one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Mapping, Optional
+from typing import Generator, Optional
 
 from repro.arch.config import MachineConfig
 from repro.arch.lane import Lane
@@ -69,7 +69,6 @@ class Delta:
     def run(self, program: Program,
             max_cycles: Optional[float] = None,
             trace: bool = False,
-            sharing_degrees: Optional[Mapping[str, int]] = None,
             sched_hints: Optional[StructureHints] = None,
             ) -> RunResult:
         """Simulate ``program`` to completion and return the result.
@@ -78,23 +77,16 @@ class Delta:
         Tracer` timeline (task spans per lane, reconfigurations, shared
         fetches) exportable to Chrome tracing JSON.
 
-        ``sharing_degrees`` (region name → expected reader count, e.g.
-        ``StructureSummary.sharing_degrees`` from :mod:`repro.graph`)
-        enables the multicast oracle: coalescing windows close as soon as
-        a region's whole sharing set has requested it. Omitted (the
-        default), timing is bit-identical to the fixed-window design.
-
         ``sched_hints`` (see :mod:`repro.sched.structure`) feeds the
-        dispatch policy's structure attach point. Hints must come from a
-        **twin** program build — recovering structure executes kernels —
-        and are only worth computing when
-        :func:`~repro.sched.api.policy_uses_structure` says the
-        configured policy reads them.
+        dispatch policy's structure attach point. Recovering structure
+        executes kernels, so hints must be digested from the graph of
+        another build of the program than ``program``; they are only
+        worth computing when :func:`~repro.sched.api.policy_uses_structure`
+        says the configured policy reads them.
         """
         machine = Machine.build(self.config,
                                 tracer=Tracer() if trace else NullTracer())
         return _DeltaRun(machine, program,
-                         sharing_degrees=sharing_degrees,
                          sched_hints=sched_hints).run(max_cycles)
 
 
@@ -102,7 +94,6 @@ class _DeltaRun:
     """The TaskStream execution model over one fresh machine."""
 
     def __init__(self, machine: Machine, program: Program,
-                 sharing_degrees: Optional[Mapping[str, int]] = None,
                  sched_hints: Optional[StructureHints] = None,
                  ) -> None:
         self.machine = machine
@@ -119,7 +110,6 @@ class _DeltaRun:
         self.features = self.config.features
 
         self.sanitizer = machine.sanitizer
-        self.sanitizer.set_sharing_degrees(sharing_degrees)
         self.injector = machine.injector
         self.dispatcher = Dispatcher(
             self.env, self.metrics, self.config.dispatch, self.config.lanes,
@@ -130,7 +120,6 @@ class _DeltaRun:
         self.mcast = MulticastManager(
             self.env, self.metrics, self.noc, self.dram, self.lanes,
             window_cycles=self.config.effective_mcast_window(),
-            expected_degrees=sharing_degrees,
             sanitizer=self.sanitizer, injector=self.injector)
         self.dispatcher.affinity_window = float(
             self.config.lane.config_cycles)
@@ -269,7 +258,8 @@ class _DeltaRun:
             self.dispatcher.submit(child)
 
         if self.injector.enabled:
-            yield from self._ride_out_task_faults(lane, task, mapping)
+            yield from self.session.ride_out_task_faults(lane, task,
+                                                         mapping)
 
         procs = []
         in_streams: list[tuple[Store, int]] = []
@@ -374,13 +364,8 @@ class _DeltaRun:
             name=f"compute:{task.name}")
         yield compute
 
-        # 5. Drain any input tokens the compute did not consume (rounding
-        #    or early-closed streams), so producers blocked on full stores
-        #    always make progress.
-        drains = [self.env.process(self._drain(store))
-                  for store, _total in in_streams
-                  if not (store.closed and store.level == 0)]
-        yield self.env.all_of(procs + drains)
+        # 5. Drain any input tokens the compute did not consume.
+        yield self.env.all_of(procs + self.session.drain(in_streams))
 
         self.tracer.span("task", task.name, lane.name, t_begin,
                          self.env.now, type=task.type.name,
@@ -388,9 +373,7 @@ class _DeltaRun:
         if prefetch_region is not None and prefetched_here:
             lane.spad.release(prefetch_region)
         self.sanitizer.compute_expected(
-            lane.lane_id, task,
-            0.0 if task.trips <= 0
-            else float(mapping.depth + mapping.ii * task.trips))
+            lane.lane_id, task, mapping.compute_cycles(task.trips))
         self.session.task_completed()
         self.dispatcher.task_completed(task)
         self.sanitizer.lane_released(lane.lane_id, task, self.env.now)
@@ -482,12 +465,6 @@ class _DeltaRun:
         yield lane.streams.read_resident(nbytes, dest_store=store,
                                          close_dest=True)
 
-    def _drain(self, store: Store) -> Generator:
-        while True:
-            token = yield store.get()
-            if token is Store.END:
-                return
-
     # -- fault recovery ------------------------------------------------------------
 
     def _lane_failure(self, failure: LaneFailure) -> Generator:
@@ -504,33 +481,6 @@ class _DeltaRun:
         self.tracer.instant("lane-failure", f"lane{failure.lane}",
                             f"lane{failure.lane}", self.env.now,
                             rescued=rescued)
-
-    def _ride_out_task_faults(self, lane: Lane, task: Task,
-                              mapping) -> Generator:
-        """Transient-fault window: each execution attempt may die mid-
-        flight.  A dead attempt wastes a drawn fraction of the task's
-        nominal compute time plus the policy backoff — as *idle* lane
-        time, since only the final successful pass drives the fabric (the
-        work-accounting invariant holds without exemptions).  The kernel's
-        functional effects stand from the first pass; re-execution is a
-        timing event, so degraded runs stay functionally correct.
-        """
-        nominal = (0.0 if task.trips <= 0
-                   else float(mapping.depth + mapping.ii * task.trips))
-        attempt = 1
-        while True:
-            wasted = self.injector.task_fault_delay(
-                task.name, lane.lane_id, attempt, nominal, self.env.now)
-            if wasted is None:
-                return
-            self.metrics.faults.add("injected")
-            self.metrics.faults.add("task_transient")
-            self.sanitizer.task_retried(task, lane.lane_id, attempt,
-                                        self.env.now)
-            self.metrics.recovery.add("retries")
-            self.metrics.recovery.add("recovery_cycles", wasted)
-            yield self.env.timeout(wasted)
-            attempt += 1
 
     def _replay_chunk(self, lane: Lane, channel: _Channel,
                       task: Optional[Task], src: str,

@@ -16,19 +16,11 @@ multicast manager recovers the sharing:
 The counters tell the traffic story for figure F5: ``mcast.hits`` (region
 already on-lane), ``mcast.coalesced`` (requests folded into one fetch),
 ``dram.read_bytes`` (what actually moved).
-
-Optionally the manager accepts an *oracle*: the per-region sharing degrees
-recovered by :mod:`repro.graph` (``StructureSummary.sharing_degrees``).
-With the oracle, a coalescing window closes as soon as every expected
-reader of the region has requested it — the hardware analogue of the
-dispatcher knowing the sharing set up front instead of guessing with a
-fixed timer. Without it (the default) behaviour is bit-identical to the
-timer-only design.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Mapping, Optional
+from typing import Generator, Optional
 
 from repro.arch.dram import Dram
 from repro.arch.lane import Lane
@@ -47,8 +39,6 @@ class _Batch:
         self.lanes: set[int] = set()
         self.open = True
         self.done = env.event(name=f"mcast:{region}")
-        #: Fired by the oracle when every expected reader has arrived.
-        self.filled = env.event(name=f"mcast-full:{region}")
 
 
 class MulticastManager:
@@ -57,7 +47,6 @@ class MulticastManager:
     def __init__(self, env: Environment, counters: Counters, noc: Noc,
                  dram: Dram, lanes: list[Lane],
                  window_cycles: int = 16,
-                 expected_degrees: Optional[Mapping[str, int]] = None,
                  sanitizer: Optional[Sanitizer] = None,
                  injector: Optional[FaultInjector] = None) -> None:
         self.env = env
@@ -68,15 +57,10 @@ class MulticastManager:
         self.dram = dram
         self.lanes = lanes
         self.window_cycles = window_cycles
-        #: Oracle: region -> total expected readers (from the recovered
-        #: sharing sets). None disables early window close entirely.
-        self.expected_degrees = expected_degrees
         #: region -> set of lane ids currently holding it.
         self._resident: dict[str, set[int]] = {}
         #: region -> open batch collecting requesters.
         self._batches: dict[str, _Batch] = {}
-        #: region -> requests seen so far (only tracked with the oracle).
-        self._requests: dict[str, int] = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -102,11 +86,8 @@ class MulticastManager:
         """Make ``region`` resident on ``lane_id``; yields until it is.
 
         Requests arriving while a batch for the region is open join that
-        batch and share its single fetch + multicast. With the sharing
-        oracle, the request that completes the region's expected reader
-        set closes the window immediately.
+        batch and share its single fetch + multicast.
         """
-        self._note_request(region)
         if self.is_resident(region, lane_id):
             self.counters.add("mcast.hits")
             self.sanitizer.shared_request(region, nbytes, lane_id, "hit",
@@ -118,7 +99,6 @@ class MulticastManager:
             self.counters.add("mcast.coalesced")
             self.sanitizer.shared_request(region, nbytes, lane_id,
                                           "coalesced", self.env.now)
-            self._maybe_fill(batch)
             yield batch.done
             return
         batch = _Batch(self.env, region)
@@ -127,41 +107,15 @@ class MulticastManager:
         self.counters.add("mcast.fetches")
         self.sanitizer.shared_request(region, nbytes, lane_id, "fetch",
                                       self.env.now)
-        self._maybe_fill(batch)
         self.env.process(self._serve_batch(batch, nbytes, locality),
                          name=f"mcast:{region}")
         yield batch.done
 
-    def _note_request(self, region: str) -> None:
-        if self.expected_degrees is not None:
-            self._requests[region] = self._requests.get(region, 0) + 1
-
-    def _maybe_fill(self, batch: _Batch) -> None:
-        """Fire the batch's ``filled`` event once the oracle says every
-        expected reader of the region has requested it."""
-        if self.expected_degrees is None or batch.filled.triggered:
-            return
-        expected = self.expected_degrees.get(batch.region)
-        if expected is not None and \
-                self._requests.get(batch.region, 0) >= expected:
-            batch.filled.succeed()
-
     def _serve_batch(self, batch: _Batch, nbytes: int,
                      locality: float) -> Generator:
         # Collect joiners for a short window, then snapshot the group.
-        # With the oracle, the window also closes the moment the region's
-        # whole sharing set has arrived (``filled``); without it, this is
-        # exactly the fixed-timer wait.
         if self.window_cycles:
-            if self.expected_degrees is None:
-                yield self.env.timeout(self.window_cycles)
-            else:
-                # A Timeout is *triggered* at creation and *processed* when
-                # its delay elapses — early close means we woke before that.
-                window = self.env.timeout(self.window_cycles)
-                yield self.env.any_of([window, batch.filled])
-                if batch.filled.triggered and not window.processed:
-                    self.counters.add("mcast.early_closes")
+            yield self.env.timeout(self.window_cycles)
         batch.open = False
         targets = sorted(batch.lanes)
         yield self.dram.fetch(nbytes, locality)

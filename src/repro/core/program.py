@@ -2,22 +2,16 @@
 
 Programs are built fresh per simulation run (the functional kernels mutate
 ``state``), so workloads expose ``build_program()`` factories rather than
-module-level singletons.
-
-:func:`expand_program` runs the whole spawn tree functionally *without*
-timing. The static-parallel baseline uses it to obtain the complete task
-set grouped into barrier-separated phases (by spawn depth) — exactly what a
-static-parallel implementation of the same program would look like. It is
-also useful for workload statistics (table T2).
+module-level singletons. A program is elaborated into its full task set
+in exactly one place, :func:`repro.graph.recover_structure`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.task import Task, TaskType, run_kernel
+from repro.core.task import Task, TaskType
 
 
 @dataclass
@@ -35,48 +29,6 @@ class Program:
         if not self.task_types:
             types = {t.type.name: t.type for t in self.initial_tasks}
             self.task_types = list(types.values())
-
-
-@dataclass
-class ExpandedProgram:
-    """The fully elaborated task graph of one program run."""
-
-    program: Program
-    tasks: list[Task]
-    phases: list[list[Task]]
-
-    @property
-    def total_work(self) -> float:
-        """Sum of all task work estimates."""
-        return sum(t.work for t in self.tasks)
-
-    @property
-    def task_count(self) -> int:
-        """Number of tasks in the full expansion."""
-        return len(self.tasks)
-
-
-def expand_program(program: Program) -> ExpandedProgram:
-    """Run every kernel functionally (no timing), collecting all tasks.
-
-    Tasks execute in breadth-first spawn order, which respects ``after``
-    and ``stream_from`` dependences because a child is always created by
-    (and ordered after) its producers' spawner. Phases group tasks by
-    dependence depth: phase k contains every task with ``depth == k``,
-    which is the barrier structure a static-parallel port would use.
-    """
-    queue = deque(program.initial_tasks)
-    all_tasks: list[Task] = []
-    while queue:
-        task = queue.popleft()
-        all_tasks.append(task)
-        for child in run_kernel(task, program.state):
-            queue.append(child)
-    max_depth = max(t.depth for t in all_tasks)
-    phases: list[list[Task]] = [[] for _ in range(max_depth + 1)]
-    for task in all_tasks:
-        phases[task.depth].append(task)
-    return ExpandedProgram(program, all_tasks, phases)
 
 
 def partition_block(tasks: Sequence[Task], lanes: int) -> list[list[Task]]:
@@ -97,12 +49,3 @@ def partition_block(tasks: Sequence[Task], lanes: int) -> list[list[Task]]:
         start += size
     return out
 
-
-def partition_cyclic(tasks: Sequence[Task], lanes: int) -> list[list[Task]]:
-    """Static cyclic partition (round-robin by index)."""
-    if lanes < 1:
-        raise ValueError("lanes must be >= 1")
-    out: list[list[Task]] = [[] for _ in range(lanes)]
-    for index, task in enumerate(tasks):
-        out[index % lanes].append(task)
-    return out

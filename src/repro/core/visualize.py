@@ -1,9 +1,8 @@
-"""Visualization: DOT exports and ASCII renders for graphs and mappings.
+"""Visualization: DOT exports and ASCII renders for kernels and mappings.
 
-Three views, all plain text so they work anywhere:
+Two views, all plain text so they work anywhere (the task-graph DOT is
+:func:`repro.graph.graph_dot`, over the recovered IR):
 
-- :func:`task_graph_dot` — the expanded task DAG of a program (after /
-  stream dependences distinguished), renderable with Graphviz.
 - :func:`dfg_dot` — one task type's dataflow graph.
 - :func:`mapping_ascii` — where a DFG's operations landed on the fabric
   grid (the mapper's placement), as a character grid.
@@ -13,66 +12,11 @@ from __future__ import annotations
 
 from repro.arch.dfg import Dfg, FuClass
 from repro.arch.mapper import Mapping
-from repro.core.program import ExpandedProgram
 
 
-def _dot_escape(text: str) -> str:
+def dot_escape(text: str) -> str:
+    """Escape double quotes for a DOT string literal."""
     return text.replace('"', r'\"')
-
-
-def task_graph_dot(expanded: ExpandedProgram,
-                   max_tasks: int = 400) -> str:
-    """Graphviz DOT for the expanded task graph.
-
-    Solid edges are pipelined stream dependences; dashed edges are
-    completion (``after``) dependences. Nodes are coloured per task type.
-    Also accepts a :class:`~repro.graph.ir.TaskGraph` (anything with
-    ``tasks`` and a typed ``edges`` list) — spawn edges are then drawn
-    dotted grey in addition to the dependence edges. Raises
-    :class:`ValueError` for graphs beyond ``max_tasks`` (DOT renders of
-    huge graphs help nobody — filter first).
-    """
-    tasks = expanded.tasks
-    if len(tasks) > max_tasks:
-        raise ValueError(
-            f"task graph has {len(tasks)} tasks (> {max_tasks}); "
-            f"render a smaller instance")
-    palette = ["lightblue", "lightyellow", "lightpink", "lightgreen",
-               "lightgrey", "orange", "cyan", "violet"]
-    type_names = sorted({t.type.name for t in tasks})
-    colors = {name: palette[i % len(palette)]
-              for i, name in enumerate(type_names)}
-    lines = [
-        "digraph taskgraph {",
-        "  rankdir=TB;",
-        '  node [shape=box, style=filled, fontsize=10];',
-    ]
-    for task in tasks:
-        label = _dot_escape(f"{task.type.name}#{task.task_id}")
-        lines.append(
-            f'  t{task.task_id} [label="{label}", '
-            f'fillcolor={colors[task.type.name]}];')
-    # Typed-IR input (repro.graph.TaskGraph, duck-typed so this module
-    # stays below the graph layer): render its edge list directly.
-    typed_edges = getattr(expanded, "edges", None)
-    if typed_edges is not None:
-        styles = {"after": "[style=dashed]",
-                  "stream": "[penwidth=2]",
-                  "spawn": "[style=dotted, color=grey]"}
-        for edge in typed_edges:
-            lines.append(
-                f"  t{edge.src} -> t{edge.dst} {styles[edge.kind.value]};")
-    else:
-        for task in tasks:
-            for dep in task.after:
-                lines.append(
-                    f"  t{dep.task_id} -> t{task.task_id} [style=dashed];")
-            for producer in task.stream_from:
-                lines.append(
-                    f"  t{producer.task_id} -> t{task.task_id} "
-                    f"[penwidth=2];")
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def dfg_dot(dfg: Dfg) -> str:
@@ -87,12 +31,12 @@ def dfg_dot(dfg: Dfg) -> str:
         FuClass.MEM: "parallelogram",
         FuClass.NONE: "plaintext",
     }
-    lines = [f'digraph "{_dot_escape(dfg.name)}" {{',
+    lines = [f'digraph "{dot_escape(dfg.name)}" {{',
              "  rankdir=LR;",
              "  node [fontsize=10];"]
     for node in dfg.nodes.values():
         shape = shapes[node.fu_class]
-        label = _dot_escape(f"{node.name}\\n{node.op.value}")
+        label = dot_escape(f"{node.name}\\n{node.op.value}")
         lines.append(f'  n{node.node_id} [label="{label}", shape={shape}];')
     for edge in dfg.edges:
         if edge.distance:

@@ -47,12 +47,9 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional, Sequence
 
-from repro.arch.config import (
-    MachineConfig,
-    default_baseline_config,
-    default_delta_config,
-)
+from repro.arch.config import MachineConfig, default_delta_config
 from repro.eval.cache import EvalCache, comparison_key
+from repro.eval.runner import static_config_for
 from repro.store.metrics import NULL_METRICS
 from repro.workloads import all_workloads
 from repro.workloads.base import Workload
@@ -716,12 +713,7 @@ def run_suite_parallel(lanes: int = 8,
         delta_config = delta_config.with_sanitize(True)
     if faults is not None and delta_config.faults is None:
         delta_config = delta_config.with_faults(faults)
-    static_config = default_baseline_config(lanes=delta_config.lanes,
-                                            seed=delta_config.seed)
-    if delta_config.sanitize:
-        static_config = static_config.with_sanitize(True)
-    if delta_config.faults is not None:
-        static_config = static_config.with_faults(delta_config.faults)
+    static_config = static_config_for(delta_config)
 
     results: list = [None] * len(workloads)
     if outcomes is not None:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.eval.cache import EvalCache
     from repro.sim.faults import FaultPlan
 
 from repro.arch.config import (
@@ -105,26 +104,34 @@ def simulation_count() -> int:
     return _simulations
 
 
+def static_config_for(delta_config: MachineConfig) -> MachineConfig:
+    """The static baseline's config for a comparison against
+    ``delta_config``: the default baseline at the same lanes and seed,
+    inheriting ``sanitize`` and ``faults``, so one flag (or one fault
+    plan) covers both machines."""
+    static_config = default_baseline_config(lanes=delta_config.lanes,
+                                            seed=delta_config.seed)
+    if delta_config.sanitize:
+        static_config = static_config.with_sanitize(True)
+    if delta_config.faults is not None:
+        static_config = static_config.with_faults(delta_config.faults)
+    return static_config
+
+
 def compare(workload: Workload,
             delta_config: Optional[MachineConfig] = None,
             static_config: Optional[MachineConfig] = None,
             verify: bool = True) -> Comparison:
     """Simulate one workload on Delta and on the static baseline.
 
-    A derived static config inherits ``delta_config.sanitize`` and
-    ``delta_config.faults``, so one flag (or one fault plan) covers the
-    whole comparison. Both live runs are checked here; the comparison
-    keeps only their records.
+    ``static_config`` defaults to :func:`static_config_for` the Delta
+    config. Both live runs are checked here; the comparison keeps only
+    their records.
     """
     global _simulations
     delta_config = delta_config or default_delta_config()
     if static_config is None:
-        static_config = default_baseline_config(
-            lanes=delta_config.lanes, seed=delta_config.seed)
-        if delta_config.sanitize:
-            static_config = static_config.with_sanitize(True)
-        if delta_config.faults is not None:
-            static_config = static_config.with_faults(delta_config.faults)
+        static_config = static_config_for(delta_config)
 
     _simulations += 1
     static = StaticParallel(static_config)
@@ -153,36 +160,27 @@ def run_suite(lanes: int = 8,
               workloads: Optional[Sequence[Workload]] = None,
               verify: bool = True,
               jobs: Optional[int] = None,
-              timeout: Optional[float] = None,
-              cache: Optional["EvalCache"] = None,
               sanitize: bool = False,
-              faults: Optional["FaultPlan"] = None,
-              cancel=None,
-              on_result=None) -> list[Comparison]:
+              faults: Optional["FaultPlan"] = None) -> list[Comparison]:
     """Compare every evaluation workload at the given lane count.
 
     ``jobs`` > 1 fans points out over worker processes (``jobs=None``
     honours the ``REPRO_JOBS`` environment variable, defaulting to the
-    serial path); ``cache`` serves repeated points from disk. Both paths
-    return field-identical results — see :mod:`repro.eval.parallel`.
-    ``sanitize`` runs every point under the model sanitizer (identical
-    results, plus invariant checking); ``faults`` injects the given
-    :class:`~repro.sim.faults.FaultPlan` into both machines of every point.
-    ``cancel`` (a ``threading.Event``) stops the sweep cooperatively and
-    ``on_result(index, comparison, outcome)`` streams per-point progress;
-    either one routes through the parallel harness, which owns those
-    semantics.
+    serial path). Both paths return field-identical results — see
+    :mod:`repro.eval.parallel`, whose :func:`~repro.eval.parallel.
+    run_suite_parallel` also takes a result cache, a timeout, a cancel
+    event and a per-point callback. ``sanitize`` runs every point under
+    the model sanitizer (identical results, plus invariant checking);
+    ``faults`` injects the given :class:`~repro.sim.faults.FaultPlan`
+    into both machines of every point.
     """
     from repro.eval.parallel import resolve_jobs, run_suite_parallel
 
     workloads = list(workloads) if workloads is not None else all_workloads()
-    if (resolve_jobs(jobs) != 1 or cache is not None
-            or cancel is not None or on_result is not None):
+    if resolve_jobs(jobs) != 1:
         return run_suite_parallel(lanes=lanes, workloads=workloads,
-                                  jobs=jobs, verify=verify, timeout=timeout,
-                                  cache=cache, sanitize=sanitize,
-                                  faults=faults, cancel=cancel,
-                                  on_result=on_result)
+                                  jobs=jobs, verify=verify,
+                                  sanitize=sanitize, faults=faults)
     delta_config = default_delta_config(lanes=lanes)
     if sanitize:
         delta_config = delta_config.with_sanitize(True)

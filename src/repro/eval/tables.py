@@ -6,7 +6,6 @@ from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.eval.policy_matrix import PolicyOutcome
-    from repro.graph.analyses import StructureSummary
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],
@@ -47,31 +46,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
                                for cell, width, orig
                                in zip(row, widths, raw)))
     return "\n".join(lines)
-
-
-def structure_table(summaries: Sequence["StructureSummary"],
-                    lanes: int = 8) -> str:
-    """Recovered-structure table: one row per program summary.
-
-    Reads the :class:`~repro.graph.analyses.StructureSummary` analyses by
-    name — tasks and typed edges, barrier phases, total and critical-path
-    work, inherent parallelism with its lane-bounded speedup limit, and
-    the sharing sets (region count and summed reader degree).
-    """
-    rows = []
-    for s in summaries:
-        degrees = sum(sh.degree for sh in s.sharing)
-        rows.append([
-            s.program, s.tasks, s.edges, s.phases,
-            f"{s.total_work:,.0f}", f"{s.cp_work:,.0f}",
-            f"{s.parallelism:.1f}",
-            f"{s.speedup_bound(lanes):.2f}x",
-            f"{s.shared_regions}/{degrees}" if s.shared_regions else "-",
-        ])
-    return format_table(
-        ["program", "tasks", "edges", "phases", "work", "cp work",
-         "T1/Tinf", f"bound@{lanes}", "sharing (sets/readers)"],
-        rows, title=f"recovered program structure ({lanes} lanes)")
 
 
 def policy_matrix_table(outcomes: Sequence["PolicyOutcome"],

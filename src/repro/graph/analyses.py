@@ -15,8 +15,8 @@ computed once per program:
 - :func:`work_histogram` — log2-binned task work, quantifying the skew
   that work-aware dispatch exploits.
 - :func:`sharing_sets` — for every ``shared=True`` read region, the set of
-  reader tasks and the bytes moved; the multicast model and the T2 table
-  consume these by region name.
+  reader tasks and the bytes moved; the T2 table and the static
+  baseline's duplicate-fetch accounting agree on them by region name.
 
 :class:`StructureSummary` packages all of the above as pure frozen data —
 no Task objects, no kernel closures — for the reports that print them.
@@ -238,7 +238,7 @@ class StructureSummary:
 
     Unlike :class:`~repro.graph.ir.TaskGraph` this holds no Task objects
     (whose types carry kernel closures), so it pickles cleanly — it is
-    the object the T2 table and the multicast oracle read.
+    the object the T2 table reads.
     """
 
     program: str
@@ -261,11 +261,6 @@ class StructureSummary:
     def speedup_bound(self, lanes: int) -> float:
         """Upper bound on speedup at ``lanes`` lanes: min(L, T1/T∞)."""
         return min(float(lanes), self.parallelism)
-
-    @property
-    def sharing_degrees(self) -> dict[str, int]:
-        """Region name → reader count, for the multicast oracle."""
-        return {s.region: s.degree for s in self.sharing}
 
     @property
     def shared_regions(self) -> int:

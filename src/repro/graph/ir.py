@@ -1,9 +1,9 @@
 """The TaskGraph IR: one program's recovered inter-task structure.
 
-:func:`recover_structure` elaborates a program exactly once — the same
-functional pass :func:`repro.core.program.expand_program` performs (every
-kernel runs, mutating program state and spawning children) — and records
-what the legacy expansion threw away: *typed* dependence edges.
+:func:`recover_structure` is the one elaboration of a program: every
+kernel runs functionally (mutating program state and spawning children)
+in breadth-first spawn order, and the pass records *typed* dependence
+edges:
 
 - ``AFTER``  — completion ordering (``after=[...]`` at spawn).
 - ``STREAM`` — pipelined producer→consumer streams (``stream_from=[...]``);
@@ -11,16 +11,14 @@ what the legacy expansion threw away: *typed* dependence edges.
 - ``SPAWN``  — parent kernel → child task. A child cannot exist before its
   spawner has started, but does not wait for the spawner to finish.
 
-The graph validates on construction (see :meth:`TaskGraph.validate`):
+The graph validates before it is returned (see :meth:`TaskGraph.validate`):
 dangling dependences — a task whose ``after``/``stream_from`` references a
-producer that was never spawned, which the legacy expansion silently
-accepted and the runtimes then stalled on — raise a diagnostic
-:class:`GraphValidationError`, as do duplicate task instances, dependence
-cycles, and non-finite or negative work estimates.
+producer that was never spawned, which the runtimes would stall on —
+raise a diagnostic :class:`GraphValidationError`, as do duplicate task
+instances, dependence cycles, and non-finite or negative work estimates.
 
-Legacy consumers keep working: :meth:`TaskGraph.phases` and
-:meth:`TaskGraph.as_expanded` are views that reproduce the
-barrier-phase structure of ``expand_program`` bit-for-bit.
+:meth:`TaskGraph.phases` groups the tasks into the barrier phases the
+static-parallel baseline schedules.
 """
 
 from __future__ import annotations
@@ -29,13 +27,10 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable
 
-from repro.core.program import ExpandedProgram, Program
+from repro.core.program import Program
 from repro.core.task import Task, run_kernel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 
 class GraphValidationError(ValueError):
@@ -62,9 +57,9 @@ class Edge:
 class TaskGraph:
     """The fully elaborated, typed task graph of one program run.
 
-    ``tasks`` is in spawn (BFS) order — the order the legacy expansion
-    produced. Adjacency is exposed as ``predecessors``/``successors``
-    (task id → list of ``(task id, EdgeKind)``).
+    ``tasks`` is in spawn (BFS) order. Adjacency is exposed as
+    ``predecessors``/``successors`` (task id → list of
+    ``(task id, EdgeKind)``).
     """
 
     def __init__(self, program: Program, tasks: list[Task],
@@ -110,24 +105,19 @@ class TaskGraph:
         return (f"<TaskGraph {self.program.name!r} tasks={len(self.tasks)} "
                 f"edges={len(self.edges)}>")
 
-    # -- legacy views --------------------------------------------------------
+    # -- barrier phases -------------------------------------------------------
 
     @property
     def phases(self) -> list[list[Task]]:
         """Barrier phases (tasks grouped by dependence depth, spawn order).
 
-        Identical to the ``phases`` the legacy ``expand_program`` computed;
-        the static-parallel baseline partitions exactly these lists.
+        The static-parallel baseline partitions exactly these lists.
         """
         max_depth = max(t.depth for t in self.tasks)
         phases: list[list[Task]] = [[] for _ in range(max_depth + 1)]
         for task in self.tasks:
             phases[task.depth].append(task)
         return phases
-
-    def as_expanded(self) -> ExpandedProgram:
-        """The legacy :class:`ExpandedProgram` view over this IR."""
-        return ExpandedProgram(self.program, list(self.tasks), self.phases)
 
     # -- ordering ------------------------------------------------------------
 
@@ -168,8 +158,7 @@ class TaskGraph:
         - *duplicate tasks* — the same instance spawned or listed twice;
         - *dangling dependences* — an ``after``/``stream_from`` edge whose
           producer was never spawned (the program would stall waiting for
-          a task that never runs; the legacy expansion accepted this
-          silently);
+          a task that never runs);
         - *dependence cycles* (``after``/``stream``/``spawn`` combined);
         - *work-estimate insanity* — a negative, NaN or infinite work
           estimate, which would corrupt every downstream analysis and the
@@ -215,19 +204,15 @@ def _typed_edges(tasks: Iterable[Task],
     return edges
 
 
-def recover_structure(program: Program,
-                      validate: bool = True) -> TaskGraph:
+def recover_structure(program: Program) -> TaskGraph:
     """Elaborate ``program`` once and recover its full typed task graph.
 
-    Runs every kernel functionally (no timing) in the same breadth-first
-    spawn order as :func:`repro.core.program.expand_program` — kernels
-    mutate ``program.state``, so call this on a *fresh* program instance —
-    while additionally recording spawn edges, then derives the typed
-    dependence edges from the task annotations.
-
-    With ``validate=True`` (the default) the graph is checked before it is
-    returned; malformed programs raise :class:`GraphValidationError` with
-    a diagnostic instead of expanding silently.
+    Runs every kernel functionally (no timing) in breadth-first spawn
+    order — kernels mutate ``program.state``, so call this on a *fresh*
+    program instance — while recording spawn edges, then derives the
+    typed dependence edges from the task annotations. The graph is
+    validated before it is returned: a malformed program raises
+    :class:`GraphValidationError` with a diagnostic.
     """
     queue = deque(program.initial_tasks)
     tasks: list[Task] = []
@@ -245,16 +230,4 @@ def recover_structure(program: Program,
         for child in run_kernel(task, program.state):
             spawns.append((task.task_id, child.task_id))
             queue.append(child)
-    graph = TaskGraph(program, tasks, _typed_edges(tasks, spawns))
-    if validate:
-        graph.validate()
-    return graph
-
-
-def recover_structure_quiet(program: Program) -> Optional[TaskGraph]:
-    """Like :func:`recover_structure` but returns None on validation
-    failure (for exploratory tooling that must not raise)."""
-    try:
-        return recover_structure(program)
-    except GraphValidationError:
-        return None
+    return TaskGraph(program, tasks, _typed_edges(tasks, spawns)).validate()

@@ -1,12 +1,12 @@
 """Textual renders of a recovered task graph: DOT and a plain summary.
 
-Consumed by ``repro show --what graph`` and usable from tests; kept free
-of evaluation-layer imports (layering: graph sits below eval).
+Consumed by ``repro show --what tasks|graph`` and usable from tests; kept
+free of evaluation-layer imports (layering: graph sits below eval).
 """
 
 from __future__ import annotations
 
-from repro.core.visualize import task_graph_dot
+from repro.core.visualize import dot_escape
 from repro.graph.analyses import (
     critical_path,
     parallelism_profile,
@@ -16,9 +16,49 @@ from repro.graph.analyses import (
 from repro.graph.ir import EdgeKind, TaskGraph
 
 
+#: DOT attributes per edge kind.
+_EDGE_STYLES = {
+    EdgeKind.AFTER: "[style=dashed]",
+    EdgeKind.STREAM: "[penwidth=2]",
+    EdgeKind.SPAWN: "[style=dotted, color=grey]",
+}
+
+_PALETTE = ["lightblue", "lightyellow", "lightpink", "lightgreen",
+            "lightgrey", "orange", "cyan", "violet"]
+
+
 def graph_dot(graph: TaskGraph, max_tasks: int = 400) -> str:
-    """Graphviz DOT of the typed IR (spawn edges dotted grey)."""
-    return task_graph_dot(graph, max_tasks=max_tasks)
+    """Graphviz DOT of the typed IR, renderable with Graphviz.
+
+    Bold edges are pipelined stream dependences, dashed edges completion
+    (``after``) dependences, and dotted grey edges spawns. Nodes are
+    coloured per task type. Raises :class:`ValueError` for graphs beyond
+    ``max_tasks`` (DOT renders of huge graphs help nobody — render a
+    smaller instance).
+    """
+    tasks = graph.tasks
+    if len(tasks) > max_tasks:
+        raise ValueError(
+            f"task graph has {len(tasks)} tasks (> {max_tasks}); "
+            f"render a smaller instance")
+    type_names = sorted({t.type.name for t in tasks})
+    colors = {name: _PALETTE[i % len(_PALETTE)]
+              for i, name in enumerate(type_names)}
+    lines = [
+        "digraph taskgraph {",
+        "  rankdir=TB;",
+        '  node [shape=box, style=filled, fontsize=10];',
+    ]
+    for task in tasks:
+        label = dot_escape(f"{task.type.name}#{task.task_id}")
+        lines.append(
+            f'  t{task.task_id} [label="{label}", '
+            f'fillcolor={colors[task.type.name]}];')
+    for edge in graph.edges:
+        lines.append(
+            f"  t{edge.src} -> t{edge.dst} {_EDGE_STYLES[edge.kind]};")
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def graph_summary(graph: TaskGraph, lanes: int = 8) -> str:

@@ -58,9 +58,7 @@ class Machine:
     @classmethod
     def build(cls, config: MachineConfig, *,
               tracer: Optional[Tracer] = None,
-              multicast_enabled: Optional[bool] = None,
-              sanitizer: Optional[Sanitizer] = None,
-              injector: Optional[FaultInjector] = None) -> "Machine":
+              multicast_enabled: Optional[bool] = None) -> "Machine":
         """Compose a fresh machine from ``config``.
 
         ``multicast_enabled`` overrides ``config.noc.multicast`` — the
@@ -68,29 +66,26 @@ class Machine:
         shared config enables them (the datapath is identical; the *use*
         of the tree hardware is an execution-model property).
 
-        ``sanitizer`` overrides the default choice: a live
-        :class:`~repro.sim.sanitize.Sanitizer` when ``config.sanitize`` is
-        set or ``REPRO_SANITIZE`` is truthy, a disabled one otherwise.
-        ``injector`` overrides the analogous fault-injection choice
-        (``config.faults`` or ``REPRO_FAULTS``); a machine without a plan
-        carries a disabled injector, so the fault hooks cost nothing.
+        The machine carries a live :class:`~repro.sim.sanitize.Sanitizer`
+        when ``config.sanitize`` is set or ``REPRO_SANITIZE`` is truthy,
+        a disabled one otherwise, and a fault injector armed with
+        ``config.faults`` (else the ``REPRO_FAULTS`` plan); a machine
+        without a plan carries a disabled injector, so the fault hooks
+        cost nothing.
         """
         tracer = tracer or NullTracer()
-        if sanitizer is None:
-            sanitize = config.sanitize or env_sanitize_requested()
-            sanitizer = Sanitizer() if sanitize else NullSanitizer()
-        if injector is None:
-            plan = config.faults if config.faults is not None \
-                else env_fault_plan()
-            if plan is not None and not plan.is_empty():
-                for failure in plan.lane_failures:
-                    if not 0 <= failure.lane < config.lanes:
-                        raise ValueError(
-                            f"fault plan kills lane {failure.lane}, but the "
-                            f"machine has lanes 0..{config.lanes - 1}")
-                injector = FaultInjector(plan)
-            else:
-                injector = NullFaultInjector()
+        sanitize = config.sanitize or env_sanitize_requested()
+        sanitizer = Sanitizer() if sanitize else NullSanitizer()
+        plan = config.faults if config.faults is not None \
+            else env_fault_plan()
+        injector: FaultInjector = NullFaultInjector()
+        if plan is not None and not plan.is_empty():
+            for failure in plan.lane_failures:
+                if not 0 <= failure.lane < config.lanes:
+                    raise ValueError(
+                        f"fault plan kills lane {failure.lane}, but the "
+                        f"machine has lanes 0..{config.lanes - 1}")
+            injector = FaultInjector(plan)
         # REPRO_ENGINE picks the event kernel (fast calendar queue by
         # default, the reference heap as oracle); both produce identical
         # fingerprints, so the choice is invisible to result_stats.

@@ -124,8 +124,6 @@ class NocMetrics(CounterGroup):
     bytes = metric("bytes", "Total link-bytes moved (hops x payload).")
     messages = metric("messages", "Unicast messages sent.")
     multicasts = metric("multicasts", "Multicast tree sends.")
-    forwarded_stream_bytes = metric(
-        "forwarded_stream_bytes", "Lane-to-lane forwarded stream bytes.")
 
 
 class MulticastMetrics(CounterGroup):
@@ -136,9 +134,6 @@ class MulticastMetrics(CounterGroup):
     hits = metric("hits", "Requests served from scratchpad residency.")
     coalesced = metric("coalesced", "Requests folded into an open batch.")
     too_large = metric("too_large", "Regions too big to become resident.")
-    early_closes = metric(
-        "early_closes",
-        "Coalescing windows closed early by the sharing-set oracle.")
     disabled_duplicate_fetches = metric(
         "disabled_duplicate_fetches",
         "Shared reads that paid a private fetch (multicast ablated).")
@@ -375,10 +370,6 @@ class TaskMetrics(CounterGroup):
 
     prefix = "tasks"
 
-    def executed(self, type_name: str) -> float:
-        """How many tasks of ``type_name`` executed."""
-        return self.get(type_name)
-
 
 class LaneMetrics(CounterGroup):
     """One lane's counters (``lane<N>.*``), including its scratchpad."""
@@ -392,7 +383,6 @@ class LaneMetrics(CounterGroup):
     stream_out_bytes = metric("stream_out_bytes", "Bytes streamed out.")
     resident_read_bytes = metric(
         "resident_read_bytes", "Bytes read from resident scratchpad data.")
-    forward_bytes = metric("forward_bytes", "Bytes forwarded to a peer lane.")
 
     def __init__(self, store: Counters, lane_id: int) -> None:
         super().__init__(store, prefix=f"lane{lane_id}")

@@ -7,15 +7,22 @@ under an optional max-cycle guard, check that the program actually drained
 assemble the canonical :class:`~repro.machine.result.RunResult` from the
 machine's metrics bus. :class:`RunSession` owns that lifecycle so Delta
 and the static baseline cannot drift apart in how they account progress
-or report results.
+or report results. It also owns the two task-execution steps both models
+share: riding out transient task faults and draining unread input.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.machine.machine import Machine
 from repro.machine.result import RunResult
+from repro.sim import Process, Store
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.arch.lane import Lane
+    from repro.arch.mapper import Mapping
+    from repro.core.task import Task
 
 
 class ExecutionStalled(RuntimeError):
@@ -46,6 +53,45 @@ class RunSession:
         """Record one retired task at the current simulated time."""
         self.tasks_executed += 1
         self.last_completion = self.machine.env.now
+
+    # -- shared task-execution steps ---------------------------------------
+
+    def ride_out_task_faults(self, lane: "Lane", task: "Task",
+                             mapping: "Mapping") -> Generator:
+        """Transient-fault window: each execution attempt may die mid-
+        flight.  A dead attempt wastes a drawn fraction of the task's
+        nominal compute time plus the policy backoff — as *idle* lane
+        time, since only the final successful pass drives the fabric (the
+        work-accounting invariant holds without exemptions).  The kernel's
+        functional effects stand from the first pass; re-execution is a
+        timing event, so degraded runs stay functionally correct.
+        """
+        machine = self.machine
+        env, metrics = machine.env, machine.metrics
+        nominal = mapping.compute_cycles(task.trips)
+        attempt = 1
+        while True:
+            wasted = machine.injector.task_fault_delay(
+                task.name, lane.lane_id, attempt, nominal, env.now)
+            if wasted is None:
+                return
+            metrics.faults.add("injected")
+            metrics.faults.add("task_transient")
+            machine.sanitizer.task_retried(task, lane.lane_id, attempt,
+                                           env.now)
+            metrics.recovery.add("retries")
+            metrics.recovery.add("recovery_cycles", wasted)
+            yield env.timeout(wasted)
+            attempt += 1
+
+    def drain(self, in_streams: list[tuple[Store, int]]) -> list[Process]:
+        """Start draining every input store the compute left unread
+        (rounding, or early-closed streams), so producers blocked on full
+        stores always make progress."""
+        env = self.machine.env
+        return [env.process(_drain(store))
+                for store, _total in in_streams
+                if not (store.closed and store.level == 0)]
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -109,3 +155,10 @@ class RunSession:
             state=self.state,
             trace=machine.tracer if machine.tracer.enabled else None,
         )
+
+
+def _drain(store: Store) -> Generator:
+    while True:
+        token = yield store.get()
+        if token is Store.END:
+            return

@@ -7,10 +7,8 @@ the policy a first-class, pluggable object:
 - :class:`SchedulingPolicy` — the protocol a policy implements: a
   ready-pool ordering + lane-selection hook (:meth:`~SchedulingPolicy.
   select`), steal hooks (:meth:`~SchedulingPolicy.choose_victim` /
-  :meth:`~SchedulingPolicy.steal_count`), a static-partition hook
-  (:meth:`~SchedulingPolicy.partition`, shared with the static-parallel
-  baseline), and an optional recovered-structure attach point
-  (:meth:`~SchedulingPolicy.attach`).
+  :meth:`~SchedulingPolicy.steal_count`), and an optional
+  recovered-structure attach point (:meth:`~SchedulingPolicy.attach`).
 - a **name-keyed registry** — :func:`register_policy`,
   :func:`create_policy`, :func:`policy_names`. Config validation
   (``DispatchConfig``) and the CLI ``--policy`` choices both derive from
@@ -19,10 +17,10 @@ the policy a first-class, pluggable object:
 - :class:`StructureHints` — the pure-data digest of a recovered
   :class:`~repro.graph.ir.TaskGraph` that structure-aware policies
   consume. Hints are keyed by *stable* task coordinates (type name ×
-  dependence depth), never by task ids: ids are process-global, so a
-  twin ``build_program()`` instance — which is where hints must come
-  from, since recovering structure executes kernels — numbers its tasks
-  differently.
+  dependence depth), never by task ids: ids are process-global, and
+  the graph hints come from is always recovered from another
+  ``build_program()`` instance than the one Delta runs (recovering
+  structure executes kernels), which numbers its tasks differently.
 
 This module deliberately imports nothing above :mod:`repro.util` at
 module scope so that :mod:`repro.core` can depend on the seam without a
@@ -33,7 +31,7 @@ first registry access.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # circular-import-free type names
     from repro.arch.config import DispatchConfig, FeatureFlags
@@ -56,7 +54,7 @@ __all__ = [
 #: A stable task coordinate: (task type name, dependence depth). Unlike
 #: ``task_id`` (a process-global counter) this survives rebuilding the
 #: program, which hint recovery must do — running the kernels mutates
-#: program state, so hints always come from a *twin* build.
+#: program state, so hints always come from another build.
 TaskKey = tuple[str, int]
 
 
@@ -101,7 +99,7 @@ class StructureHints:
 class SchedulingPolicy:
     """Base class every dispatch policy extends.
 
-    A policy owns three decisions the dispatcher used to hardwire:
+    A policy owns two decisions the dispatcher used to hardwire:
 
     1. **Pool ordering + lane selection** — :meth:`select` picks the next
        ``(task, lane)`` pair from the dispatcher's ready pool (and must
@@ -111,9 +109,6 @@ class SchedulingPolicy:
     2. **Steal behavior** — :meth:`choose_victim` (before the steal
        latency is paid) and :meth:`steal_count` (after). Policies with
        ``steals = False`` never see either call.
-    3. **Static partitioning** — :meth:`partition` splits one barrier
-       phase across lanes for the static-parallel baseline; the default
-       delegates to the shared splitters in :mod:`repro.core.program`.
 
     Policies are bound once per run (:meth:`bind`) and optionally handed
     recovered-structure hints (:meth:`attach`); both reset all policy
@@ -126,7 +121,7 @@ class SchedulingPolicy:
     #: Registry key; also the ``DispatchConfig.policy`` spelling.
     name = ""
     #: Whether :meth:`attach` benefits from recovered-structure hints
-    #: (drives whether callers pay the twin-build recovery).
+    #: (drives whether callers pay for a structure recovery).
     uses_structure = False
     #: Whether idle lanes should attempt steals under this policy.
     steals = False
@@ -189,22 +184,6 @@ class SchedulingPolicy:
         """How many tasks to take, given the victim's queue level *after*
         the steal latency elapsed (the classic steal-half rule)."""
         return max(1, victim_level // 2)
-
-    # -- static-partition hook -----------------------------------------------
-
-    def partition(self, tasks: Sequence["Task"], lanes: int,
-                  mode: str = "block") -> list[list["Task"]]:
-        """Split one barrier phase across ``lanes`` for a static schedule.
-
-        The base implementation is the single source of the classic
-        splitters — the static baseline and the block-partition policy
-        both call through here rather than duplicating the arithmetic.
-        """
-        from repro.core.program import partition_block, partition_cyclic
-
-        if mode == "cyclic":
-            return partition_cyclic(tasks, lanes)
-        return partition_block(tasks, lanes)
 
     # -- shared helpers ------------------------------------------------------
 
@@ -289,7 +268,7 @@ def create_policy(name: str) -> SchedulingPolicy:
 
 def policy_uses_structure(name: str) -> bool:
     """Whether ``name`` wants recovered-structure hints attached (lets
-    callers skip the twin-build recovery for online-only policies)."""
+    callers skip the structure recovery for online-only policies)."""
     _ensure_builtins()
     cls = _REGISTRY.get(name)
     return bool(cls is not None and cls.uses_structure)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.program import partition_block
 from repro.sched.api import SchedulingPolicy, register_policy
 
 if TYPE_CHECKING:
@@ -239,8 +240,9 @@ class BlockPartitionPolicy(SchedulingPolicy):
     """The static schedule's spatial/temporal blocks, played dynamically.
 
     Each barrier phase (= dependence depth) is block-split across lanes
-    with the same splitter the static baseline uses (:meth:`partition`
-    on a synthetic index list), and the *n*-th arriving task of a depth
+    with the splitter the static baseline uses
+    (:func:`~repro.core.program.partition_block` on a synthetic index
+    list), and the *n*-th arriving task of a depth
     takes the lane of block slot *n*. Temporal structure (phases) maps to
     time, spatial structure (the block) to lanes — the HPDC'23 spatial
     partitioning scheme. Without hints the phase sizes are unknown, so
@@ -263,7 +265,7 @@ class BlockPartitionPolicy(SchedulingPolicy):
         if self.hints is None:
             return
         for depth, size in enumerate(self.hints.phase_sizes):
-            blocks = self.partition(list(range(size)), self.num_lanes)
+            blocks = partition_block(list(range(size)), self.num_lanes)
             lanes = [0] * size
             for lane, slots in enumerate(blocks):
                 for slot in slots:

@@ -46,11 +46,11 @@ def engine_name() -> str:
     return name
 
 
-def make_environment(strict: bool = True) -> Environment:
+def make_environment() -> Environment:
     """Build the environment the ``REPRO_ENGINE`` switch selects."""
     if engine_name() == "reference":
-        return Environment(strict=strict)
-    return FastEnvironment(strict=strict)
+        return Environment()
+    return FastEnvironment()
 
 
 class FastEnvironment(Environment):
@@ -64,8 +64,8 @@ class FastEnvironment(Environment):
     values than everything already heaped.
     """
 
-    def __init__(self, strict: bool = True) -> None:
-        super().__init__(strict=strict)
+    def __init__(self) -> None:
+        super().__init__()
         self._buckets: dict[float, list[Any]] = {}
         self._times: list[float] = []
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.util.rng import DeterministicRng
@@ -208,9 +208,6 @@ class FaultPlan:
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write(self.dumps() + "\n")
-
-    def with_retry(self, retry: RetryPolicy) -> "FaultPlan":
-        return replace(self, retry=retry)
 
 
 def env_fault_plan() -> Optional[FaultPlan]:

@@ -27,9 +27,9 @@ Invariant catalog (the ``invariant`` attribute of raised errors):
 - ``work-accounting`` — per lane, busy cycles accrued by the fabric equal
   the sum of ``depth + II * trips`` over the tasks it executed, and agree
   with the lane's own utilization tracker.
-- ``multicast-consistency`` — multicast degrees never exceed the recovered
-  sharing-set sizes (when the oracle is attached); demanded shared bytes
-  equal fetched-at-serve bytes plus saved (hit/coalesced) bytes; manager
+- ``multicast-consistency`` — every request has a known outcome and every
+  serve reaches at least one lane; demanded shared bytes equal
+  fetched-at-serve bytes plus saved (hit/coalesced) bytes; manager
   counters agree with the observed request stream.
 - ``noc-accounting`` — NoC message/multicast counters agree with the
   observed sends; payloads are finite and non-negative.
@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 __all__ = ["ModelInvariantError", "Sanitizer", "NullSanitizer",
            "env_sanitize_requested"]
@@ -136,8 +136,6 @@ class Sanitizer:
         self._produced: dict[tuple[int, int], float] = {}
         self._consumed: dict[tuple[int, int], float] = {}
         # Shared-read recovery.
-        self._sharing_degrees: Optional[dict[str, int]] = None
-        self._region_requests: dict[str, int] = {}
         self._shared_demand = 0.0
         self._shared_fetched = 0.0
         self._shared_saved = 0.0
@@ -419,13 +417,6 @@ class Sanitizer:
 
     # -- shared-read recovery ----------------------------------------------
 
-    def set_sharing_degrees(self,
-                            degrees: Optional[Mapping[str, int]]) -> None:
-        """Attach the recovered sharing-set oracle (region -> readers)."""
-        if not self.enabled or degrees is None:
-            return
-        self._sharing_degrees = dict(degrees)
-
     def shared_request(self, region: str, nbytes: float, lane: int,
                        outcome: str, cycle: float) -> None:
         """One task asked the multicast manager for a shared region."""
@@ -440,15 +431,6 @@ class Sanitizer:
         self._shared_demand += nbytes
         if outcome != "fetch":
             self._shared_saved += nbytes
-        seen = self._region_requests.get(region, 0) + 1
-        self._region_requests[region] = seen
-        if self._sharing_degrees is not None:
-            expected = self._sharing_degrees.get(region)
-            if expected is not None and seen > expected:
-                self._fail("multicast-consistency",
-                           f"region {region!r} requested {seen} times, but "
-                           f"its recovered sharing set has only {expected} "
-                           f"readers", lane=lane, cycle=cycle)
 
     def multicast_served(self, region: str, nbytes: float, degree: int,
                          cycle: float) -> None:
@@ -462,13 +444,6 @@ class Sanitizer:
                        f"{degree} lanes", cycle=cycle)
         self._mcast_serves += 1
         self._shared_fetched += nbytes
-        if self._sharing_degrees is not None:
-            expected = self._sharing_degrees.get(region)
-            if expected is not None and degree > expected:
-                self._fail("multicast-consistency",
-                           f"multicast of region {region!r} reaches "
-                           f"{degree} lanes, but its recovered sharing set "
-                           f"has only {expected} readers", cycle=cycle)
 
     # -- interconnect ------------------------------------------------------
 

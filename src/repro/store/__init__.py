@@ -16,8 +16,8 @@ over this package, so concurrent tenants (the ``eval`` worker pool and
   under budget. Reads refresh an entry's mtime, so warm entries survive.
 - :class:`Coalescer` — in-process request coalescing: concurrent callers
   computing the same key share one in-flight computation instead of
-  duplicating it (used by :mod:`repro.eval.parallel`; the building block
-  for the sweep server).
+  duplicating it (``repro serve``'s executor coalesces identical sweeps
+  with it; :mod:`repro.eval.parallel` dedups a batch's keys itself).
 - metrics — every operation lands on a ``cache.*`` counter sink (hits,
   misses, stores, evictions, coalesced, corrupt, lock_waits). Any object
   with ``add(name, amount)`` works; :class:`repro.machine.metrics
@@ -34,7 +34,6 @@ from repro.store.keys import (
     cache_budget_bytes,
     code_version,
     default_cache_root,
-    entry_key,
     stable_hash,
     workload_cache_key,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "cache_budget_bytes",
     "code_version",
     "default_cache_root",
-    "entry_key",
     "open_store",
     "stable_hash",
     "workload_cache_key",

@@ -1,20 +1,19 @@
 """The store's key model: what identifies an entry, and where entries live.
 
-Every schema over the store keys entries the same way::
+A schema over the store keys its entries with :func:`stable_hash` over
+its own identity parts. The evaluation cache
+(:func:`repro.eval.cache.comparison_key`) hashes
 
-    entry_key(SCHEMA_FORMAT, <payload identity parts...>)
-        = stable_hash(SCHEMA_FORMAT, code_version(), *parts)
-
-- the **schema format** version, so a layout change never hits old
+- its **schema format** version, so a layout change never hits old
   entries;
 - the **code version** — a digest of every ``repro`` source file — so any
   edit to the simulator, the workloads, or the harness invalidates every
   entry rather than silently serving stale numbers;
-- the schema's own identity parts (workload identity, machine configs,
-  flags).
+- the point's identity (workload identity, machine configs, flags).
 
-The key is a SHA-256 hex digest; :class:`~repro.store.sharded
-.ShardedStore` shards it by prefix into subdirectories.
+Job records (:mod:`repro.serve.queue`) are keyed by job id instead. The
+key is a SHA-256 hex digest; :class:`~repro.store.sharded.ShardedStore`
+shards it by prefix into subdirectories.
 
 The primitives live in :mod:`repro.util` (below this package — the store
 imports only util); this module is the single front door cache schemas
@@ -41,11 +40,6 @@ from repro.util.fingerprint import (  # noqa: F401  (re-exported: the key model)
 
 #: Environment override for the store-wide size cap, in megabytes.
 BUDGET_ENV = "REPRO_CACHE_MAX_MB"
-
-
-def entry_key(schema_format: int, *parts: object) -> str:
-    """Canonical entry key: schema format + code version + identity parts."""
-    return stable_hash(schema_format, code_version(), *parts)
 
 
 def cache_budget_bytes(max_mb: Optional[float] = None) -> Optional[int]:

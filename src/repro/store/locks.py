@@ -2,10 +2,8 @@
 
 Concurrent processes share the store through the filesystem, and the
 atomic write-temp-then-rename publish already guarantees readers never
-see a torn entry. The locks close the remaining windows: two writers
-publishing into one shard (temp-file churn), eviction racing a publish,
-and :meth:`~repro.store.sharded.ShardedStore.get_or_compute` callers
-double-computing an expensive entry another process is already writing.
+see a torn entry. The locks serialize the writers of one shard, so two
+processes publishing into it never churn each other's temp files.
 
 Locks are ``fcntl.flock`` on a ``.lock`` file per shard directory —
 advisory, crash-safe (the OS drops them with the process, so no stale
@@ -13,7 +11,7 @@ lock files survive a kill), and cheap: the uncontended path is one
 non-blocking ``flock`` call. A contended acquisition counts one
 ``lock_waits`` metric, then blocks. On platforms without ``fcntl`` the
 lock degrades to a no-op — the rename publish keeps single-entry
-operations safe, only cross-process double-compute suppression is lost.
+operations safe.
 """
 
 from __future__ import annotations
@@ -37,19 +35,15 @@ class ShardLock:
 
     Reentrant within a single instance is *not* supported — hold at most
     one ``with`` per instance at a time. Distinct instances (even in one
-    process) contend with each other, which is exactly what the
-    double-compute suppression needs.
+    process) contend with each other.
     """
 
     def __init__(self, shard_dir: Path, metrics=NULL_METRICS) -> None:
         self.path = Path(shard_dir) / LOCK_FILENAME
         self.metrics = metrics
         self._fd: int | None = None
-        #: True when the last acquisition had to block on another holder.
-        self.contended = False
 
     def acquire(self) -> None:
-        self.contended = False
         if fcntl is None:  # pragma: no cover - non-POSIX fallback
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -58,7 +52,6 @@ class ShardLock:
             fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
             # Someone else holds the shard: record the wait, then block.
-            self.contended = True
             self.metrics.add("lock_waits")
             fcntl.flock(self._fd, fcntl.LOCK_EX)
 

@@ -22,8 +22,7 @@ the storage-level contract:
 - **atomic publish** — write-temp-then-rename, so a reader sees an old
   entry or a complete new one, never a torn one;
 - **per-shard advisory locks** (:mod:`repro.store.locks`) — concurrent
-  writers serialize per shard, and :meth:`get_or_compute` suppresses
-  cross-process double-computes;
+  writers serialize per shard;
 - **never raise on a bad entry** — unreadable or schema-rejected entries
   are discarded (logged + counted ``corrupt``) and the caller recomputes;
 - **bounded size** — after every write the store evicts
@@ -38,7 +37,7 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Callable, Collection, Iterator, Optional
+from typing import Collection, Iterator, Optional
 
 from repro.store.keys import cache_budget_bytes, default_cache_root
 from repro.store.locks import ShardLock
@@ -147,30 +146,6 @@ class ShardedStore:
         os.replace(tmp, path)
         self.metrics.add("stores")
 
-    def get_or_compute(self, namespace: str, key: str,
-                       compute: Callable[[], bytes]) -> bytes:
-        """Read ``key``, or compute-and-publish it exactly once per host.
-
-        On a miss the caller takes the shard lock, re-reads (another
-        process may have published while it waited — that suppressed
-        double-compute counts as ``coalesced``), and only then computes
-        and publishes under the held lock. ``compute`` must not write to
-        this same store (the shard lock is not reentrant).
-        """
-        payload = self.read(namespace, key)
-        if payload is not None:
-            return payload
-        with self._lock(namespace, key) as lock:
-            payload = self.read(namespace, key)
-            if payload is not None:
-                if lock.contended:
-                    self.metrics.add("coalesced")
-                return payload
-            payload = compute()
-            self._publish(namespace, key, payload)
-        self.evict_to_budget()
-        return payload
-
     # -- discard / clear -------------------------------------------------------
 
     def delete(self, namespace: str, key: str) -> bool:
@@ -198,9 +173,7 @@ class ShardedStore:
         Clearing everything skips the :data:`PROTECTED_NAMESPACES` — a
         ``--clear-cache`` must never delete live job records that share
         the store root (name a protected namespace explicitly to clear
-        it). Clearing everything also sweeps legacy flat-layout entries
-        (``<root>/*.pkl`` from the pre-store cache format) so one
-        ``--clear-cache`` leaves nothing stale behind.
+        it).
         """
         removed = 0
         if namespace is None:
@@ -215,10 +188,6 @@ class ShardedStore:
                     removed += 1
                 except FileNotFoundError:
                     pass
-        if namespace is None and self.root.is_dir():
-            for path in self.root.glob(f"*{self.SUFFIX}"):
-                path.unlink(missing_ok=True)
-                removed += 1
         return removed
 
     def clear_report(self) -> dict[str, int]:

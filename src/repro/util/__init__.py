@@ -11,7 +11,6 @@ from repro.util.validate import (
     check_positive,
     check_non_negative,
     check_in_range,
-    check_type,
     check_power_of_two,
 )
 from repro.util.stats import (
@@ -31,7 +30,6 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_type",
     "check_power_of_two",
     "geomean",
     "mean",

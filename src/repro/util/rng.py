@@ -73,10 +73,6 @@ class DeterministicRng:
         """Sample ``k`` distinct elements."""
         return self._rng.sample(seq, k)
 
-    def expovariate(self, rate: float) -> float:
-        """Exponentially distributed float with the given rate."""
-        return self._rng.expovariate(rate)
-
     def zipf_sizes(self, count: int, alpha: float, max_size: int) -> list[int]:
         """Generate ``count`` integer sizes following a truncated Zipf law.
 

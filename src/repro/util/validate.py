@@ -6,8 +6,6 @@ naming the offending field, not deep inside the simulator.
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class ConfigError(ValueError):
     """Raised when a configuration value is invalid."""
@@ -29,14 +27,6 @@ def check_in_range(name: str, value: float, lo: float, hi: float) -> None:
     """Require ``lo <= value <= hi``."""
     if not lo <= value <= hi:
         raise ConfigError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-
-
-def check_type(name: str, value: Any, expected: type) -> None:
-    """Require ``isinstance(value, expected)``."""
-    if not isinstance(value, expected):
-        raise ConfigError(
-            f"{name} must be {expected.__name__}, got {type(value).__name__}"
-        )
 
 
 def check_power_of_two(name: str, value: int) -> None:

@@ -78,11 +78,6 @@ class Graph:
     num_vertices: int
     adjacency: list[list[int]]
 
-    @property
-    def num_edges(self) -> int:
-        """Undirected edge count."""
-        return sum(len(a) for a in self.adjacency) // 2
-
     def degree(self, vertex: int) -> int:
         """Degree of one vertex."""
         return len(self.adjacency[vertex])

@@ -75,16 +75,15 @@ class TestStaticExecution:
         b = StaticParallel(cfg).run(flat_program(12))
         assert a.cycles == b.cycles
 
-    def test_partition_modes_differ_but_complete(self):
-        block = StaticParallel(default_baseline_config(lanes=3),
-                               partition="block").run(flat_program(9))
-        cyclic = StaticParallel(default_baseline_config(lanes=3),
-                                partition="cyclic").run(flat_program(9))
-        assert block.tasks_executed == cyclic.tasks_executed == 9
-
-    def test_invalid_partition_rejected(self):
-        with pytest.raises(ValueError, match="partition"):
-            StaticParallel(default_baseline_config(), partition="magic")
+    def test_phase_is_block_split_whatever_the_policy(self):
+        # Contiguous, near-equal task counts per lane; a static schedule
+        # has no dispatcher, so the configured policy changes nothing.
+        for policy in ("work-aware", "round-robin"):
+            program = flat_program(10)
+            config = default_baseline_config(lanes=3).with_policy(policy)
+            StaticParallel(config).run(program)
+            assert [t.lane_id for t in program.initial_tasks] == \
+                [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
 
     def test_timeout_raises(self):
         with pytest.raises(RuntimeError, match="did not finish"):

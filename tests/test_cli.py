@@ -98,6 +98,18 @@ def test_compare_recovers_structure_once(capsys, recoveries):
     assert recoveries == ["chain"]
 
 
+def test_run_structure_policy_recovers_once(capsys, recoveries):
+    # The hints come from a build of their own: Delta's program is fresh.
+    assert main(["run", "micro-chain", "--policy", "critical-path"]) == 0
+    assert "functional check: OK" in capsys.readouterr().out
+    assert recoveries == ["chain"]
+
+
+def test_run_online_policy_recovers_nothing(capsys, recoveries):
+    assert main(["run", "micro-chain", "--policy", "work-aware"]) == 0
+    assert recoveries == []
+
+
 def test_eval_recovers_structure_once_per_point(capsys, recoveries):
     assert main(["eval", "--no-cache", "--jobs", "1",
                  "--workloads", "micro-chain", "micro-skewed"]) == 0
@@ -132,7 +144,10 @@ def test_experiment_unknown(capsys):
 
 def test_show_tasks(capsys):
     assert main(["show", "micro-tree", "--what", "tasks"]) == 0
-    assert "digraph taskgraph" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "digraph taskgraph" in out
+    assert "style=dotted" in out  # the IR's spawn edges
+    assert "critical path" not in out  # the summary is --what graph's
 
 
 def test_show_graph(capsys):

@@ -6,7 +6,7 @@ import pytest
 from repro.arch.config import default_baseline_config, default_delta_config
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
-from repro.core.program import expand_program
+from repro.graph import recover_structure
 from repro.workloads import get_workload
 from repro.workloads.pagerank import PagerankWorkload
 from repro.workloads.spgemm import SpgemmWorkload
@@ -81,8 +81,8 @@ class TestPagerank:
                               chunk_vertices=16)
         w4 = PagerankWorkload(num_vertices=64, iterations=4,
                               chunk_vertices=16)
-        t2 = expand_program(w2.build_program()).task_count
-        t4 = expand_program(w4.build_program()).task_count
+        t2 = recover_structure(w2.build_program()).task_count
+        t4 = recover_structure(w4.build_program()).task_count
         assert t4 > t2
 
     def test_fresh_rank_region_per_iteration(self):

@@ -193,17 +193,6 @@ class TestSanitizerCatches:
         assert err.invariant == "dependence-legality"
         assert "producer" in str(err) and "consumer" in str(err)
 
-    def test_oversubscribed_sharing_set_is_multicast_consistency(self):
-        """A sharing oracle that under-counts a region's readers is a
-        recovered-structure bug: the requests overrun the declared set."""
-        workload = SharedReadTasks(num_tasks=6)
-        with pytest.raises(ModelInvariantError) as excinfo:
-            Delta(default_delta_config(lanes=2).with_sanitize(True)).run(
-                workload.build_program(), sharing_degrees={"table": 2})
-        err = excinfo.value
-        assert err.invariant == "multicast-consistency"
-        assert "table" in str(err) and "2 readers" in str(err)
-
     def test_oversized_region_runs_clean_under_sanitizer(self):
         """The too-large streaming path is legal behaviour, not a model
         bug — the sanitizer must not flag it (no false positives)."""

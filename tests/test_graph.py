@@ -4,15 +4,16 @@ Covers the structural contracts the rest of the repository leans on:
 
 - critical path / parallelism on hand-built diamond, chain, and fan-out
   graphs with known answers, under both ``after`` and ``stream`` timing;
-- validation diagnostics: dangling dependences (silently accepted by the
-  legacy expansion), duplicates, cycles, and insane work estimates;
-- view equivalence: ``TaskGraph.as_expanded()`` reproduces the legacy
-  ``expand_program`` output on every registered workload;
+- validation diagnostics: dangling dependences, duplicates, cycles, and
+  insane work estimates;
+- elaboration: the IR's task order and barrier phases equal a naive
+  breadth-first reference expansion on every registered workload;
 - sharing sets vs the counters the simulator actually records (multicast
   on Delta, duplicate-fetch bytes on the static baseline).
 """
 
 import pickle
+from collections import deque
 
 import pytest
 
@@ -21,8 +22,8 @@ from repro.arch.dfg import dot_product_dfg
 from repro.baseline.static import StaticParallel
 from repro.core.annotations import ReadSpec, WorkHint
 from repro.core.delta import Delta
-from repro.core.program import Program, expand_program
-from repro.core.task import TaskType
+from repro.core.program import Program
+from repro.core.task import TaskType, run_kernel
 from repro.graph import (
     EdgeKind,
     GraphValidationError,
@@ -58,6 +59,22 @@ def make_type(name="t", shared_region=None, region_bytes=1024):
         reads=reads,
         work_hint=WorkHint(lambda args: args["work"]),
     )
+
+
+def reference_expansion(program):
+    """Elaborate ``program`` the naive way — breadth-first, each kernel
+    run once — and group the tasks into phases by depth. The oracle for
+    :func:`~repro.graph.ir.recover_structure`'s task order and phases."""
+    queue = deque(program.initial_tasks)
+    tasks = []
+    while queue:
+        task = queue.popleft()
+        tasks.append(task)
+        queue.extend(run_kernel(task, program.state))
+    phases = [[] for _ in range(max(t.depth for t in tasks) + 1)]
+    for task in tasks:
+        phases[task.depth].append(task)
+    return tasks, phases
 
 
 def program_of(tasks, name="hand-built"):
@@ -213,8 +230,7 @@ class TestAnalyses:
         assert clone == summary
         assert clone.tasks == graph.task_count
         assert clone.total_work == graph.total_work
-        assert clone.sharing_degrees == \
-            {s.region: s.degree for s in summary.sharing}
+        assert clone.sharing == sharing_sets(graph)
         assert clone.speedup_bound(4) <= 4.0
 
     def test_render_mentions_critical_path_and_typed_edges(self):
@@ -232,8 +248,8 @@ class TestAnalyses:
 
 class TestValidation:
     def test_dangling_after_raises_diagnostic(self):
-        # The legacy expansion accepted this silently; the runtimes then
-        # stalled waiting for a producer that never runs.
+        # Unchecked, the runtimes would stall waiting for a producer that
+        # never runs.
         tt = make_type()
         ghost = tt.instantiate({"work": 1})  # never added to the program
         task = tt.instantiate({"work": 1}, after=[ghost])
@@ -246,14 +262,6 @@ class TestValidation:
         task = tt.instantiate({"work": 1}, stream_from=[ghost])
         with pytest.raises(GraphValidationError, match="stream_from"):
             recover_structure(program_of([task]))
-
-    def test_legacy_expansion_accepts_dangling_silently(self):
-        # Documents the failure mode validate() exists to close.
-        tt = make_type()
-        ghost = tt.instantiate({"work": 1})
-        task = tt.instantiate({"work": 1}, after=[ghost])
-        expanded = expand_program(program_of([task]))
-        assert expanded.task_count == 1  # no error, no ghost
 
     def test_duplicate_task_raises(self):
         tt = make_type()
@@ -275,33 +283,27 @@ class TestValidation:
         with pytest.raises(GraphValidationError, match="work"):
             recover_structure(program_of([task]))
 
-    def test_validate_false_skips_checks(self):
-        tt = make_type()
-        ghost = tt.instantiate({"work": 1})
-        task = tt.instantiate({"work": 1}, after=[ghost])
-        graph = recover_structure(program_of([task]), validate=False)
-        assert graph.task_count == 1
 
-
-# ---------------------------------------------------------- view equivalence
+# ---------------------------------------------------------- elaboration
 
 class TestLegacyViews:
     @pytest.mark.parametrize("name", workload_names())
     def test_as_expanded_matches_legacy_on_workload(self, name):
-        """ExpandedProgram views over the IR equal the legacy output on
-        every registered workload (task ids differ per fresh build, so
-        compare by type name, depth, args, and phase shape)."""
-        legacy = expand_program(get_workload(name).build_program())
-        view = recover_structure(
-            get_workload(name).build_program()).as_expanded()
-        assert view.task_count == legacy.task_count
-        assert view.total_work == legacy.total_work
-        assert [(t.type.name, t.depth, t.args) for t in view.tasks] == \
-            [(t.type.name, t.depth, t.args) for t in legacy.tasks]
-        assert [len(p) for p in view.phases] == \
-            [len(p) for p in legacy.phases]
-        assert [[t.type.name for t in p] for p in view.phases] == \
-            [[t.type.name for t in p] for p in legacy.phases]
+        """The IR's task order and barrier phases equal the naive
+        breadth-first reference expansion (the elaboration the legacy
+        ``expand_program`` performed) on every registered workload.
+        Task ids differ per fresh build, so compare by type name, depth,
+        args, and phase shape."""
+        tasks, phases = reference_expansion(
+            get_workload(name).build_program())
+        graph = recover_structure(get_workload(name).build_program())
+        assert graph.task_count == len(tasks)
+        assert graph.total_work == sum(t.work for t in tasks)
+        assert [(t.type.name, t.depth, t.args) for t in graph.tasks] == \
+            [(t.type.name, t.depth, t.args) for t in tasks]
+        assert [len(p) for p in graph.phases] == [len(p) for p in phases]
+        assert [[t.type.name for t in p] for p in graph.phases] == \
+            [[t.type.name for t in p] for p in phases]
 
     def test_topological_order_respects_all_edges(self):
         graph = recover_structure(get_workload("bfs").build_program())
@@ -328,14 +330,12 @@ class TestLegacyViews:
         b = tt.instantiate({"work": 8}, after=[a])
         c = tt.instantiate({"work": 8}, stream_from=[b])
         assert (a.depth, b.depth, c.depth) == (0, 1, 2)
-        for expanded in (expand_program(program_of([a, b, c])),
-                         recover_structure(
-                             program_of([a, b, c])).as_expanded()):
-            phase_of = {t.task_id: i
-                        for i, phase in enumerate(expanded.phases)
-                        for t in phase}
-            assert phase_of[a.task_id] < phase_of[b.task_id]
-            assert phase_of[b.task_id] < phase_of[c.task_id]
+        phase_of = {t.task_id: i
+                    for i, phase in enumerate(
+                        recover_structure(program_of([a, b, c])).phases)
+                    for t in phase}
+        assert phase_of[a.task_id] < phase_of[b.task_id]
+        assert phase_of[b.task_id] < phase_of[c.task_id]
 
 
 # ------------------------------------------------- sharing vs the machine

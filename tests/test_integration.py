@@ -18,9 +18,9 @@ from repro.arch.config import (
 from repro.arch.energy import estimate_energy
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
-from repro.core.program import expand_program
 from repro.core.software import SoftwareRuntime
 from repro.eval.runner import compare
+from repro.graph import recover_structure
 from repro.workloads.synthetic import (
     ChainTasks,
     SharedReadTasks,
@@ -42,7 +42,7 @@ class TestCrossMachineConsistency:
     ], ids=["uniform", "skewed", "shared", "chain", "tree"])
     def test_same_task_count_everywhere(self, workload_factory):
         w = workload_factory()
-        expected = expand_program(w.build_program()).task_count
+        expected = recover_structure(w.build_program()).task_count
         delta = Delta(default_delta_config(lanes=4)).run(w.build_program())
         static = StaticParallel(default_baseline_config(lanes=4)).run(
             w.build_program())

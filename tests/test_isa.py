@@ -20,7 +20,7 @@ from repro.isa.instructions import make
 from repro.isa.lower import lower_spawn
 from repro.workloads.spmv import SpmvWorkload
 from repro.workloads.mergesort import MergesortWorkload
-from repro.core.program import expand_program
+from repro.graph import recover_structure
 
 
 def random_instruction_strategy():
@@ -166,14 +166,14 @@ class TestLowering:
 
     def test_lower_pipelined_task_emits_forward(self):
         program = MergesortWorkload(n=512, leaf=128).build_program()
-        expanded = expand_program(program)
+        expanded = recover_structure(program)
         producer = next(t for t in expanded.tasks if t.stream_consumers)
         commands = lower_task(producer)
         assert Opcode.SFWD in [c.opcode for c in commands]
 
     def test_lower_consumer_declares_stream_deps(self):
         program = MergesortWorkload(n=512, leaf=128).build_program()
-        expanded = expand_program(program)
+        expanded = recover_structure(program)
         consumer = next(t for t in expanded.tasks if t.stream_from)
         commands = lower_task(consumer)
         assert Opcode.TSTREAM in [c.opcode for c in commands]

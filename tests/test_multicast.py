@@ -11,8 +11,7 @@ from repro.core.multicast import MulticastManager
 from repro.sim import Counters, Environment
 
 
-def make_system(lanes=4, window=16, spad_bytes=16 * 1024,
-                expected_degrees=None):
+def make_system(lanes=4, window=16, spad_bytes=16 * 1024):
     env = Environment()
     counters = Counters()
     noc = Noc(env, counters, lanes, link_bytes_per_cycle=16, hop_latency=1,
@@ -24,8 +23,7 @@ def make_system(lanes=4, window=16, spad_bytes=16 * 1024,
     lane_objs = [Lane(env, counters, i, lane_cfg, noc, dram, mapper)
                  for i in range(lanes)]
     mgr = MulticastManager(env, counters, noc, dram, lane_objs,
-                           window_cycles=window,
-                           expected_degrees=expected_degrees)
+                           window_cycles=window)
     return env, counters, mgr, lane_objs
 
 
@@ -140,71 +138,3 @@ def test_resident_lanes_query():
     ensure(env, mgr, "r", 128, 2)
     env.run()
     assert mgr.resident_lanes("r") == {0, 2}
-
-
-# ------------------------------------------------- sharing-set oracle
-
-def test_oracle_closes_window_when_sharing_set_is_full():
-    # The recovered sharing degree says 3 readers; once the third arrives
-    # the batch serves immediately instead of waiting out the window.
-    env, counters, mgr, lanes = make_system(window=1000,
-                                            expected_degrees={"r": 3})
-    done = {}
-
-    def requester(lane, delay):
-        yield env.timeout(delay)
-        yield from mgr.ensure("r", 1024, 1.0, lane)
-        done[lane] = env.now
-
-    for lane, delay in ((0, 0), (1, 5), (2, 10)):
-        env.process(requester(lane, delay))
-    env.run()
-    assert counters.get("mcast.early_closes") == 1
-    assert counters.get("mcast.fetches") == 1
-    assert counters.get("mcast.coalesced") == 2
-    assert max(done.values()) < 1000  # never waited out the window
-
-
-def test_oracle_underfilled_batch_falls_back_to_window():
-    # Only 2 of the expected 5 readers show up: the window timer still
-    # closes the batch, and no early close is recorded.
-    env, counters, mgr, lanes = make_system(window=30,
-                                            expected_degrees={"r": 5})
-    ensure(env, mgr, "r", 512, 0)
-    ensure(env, mgr, "r", 512, 1)
-    env.run()
-    assert counters.get("mcast.fetches") == 1
-    assert counters.get("mcast.coalesced") == 1
-    assert counters.get("mcast.early_closes") == 0
-
-
-def test_oracle_preserves_fetch_accounting():
-    # The oracle changes *when* a batch closes, never what is fetched or
-    # coalesced — the traffic accounting is identical with and without it.
-    results = {}
-    for label, degrees in (("off", None), ("on", {"r": 3})):
-        env, counters, mgr, lanes = make_system(window=32,
-                                                expected_degrees=degrees)
-
-        def requester(lane, delay):
-            yield env.timeout(delay)
-            yield from mgr.ensure("r", 2048, 1.0, lane)
-
-        for lane, delay in ((0, 0), (1, 5), (2, 20)):
-            env.process(requester(lane, delay))
-        env.run()
-        results[label] = (counters.get("mcast.fetches"),
-                          counters.get("mcast.coalesced"),
-                          counters.get("dram.read_bytes"))
-    assert results["on"] == results["off"] == (1, 2, 2048)
-
-
-def test_default_mode_never_touches_the_oracle_counter():
-    # With no expected degrees the counter bag must not even contain the
-    # oracle's name — run fingerprints hash the touched-counter set.
-    env, counters, mgr, lanes = make_system(window=8)
-    ensure(env, mgr, "r", 256, 0)
-    ensure(env, mgr, "r", 256, 1)
-    env.run()
-    assert "mcast.early_closes" not in counters
-    assert counters.get("mcast.fetches") == 1

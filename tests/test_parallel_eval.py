@@ -6,6 +6,7 @@ The contract under test (see docs/evaluation.md):
 - a warm cache serves every point without running a single simulation;
 - a corrupted cache entry, or one whose critical-path bound was altered,
   is dropped and recomputed, never served;
+- a faulted sweep is as deterministic as a clean one, pooled or cached;
 - the pool dispatches longest-first by measured cost, yet delivers
   results in input order;
 - one warm worker pool serves every batch of the process, concurrent
@@ -42,6 +43,7 @@ from repro.eval.parallel import (
 )
 from repro.eval.runner import run_suite, simulation_count
 from repro.machine.metrics import MetricsBus
+from repro.sim.faults import FaultPlan, LaneFailure, RetryPolicy
 from repro.util.fingerprint import comparison_fingerprint, result_stats
 from repro.workloads import all_workloads
 from repro.workloads.spmv import SpmvWorkload
@@ -607,6 +609,39 @@ class TestSharedPool:
         assert bus.eval.get("worker_deaths") == 2
         assert bus.eval.get("pool_rebuilds") == 1
         assert bus.eval.get("lost_worker_points") == 1
+
+
+class TestFaultedSweeps:
+    """A fault plan travels through the pool and the cache like any other
+    config field: a degraded point is as deterministic as a clean one."""
+
+    PLAN = FaultPlan(lane_failures=(LaneFailure(lane=1, cycle=400.0),),
+                     task_fault_rate=0.05, seed=3,
+                     retry=RetryPolicy(max_attempts=6, backoff_cycles=32))
+
+    def test_pooled_faulted_sweep_equals_serial_and_caches(self, tmp_path):
+        serial = run_suite(lanes=LANES, workloads=fast_workloads(), jobs=1,
+                           faults=self.PLAN)
+        for comparison in serial:
+            for record in (comparison.delta, comparison.static):
+                counters = dict(record.counters.snapshot())
+                assert counters["faults.lane_failstop"] == 1
+                assert counters["faults.task_transient"] > 0
+        pooled = run_suite(lanes=LANES, workloads=fast_workloads(), jobs=2,
+                           faults=self.PLAN)
+        assert_field_identical(serial, pooled)
+
+        cache = EvalCache(tmp_path)
+        cold = run_suite_parallel(lanes=LANES, workloads=fast_workloads(),
+                                  jobs=2, faults=self.PLAN, cache=cache)
+        outcomes: list = []
+        warm = run_suite_parallel(lanes=LANES, workloads=fast_workloads(),
+                                  jobs=2, faults=self.PLAN, cache=cache,
+                                  outcomes=outcomes)
+        assert outcomes == ["cached"] * len(warm)
+        assert_field_identical(serial, cold)
+        assert [comparison_fingerprint(c) for c in warm] == \
+            [comparison_fingerprint(c) for c in serial]
 
 
 class TestEvalCache:

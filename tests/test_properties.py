@@ -21,11 +21,13 @@ from repro.arch.mapper import Mapper
 from repro.baseline.static import StaticParallel
 from repro.arch.config import default_baseline_config
 from repro.core.delta import Delta
-from repro.core.program import Program, expand_program
+from repro.core.program import Program
 from repro.core.task import TaskType
+from repro.graph.ir import EdgeKind, recover_structure
 from repro.arch.dfg import dot_product_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
 from repro.sim import BandwidthServer, Environment, Store
+from tests.test_graph import reference_expansion
 
 
 # ------------------------------------------------------ random programs
@@ -121,27 +123,25 @@ def test_delta_matches_static_expansion(spec):
 @settings(max_examples=15, deadline=None)
 @given(spec=random_program_spec())
 def test_expansion_task_count_matches(spec):
-    expanded = expand_program(build_program_from_spec(spec))
+    expanded = recover_structure(build_program_from_spec(spec))
     assert expanded.task_count == len(spec)
 
 
 @settings(max_examples=25, deadline=None)
 @given(spec=random_program_spec())
 def test_recovered_structure_matches_legacy_expansion(spec):
-    """The TaskGraph IR's ExpandedProgram view equals expand_program on
-    arbitrary dependence-correct programs (the compat contract every
-    legacy consumer relies on)."""
-    from repro.graph.ir import EdgeKind, recover_structure
-
-    legacy = expand_program(build_program_from_spec(spec))
+    """The TaskGraph IR's task order and barrier phases equal the naive
+    breadth-first expansion (``reference_expansion``, what the
+    static baseline's phases always were) on arbitrary
+    dependence-correct programs."""
+    tasks, phases = reference_expansion(build_program_from_spec(spec))
     graph = recover_structure(build_program_from_spec(spec))
-    view = graph.as_expanded()
-    assert view.task_count == legacy.task_count
-    assert view.total_work == legacy.total_work
-    assert [(t.type.name, t.depth, t.args) for t in view.tasks] == \
-        [(t.type.name, t.depth, t.args) for t in legacy.tasks]
-    assert [[t.args["i"] for t in p] for p in view.phases] == \
-        [[t.args["i"] for t in p] for p in legacy.phases]
+    assert graph.task_count == len(tasks)
+    assert graph.total_work == sum(t.work for t in tasks)
+    assert [(t.type.name, t.depth, t.args) for t in graph.tasks] == \
+        [(t.type.name, t.depth, t.args) for t in tasks]
+    assert [[t.args["i"] for t in p] for p in graph.phases] == \
+        [[t.args["i"] for t in p] for p in phases]
     # Typed edges mirror the spec's dependence choices exactly.
     n_after = sum(1 for t in spec if t[2] == "after")
     n_stream = sum(1 for t in spec if t[2] == "stream")

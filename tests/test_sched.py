@@ -28,6 +28,7 @@ from repro.core.annotations import WorkHint
 from repro.core.delta import Delta
 from repro.core.dispatcher import Dispatcher
 from repro.core.task import TaskType
+from repro.graph import recover_structure
 from repro.sched import (
     SchedulingPolicy,
     StructureHints,
@@ -36,7 +37,7 @@ from repro.sched import (
     policy_uses_structure,
     register_policy,
 )
-from repro.sched.structure import hints_from_factory, hints_from_graph
+from repro.sched.structure import hints_from_graph
 from repro.sim import Counters, Environment
 from repro.sim.faults import FaultPlan, LaneFailure
 from repro.util.fingerprint import result_stats
@@ -175,8 +176,6 @@ def chain_spec(works):
 
 class TestStructureHints:
     def test_after_chain_bottom_levels_accumulate(self):
-        from repro.graph.ir import recover_structure
-
         graph = recover_structure(
             build_program_from_spec(chain_spec([100, 10, 1])))
         hints = hints_from_graph(graph)
@@ -193,8 +192,6 @@ class TestStructureHints:
         assert hints.mean_task_work == pytest.approx(111 / 3)
 
     def test_stream_chain_overlaps_bottom_levels(self):
-        from repro.graph.ir import recover_structure
-
         spec = [(100, 64, "none", None, False),
                 (40, 0, "stream", 0, False)]
         graph = recover_structure(build_program_from_spec(spec))
@@ -206,8 +203,6 @@ class TestStructureHints:
         assert hints.parallelism > 1.0
 
     def test_group_priority_takes_max_member(self):
-        from repro.graph.ir import recover_structure
-
         # Two depth-0 tasks of the same type: one feeds a long AFTER
         # chain, one is a leaf. Their shared (type, depth) key must get
         # the *critical* member's level.
@@ -218,27 +213,6 @@ class TestStructureHints:
         hints = hints_from_graph(graph)
         assert hints.priority[("rand", 0)] == pytest.approx(510)
 
-    def test_hints_from_factory_builds_a_twin(self):
-        workload = get_workload("micro-chain")
-        hints = hints_from_factory(workload.build_program)
-        assert hints is not None
-        assert hints.task_count > 0
-        assert hints.cp_work > 0
-        # The factory's own program is untouched: a full run on a fresh
-        # build still verifies (recovery ran on a twin, not on ours).
-        result = Delta(default_delta_config(lanes=2)).run(
-            workload.build_program())
-        workload.check(result.state)
-
-    def test_hints_from_factory_degrades_to_none(self):
-        def broken():
-            program = build_program_from_spec([(5, 0, "none", None, False)])
-            # A self-dependence makes recovery fail graph validation.
-            task = program.initial_tasks[0]
-            task.after = (task,)
-            return program
-
-        assert hints_from_factory(broken) is None
 
 
 # ------------------------------------------------------------ decisions
@@ -392,14 +366,6 @@ class TestBlockPartitionPolicy:
         assert {lane for _t, lane, _i in log} == {1}
         assert d.drained.triggered
 
-    def test_partition_hook_matches_static_splitters(self):
-        from repro.core.program import partition_block, partition_cyclic
-
-        policy = create_policy("block-partition")
-        tasks = [make_type().instantiate({"i": i}) for i in range(7)]
-        assert policy.partition(tasks, 3) == partition_block(tasks, 3)
-        assert policy.partition(tasks, 3, mode="cyclic") == \
-            partition_cyclic(tasks, 3)
 
 
 class TestStealTunedPolicy:
@@ -555,7 +521,8 @@ class TestStealUnderFaults:
                   .with_sanitize(True).with_faults(plan))
         sched_hints = None
         if policy_uses_structure(policy):
-            sched_hints = hints_from_factory(workload.build_program)
+            sched_hints = hints_from_graph(
+                recover_structure(workload.build_program()))
         result = Delta(config).run(workload.build_program(),
                                    sched_hints=sched_hints)
         workload.check(result.state)
@@ -580,7 +547,8 @@ class TestPolicyCoverage:
             workload = get_workload(name)
             sched_hints = None
             if policy_uses_structure(policy):
-                sched_hints = hints_from_factory(workload.build_program)
+                sched_hints = hints_from_graph(
+                recover_structure(workload.build_program()))
             result = Delta(config).run(workload.build_program(),
                                        sched_hints=sched_hints)
             workload.check(result.state)
@@ -588,21 +556,25 @@ class TestPolicyCoverage:
 
     @pytest.mark.parametrize("policy", EXPECTED_POLICIES)
     def test_policy_partitions_static_baseline(self, policy):
+        # Every policy is a valid static config, and the static schedule
+        # block-splits its phases the same way whichever one it names.
         config = default_baseline_config(lanes=4)
-        config = config.with_policy(policy)
-        runner = StaticParallel(config)
+        runner = StaticParallel(config.with_policy(policy))
         for name in ("micro-chain", "histogram", "wavefront"):
             workload = get_workload(name)
             result = runner.run(workload.build_program())
             workload.check(result.state)
+            assert result_stats(result) == result_stats(
+                StaticParallel(config).run(workload.build_program()))
 
     @pytest.mark.parametrize("policy", EXPECTED_POLICIES)
     def test_policy_is_seed_deterministic(self, policy):
         config = default_delta_config(lanes=4).with_policy(policy)
         for name in DETERMINISM_WORKLOADS:
             workload = get_workload(name)
-            hints = (hints_from_factory(workload.build_program)
-                     if policy_uses_structure(policy) else None)
+            hints = (hints_from_graph(
+                recover_structure(workload.build_program()))
+                if policy_uses_structure(policy) else None)
             a = Delta(config).run(workload.build_program(),
                                   sched_hints=hints)
             b = Delta(config).run(workload.build_program(),
@@ -618,8 +590,9 @@ class TestPolicyCoverage:
         program = build_program_from_spec(spec)
         config = (default_delta_config(lanes=lanes).with_policy(policy)
                   .with_sanitize(True))
-        hints = (hints_from_factory(lambda: build_program_from_spec(spec))
-                 if policy_uses_structure(policy) else None)
+        hints = (hints_from_graph(
+            recover_structure(build_program_from_spec(spec)))
+            if policy_uses_structure(policy) else None)
         result = Delta(config).run(program, sched_hints=hints)
         # Task conservation: every spec task ran exactly once.
         assert sorted(result.state["ran"]) == list(range(len(spec)))

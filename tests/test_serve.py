@@ -36,6 +36,7 @@ thread; clients are plain ``http.client`` over the NDJSON protocol.
 import http.client
 import json
 import multiprocessing
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -417,6 +418,53 @@ class TestJobsCli:
         out = capsys.readouterr().out
         assert live in out
         assert finished not in out
+
+
+class TestTerminalHistoryGc:
+    """:meth:`JobQueue.gc_terminal`, the watchdog's TTL sweep of terminal
+    job history, driven directly (a live server runs it at most once a
+    minute, with a 24 h TTL)."""
+
+    def test_old_terminal_jobs_leave_memory_and_store(self, tmp_path):
+        from repro.machine.metrics import MetricsBus
+        from repro.serve import UnknownJob
+        from repro.serve.queue import JOBS_NAMESPACE, QUEUED
+        from repro.store import open_store
+
+        store = open_store(tmp_path / "store")
+        bus = MetricsBus()
+        queue = JobQueue(store=store, metrics=bus.serve)
+        submitted = {queue.submit(_spec(i)).id for i in range(4)}
+        finished = []
+        for _ in range(2):
+            claimed = queue.claim_next()
+            queue.finish(claimed.id, COMPLETED, owner=claimed.owner)
+            finished.append(claimed.id)
+        old, young = finished
+        running = queue.claim_next().id
+        (queued,) = submitted - set(finished) - {running}
+        # Age the old job past the TTL, in memory and on disk. The live
+        # jobs' records age too: only their liveness may shield them.
+        ttl_s = 3600.0
+        stale = time.time() - 2 * ttl_s
+        queue.get(old).finished_at = stale
+        for job_id in (old, running, queued):
+            path = store.path_for(JOBS_NAMESPACE, job_id)
+            os.utime(path, (stale, stale))
+
+        assert queue.gc_terminal(ttl_s) == 1
+        assert bus.serve.gc_jobs == 1
+        with pytest.raises(UnknownJob):
+            queue.get(old)
+        assert store.read(JOBS_NAMESPACE, old) is None
+        for job_id in (young, running, queued):
+            assert store.read(JOBS_NAMESPACE, job_id) is not None
+        assert queue.get(young).state == COMPLETED
+        assert queue.get(running).state == RUNNING
+        assert queue.get(queued).state == QUEUED
+        # Nothing is left to drop.
+        assert queue.gc_terminal(ttl_s) == 0
+        assert bus.serve.gc_jobs == 1
 
 
 class TestCancellation:

@@ -145,37 +145,6 @@ def test_stream_out_drains_src_store():
     assert counters.get("dram.write_bytes") == 128
 
 
-def test_forward_between_lanes_bypasses_dram():
-    env, counters, noc, dram, lanes = make_system(lanes=2, chunk_bytes=64)
-    src_store = Store(env, capacity=4)
-    dst_store = Store(env, capacity=4)
-    received = []
-
-    def producer():
-        for _ in range(3):
-            yield src_store.put(64)
-        src_store.close()
-
-    def consumer():
-        while True:
-            item = yield dst_store.get()
-            if item is Store.END:
-                break
-            received.append(item)
-
-    def fwd():
-        yield lanes[0].streams.forward("lane1", 192, src_store, dst_store)
-
-    env.process(producer())
-    env.process(consumer())
-    env.process(fwd())
-    env.run()
-    assert received == [64, 64, 64]
-    assert counters.get("dram.read_bytes") == 0
-    assert counters.get("dram.write_bytes") == 0
-    assert counters.get("noc.forwarded_stream_bytes") == 192
-
-
 # ------------------------------------------------------------------- Lane
 
 def run_gen(env, gen):
@@ -286,32 +255,6 @@ def test_lane_run_pipeline_emits_output_tokens():
     run_gen(env, lane.run_pipeline(mapping, trips=40, out_stores=[out]))
     # chunk_elems = 64/4 = 16 -> tokens 16, 16, 8.
     assert got == [16, 16, 8]
-
-
-def test_forward_same_lane_skips_noc():
-    env, counters, noc, dram, lanes = make_system(lanes=2, chunk_bytes=64)
-    src_store = Store(env, capacity=4)
-    dst_store = Store(env, capacity=4)
-
-    def producer():
-        yield src_store.put(64)
-        src_store.close()
-
-    def consumer():
-        while True:
-            item = yield dst_store.get()
-            if item is Store.END:
-                break
-
-    def fwd():
-        yield lanes[0].streams.forward("lane0", 64, src_store, dst_store)
-
-    env.process(producer())
-    env.process(consumer())
-    env.process(fwd())
-    env.run()
-    assert counters.get("noc.bytes") == 0  # co-located: no network hop
-    assert counters.get("lane0.forward_bytes") == 64
 
 
 def test_stream_in_zero_bytes_completes_immediately():

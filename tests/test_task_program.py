@@ -4,13 +4,9 @@ import pytest
 
 from repro.arch.dfg import dot_product_dfg
 from repro.core.annotations import ReadSpec, WorkHint, WriteSpec
-from repro.core.program import (
-    Program,
-    expand_program,
-    partition_block,
-    partition_cyclic,
-)
+from repro.core.program import Program, partition_block
 from repro.core.task import Task, TaskContext, TaskType, run_kernel
+from repro.graph import recover_structure
 
 
 def simple_type(name="simple", trips=64, work_hint=None, kernel=None):
@@ -142,7 +138,7 @@ class TestExpansion:
         tt = TaskType("tree", dot_product_dfg("tree"), kernel,
                       trips=lambda args: 1)
         program = Program("p", state, [tt.instantiate({"level": 0})])
-        expanded = expand_program(program)
+        expanded = recover_structure(program)
         assert expanded.task_count == 7
         assert state["count"] == 7
 
@@ -155,7 +151,7 @@ class TestExpansion:
                       trips=lambda args: 1)
         program = Program("p", {}, [tt.instantiate({"level": 0}),
                                     tt.instantiate({"level": 0})])
-        expanded = expand_program(program)
+        expanded = recover_structure(program)
         assert len(expanded.phases) == 2
         assert len(expanded.phases[0]) == 2
         assert len(expanded.phases[1]) == 2
@@ -163,7 +159,7 @@ class TestExpansion:
     def test_expand_total_work(self):
         tt = simple_type(trips=10)
         program = Program("p", {}, [tt.instantiate() for _ in range(3)])
-        assert expand_program(program).total_work == 30.0
+        assert recover_structure(program).total_work == 30.0
 
 
 class TestPartitions:
@@ -182,13 +178,7 @@ class TestPartitions:
         parts = partition_block(tasks, 4)
         assert [len(p) for p in parts] == [1, 1, 0, 0]
 
-    def test_cyclic_partition_round_robin(self):
-        tasks = self.make_tasks(5)
-        parts = partition_cyclic(tasks, 2)
-        assert parts[0] == [tasks[0], tasks[2], tasks[4]]
-        assert parts[1] == [tasks[1], tasks[3]]
-
-    @pytest.mark.parametrize("split", [partition_block, partition_cyclic])
+    @pytest.mark.parametrize("split", [partition_block])
     def test_partition_preserves_all_tasks(self, split):
         tasks = self.make_tasks(17)
         parts = split(tasks, 4)
@@ -196,19 +186,19 @@ class TestPartitions:
         assert sorted(t.task_id for t in flat) == \
             sorted(t.task_id for t in tasks)
 
-    @pytest.mark.parametrize("split", [partition_block, partition_cyclic])
+    @pytest.mark.parametrize("split", [partition_block])
     def test_partition_rejects_zero_lanes(self, split):
         with pytest.raises(ValueError):
             split(self.make_tasks(3), 0)
 
-    @pytest.mark.parametrize("split", [partition_block, partition_cyclic])
+    @pytest.mark.parametrize("split", [partition_block])
     def test_partition_empty_phase(self, split):
         # An empty phase still yields one (empty) bucket per lane so the
         # static schedule's per-lane iteration stays uniform.
         parts = split([], 3)
         assert parts == [[], [], []]
 
-    @pytest.mark.parametrize("split", [partition_block, partition_cyclic])
+    @pytest.mark.parametrize("split", [partition_block])
     def test_partition_fewer_tasks_than_lanes(self, split):
         tasks = self.make_tasks(2)
         parts = split(tasks, 5)
@@ -217,7 +207,7 @@ class TestPartitions:
             sorted(t.task_id for t in tasks)
         assert all(len(p) <= 1 for p in parts)
 
-    @pytest.mark.parametrize("split", [partition_block, partition_cyclic])
+    @pytest.mark.parametrize("split", [partition_block])
     def test_partition_single_lane_gets_everything(self, split):
         tasks = self.make_tasks(7)
         parts = split(tasks, 1)

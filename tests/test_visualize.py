@@ -1,20 +1,21 @@
-"""Tests for DOT/ASCII visualization (repro.core.visualize)."""
+"""Tests for DOT/ASCII visualization (repro.core.visualize and the
+task-graph DOT of repro.graph)."""
 
 import pytest
 
 from repro.arch.config import FabricConfig
 from repro.arch.dfg import dot_product_dfg, merge_dfg
 from repro.arch.mapper import Mapper
-from repro.core.program import expand_program
-from repro.core.visualize import dfg_dot, mapping_ascii, task_graph_dot
+from repro.core.visualize import dfg_dot, mapping_ascii
+from repro.graph import graph_dot, recover_structure
 from repro.workloads.mergesort import MergesortWorkload
 from repro.workloads.synthetic import SpawnTree
 
 
 def test_task_graph_dot_structure():
-    expanded = expand_program(
+    expanded = recover_structure(
         MergesortWorkload(n=512, leaf=128).build_program())
-    dot = task_graph_dot(expanded)
+    dot = graph_dot(expanded)
     assert dot.startswith("digraph taskgraph {")
     assert dot.rstrip().endswith("}")
     # Every task appears as a node.
@@ -25,16 +26,19 @@ def test_task_graph_dot_structure():
 
 
 def test_task_graph_dot_after_edges_dashed():
-    expanded = expand_program(SpawnTree(depth=2).build_program())
-    dot = task_graph_dot(expanded)
-    # Spawn trees have no after/stream edges, only nodes.
+    expanded = recover_structure(SpawnTree(depth=2).build_program())
+    dot = graph_dot(expanded)
+    # Spawn trees have no after/stream edges, only dotted spawn edges.
     assert "style=dashed" not in dot
+    assert "penwidth=2" not in dot
+    assert dot.count("[style=dotted, color=grey];") == \
+        expanded.task_count - 1
 
 
 def test_task_graph_dot_rejects_huge_graphs():
-    expanded = expand_program(SpawnTree(depth=2).build_program())
+    expanded = recover_structure(SpawnTree(depth=2).build_program())
     with pytest.raises(ValueError, match="render a smaller"):
-        task_graph_dot(expanded, max_tasks=3)
+        graph_dot(expanded, max_tasks=3)
 
 
 def test_dfg_dot_structure():

@@ -17,8 +17,8 @@ import pytest
 from repro.arch.config import default_baseline_config, default_delta_config
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
-from repro.core.program import expand_program
 from repro.eval.runner import compare
+from repro.graph import recover_structure
 from repro.util.fingerprint import workload_cache_key
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.base import WorkloadError
@@ -80,7 +80,7 @@ def test_build_program_is_fresh_each_call(workload):
 @pytest.mark.parametrize("workload", SMALL_WORKLOADS,
                          ids=lambda w: w.name)
 def test_expansion_matches_delta_task_count(workload):
-    expanded = expand_program(workload.build_program())
+    expanded = recover_structure(workload.build_program())
     result = Delta(default_delta_config(lanes=4)).run(
         workload.build_program())
     assert result.tasks_executed == expanded.task_count
@@ -173,7 +173,7 @@ class TestWorkloadStructure:
 
     def test_wavefront_chain_depth(self):
         w = WavefrontWorkload(tiles=3, tile_size=8)
-        expanded = expand_program(w.build_program())
+        expanded = recover_structure(w.build_program())
         # Root + diagonal wavefront: max depth = 2*(tiles-1) + 1.
         assert len(expanded.phases) == 2 * (3 - 1) + 2
 

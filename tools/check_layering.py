@@ -111,8 +111,8 @@ FORBIDDEN_EDGES: list[tuple[str, str, str]] = [
     ("repro.core", "repro.sched.policies",
      "core may use the sched API only, never policy implementations"),
     ("repro.core", "repro.sched.structure",
-     "hint recovery runs above core (twin builds); core only carries "
-     "hints opaquely"),
+     "hint recovery runs above core (it reads a recovered graph); "
+     "core only carries hints opaquely"),
     # The store layer: util < store < everything that caches. The store
     # imports only util; its schemas (eval/cache.py, serve/queue.py) and
     # the CLI consume it — the simulation stack must never know results
