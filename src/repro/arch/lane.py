@@ -22,7 +22,8 @@ from repro.arch.mapper import Mapper, Mapping
 from repro.arch.noc import Noc
 from repro.arch.spad import Scratchpad
 from repro.arch.stream_engine import StreamEngine
-from repro.sim import Counters, Environment, Store, UtilizationTracker
+from repro.sim import (Counters, Environment, Event, Store,
+                       UtilizationTracker)
 from repro.sim.sanitize import NULL_SANITIZER, Sanitizer
 
 
@@ -90,8 +91,7 @@ class Lane:
 
     def run_pipeline(self, mapping: Mapping, trips: int,
                      in_streams: Optional[list[tuple[Store, int]]] = None,
-                     out_stores: Optional[list[Store]] = None,
-                     ) -> Generator:
+                     out_stores: Optional[list[Store]] = None) -> Event:
         """Execute the configured pipeline for ``trips`` loop iterations.
 
         ``in_streams`` pairs each input store with its expected total chunk
@@ -105,48 +105,102 @@ class Lane:
         Each step advances the clock by ``II * step_trips`` cycles and
         emits one token per output store, and every output store is
         closed at the end. Busy time accrues only for fabric-active
-        cycles, not input stalls.
+        cycles, not input stalls. The returned event fires when the last
+        step is done.
+
+        A callback chain, not a process: each stage runs in the slot of
+        the event it awaits, and the chain starts from a call slot of its
+        own at the current time and fires its event in a slot of its own,
+        where a process would start and finish.
         """
+        env = self.env
+        complete = Event(env, "run_pipeline")
         in_streams = in_streams or []
         out_stores = out_stores or []
         if trips <= 0:
-            for store in out_stores:
-                store.close()
-            return
+            def close_only(_arg: object) -> None:
+                for store in out_stores:
+                    store.close()
+                complete.succeed()
+
+            env._schedule_call(close_only, complete)
+            return complete
         chunk_elems = max(
             1, self.config.stream_chunk_bytes // self.element_bytes)
         steps = -(-trips // chunk_elems)  # ceil
         consumed = [0] * len(in_streams)
         live = [total > 0 for _store, total in in_streams]
-        done_trips = 0
-        # Pipeline fill: depth cycles before the first result emerges.
-        yield self.env.timeout(mapping.depth)
-        self.tracker.busy(mapping.depth)
-        self.sanitizer.lane_busy(self.lane_id, mapping.depth, self.env.now)
-        for step in range(steps):
-            step_trips = min(chunk_elems, trips - done_trips)
-            for idx, (store, total) in enumerate(in_streams):
-                if not live[idx]:
-                    continue
-                target = min(total, -(-(step + 1) * total // steps))
-                while consumed[idx] < target:
-                    token = yield store.get()
-                    if token is Store.END:
-                        # Producer finished early (e.g. filtered stream);
-                        # remaining trips run on data already resident.
-                        live[idx] = False
-                        break
-                    consumed[idx] += 1
-            active = mapping.ii * step_trips
-            yield self.env.timeout(active)
-            self.tracker.busy(active)
-            self.sanitizer.lane_busy(self.lane_id, active, self.env.now)
+        step = done_trips = step_trips = 0  # step: steps begun so far
+        idx = 0  # the input stream, then the output store, being served
+
+        def busy(cycles: int) -> None:
+            self.tracker.busy(cycles)
+            self.sanitizer.lane_busy(self.lane_id, cycles, env.now)
+
+        def gather() -> None:
+            # Take this step's share of every live input stream, one token
+            # per get, then run the step's trips.
+            nonlocal idx
+            while idx < len(in_streams):
+                if live[idx]:
+                    store, total = in_streams[idx]
+                    target = min(total, -(-step * total // steps))
+                    if consumed[idx] < target:
+                        store.get().add_callback(on_token)
+                        return
+                idx += 1
+            env._schedule_call_at(env.now + mapping.ii * step_trips,
+                                  after_step)
+
+        def on_token(ev: Event) -> None:
+            nonlocal idx
+            if ev.value is Store.END:
+                # Producer finished early (e.g. filtered stream);
+                # remaining trips run on data already resident.
+                live[idx] = False
+                idx += 1
+            else:
+                consumed[idx] += 1
+            gather()
+
+        def after_step(_arg: object) -> None:
+            nonlocal done_trips, idx
+            busy(mapping.ii * step_trips)
             done_trips += step_trips
-            for store in out_stores:
-                yield store.put(step_trips)
-        self.counters.add(self._trips_key, trips)
-        for store in out_stores:
-            store.close()
+            idx = 0
+            emit(None)
+
+        def emit(_ev: object) -> None:
+            nonlocal idx
+            if idx < len(out_stores):
+                idx += 1
+                out_stores[idx - 1].put(step_trips).add_callback(emit)
+            else:
+                next_step()
+
+        def next_step() -> None:
+            nonlocal step, step_trips, idx
+            if step == steps:
+                self.counters.add(self._trips_key, trips)
+                for store in out_stores:
+                    store.close()
+                complete.succeed()
+                return
+            step_trips = min(chunk_elems, trips - done_trips)
+            step += 1
+            idx = 0
+            gather()
+
+        def after_fill(_arg: object) -> None:
+            busy(mapping.depth)
+            next_step()
+
+        def fill(_arg: object) -> None:
+            # Pipeline fill: depth cycles before the first result emerges.
+            env._schedule_call_at(env.now + mapping.depth, after_fill)
+
+        env._schedule_call(fill, complete)
+        return complete
 
     # -- reporting ---------------------------------------------------------
 

@@ -77,9 +77,9 @@ class StreamEngine:
                   close_dest: bool = False) -> Event:
         """Stream ``nbytes`` from DRAM into this lane's scratchpad.
 
-        If ``dest_store`` is given, a token is put per delivered chunk so a
-        compute process can consume data as it arrives. The returned
-        event fires when the final chunk has landed.
+        If ``dest_store`` is given, a token is put per delivered chunk so
+        the lane's compute pipeline can consume data as it arrives. The
+        returned event fires when the final chunk has landed.
 
         Per chunk: take an in-flight credit, fetch from DRAM, then hand
         the chunk to :meth:`_deliver_chunk` and issue the next one. Each
@@ -196,10 +196,11 @@ class StreamEngine:
         """Stream ``nbytes`` of results back to DRAM.
 
         With ``src_store``, chunks are drained as compute produces them
-        (tokens put by the compute process); otherwise the whole transfer
-        is issued immediately (end-of-task writeback). Each chunk is a
-        scratchpad read, a NoC message to memory and a DRAM writeback, in
-        that order, and the next chunk starts when its writeback is done.
+        (tokens put by the lane's compute pipeline); otherwise the whole
+        transfer is issued immediately (end-of-task writeback). Each chunk
+        is a scratchpad read, a NoC message to memory and a DRAM
+        writeback, in that order, and the next chunk starts when its
+        writeback is done.
         Each stage runs in the slot of the event it awaits.
         """
         env = self.env

@@ -233,10 +233,7 @@ class _StaticRun:
             procs.append(lane.streams.stream_out(
                 write_bytes, locality, src_store=out))
 
-        compute = self.env.process(
-            lane.run_pipeline(mapping, task.trips, in_streams, out_stores),
-            name=f"compute:{task.name}")
-        yield compute
+        yield lane.run_pipeline(mapping, task.trips, in_streams, out_stores)
         yield self.env.all_of(procs + self.session.drain(in_streams))
         self.tracer.span("task", task.name, lane.name, t_begin,
                          self.env.now, type=task.type.name)

@@ -359,10 +359,7 @@ class _DeltaRun:
                 self.metrics.pipe.add("disabled_round_trips")
 
         # 4. Compute.
-        compute = self.env.process(
-            lane.run_pipeline(mapping, task.trips, in_streams, out_stores),
-            name=f"compute:{task.name}")
-        yield compute
+        yield lane.run_pipeline(mapping, task.trips, in_streams, out_stores)
 
         # 5. Drain any input tokens the compute did not consume.
         yield self.env.all_of(procs + self.session.drain(in_streams))

@@ -61,6 +61,11 @@ class DeterministicRng:
         """Uniform float in ``[0, 1)``."""
         return self._rng.random()
 
+    def getrandbits(self, k: int) -> int:
+        """A ``k``-bit random int, built from the generator's 32-bit words
+        least significant first — the words :meth:`randint` draws."""
+        return self._rng.getrandbits(k)
+
     def choice(self, seq: Sequence[T]) -> T:
         """Uniformly choose one element of a non-empty sequence."""
         return self._rng.choice(seq)

@@ -112,10 +112,34 @@ def power_law_graph(num_vertices: int, alpha: float = 1.4,
 
 def random_int_array(count: int, lo: int, hi: int,
                      seed: object = 0) -> np.ndarray:
-    """Deterministic int64 array with entries in [lo, hi]."""
+    """Deterministic int64 array with entries in [lo, hi].
+
+    Equal to ``[rng.randint(lo, hi) for _ in range(count)]``, drawn in
+    bulk. ``randint`` takes one 32-bit word per try while the width fits
+    in 32 bits: the word's top ``width.bit_length()`` bits, retried while
+    they reach ``width``. So the array is the first ``count`` accepted
+    words of the same word stream. Wider ranges (and ``hi < lo``, which
+    raises like ``randint``) take the scalar path.
+    """
     rng = DeterministicRng("ints", count, lo, hi, seed)
-    return np.array([rng.randint(lo, hi) for _ in range(count)],
-                    dtype=np.int64)
+    width = hi - lo + 1
+    if count <= 0:
+        return np.zeros(0, dtype=np.int64)
+    if not 0 < width < 1 << 32:
+        return np.array([rng.randint(lo, hi) for _ in range(count)],
+                        dtype=np.int64)
+    shift = 32 - width.bit_length()
+    parts = []
+    need = count
+    while need:
+        # Each try is accepted with probability at least 1/2.
+        words = 2 * need + 16
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        tries = np.frombuffer(raw, dtype="<u4") >> shift
+        kept = tries[tries < width][:need]
+        parts.append(kept)
+        need -= len(kept)
+    return np.concatenate(parts).astype(np.int64) + lo
 
 
 def spd_matrix(n: int, seed: object = 0) -> np.ndarray:

@@ -132,12 +132,9 @@ class KnnWorkload(Workload):
     def reference(self) -> list[list[int]]:
         diff = self.queries[:, None, :] - self.db[None, :, :]
         dists = (diff * diff).sum(axis=2)
-        out = []
-        for q in range(self.num_queries):
-            order = sorted(range(self.num_points),
-                           key=lambda j: (int(dists[q, j]), j))
-            out.append(order[:self.k])
-        return out
+        # A stable sort keeps equal distances in index order.
+        order = np.argsort(dists, axis=1, kind="stable")
+        return order[:, :self.k].tolist()
 
     def check(self, state: dict) -> None:
         require(state["result"] is not None, "knn never merged")

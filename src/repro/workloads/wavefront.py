@@ -45,14 +45,31 @@ class WavefrontWorkload(Workload):
         return random_int_array(self.n, 0, 3, seed=("wave-b", self.seed))
 
     def _fill_tile(self, score: np.ndarray, ti: int, tj: int) -> None:
+        """Fill tile (ti, tj) of ``score`` from its halo row and column.
+
+        The tile and its halo cross into Python ints once (one ``tolist``)
+        and go back as one slice assignment: indexing NumPy scalars cell
+        by cell costs several times the recurrence itself.
+        """
         b = self.tile_size
-        for i in range(ti * b, (ti + 1) * b):
-            for j in range(tj * b, (tj + 1) * b):
-                match = _MATCH if self.seq_a[i] == self.seq_b[j] else _MISMATCH
-                diag = score[i, j] + match
-                up = score[i + 1, j] + _GAP
-                left = score[i, j + 1] + _GAP
-                score[i + 1, j + 1] = max(0, diag, up, left)
+        r0, c0 = ti * b, tj * b
+        block = score[r0:r0 + b + 1, c0:c0 + b + 1].tolist()
+        col_syms = self.seq_b[c0:c0 + b].tolist()
+        above = block[0]
+        for row, sym in zip(block[1:], self.seq_a[r0:r0 + b].tolist()):
+            left = row[0]
+            for j, other in enumerate(col_syms):
+                best = above[j] + (_MATCH if sym == other else _MISMATCH)
+                up = above[j + 1] + _GAP
+                left += _GAP
+                if up > best:
+                    best = up
+                if left > best:
+                    best = left
+                left = row[j + 1] = best if best > 0 else 0
+            above = row
+        score[r0 + 1:r0 + b + 1, c0 + 1:c0 + b + 1] = [
+            row[1:] for row in block[1:]]
 
     def build_program(self) -> Program:
         tiles = self.tiles
@@ -95,10 +112,27 @@ class WavefrontWorkload(Workload):
         return Program("wavefront", state, initial)
 
     def reference(self) -> np.ndarray:
-        score = np.zeros((self.n + 1, self.n + 1), dtype=np.int64)
-        for ti in range(self.tiles):
-            for tj in range(self.tiles):
-                self._fill_tile(score, ti, tj)
+        """The whole score matrix, one row at a time, untiled.
+
+        Within a row, ``H[j] = max(E[j], H[j-1] + GAP)`` where ``E``
+        (``moves``) is the best of the zero floor and the diagonal and
+        vertical moves. Unrolled, that is the max-plus prefix
+        ``H[j] = cummax(E[k] - GAP*k) + GAP*j`` over ``k <= j``
+        (``E[0] = 0`` is the halo), so each row is a few whole-array
+        operations.
+        """
+        n = self.n
+        score = np.zeros((n + 1, n + 1), dtype=np.int64)
+        ramp = _GAP * np.arange(n + 1, dtype=np.int64)
+        subst = np.where(self.seq_a[:, None] == self.seq_b[None, :],
+                         _MATCH, _MISMATCH)
+        moves = np.zeros(n + 1, dtype=np.int64)
+        for i in range(1, n + 1):
+            prev = score[i - 1]
+            np.maximum(prev[:-1] + subst[i - 1], prev[1:] + _GAP,
+                       out=moves[1:])
+            np.maximum(moves, 0, out=moves)
+            score[i] = np.maximum.accumulate(moves - ramp) + ramp
         return score
 
     def check(self, state: dict) -> None:

@@ -1,5 +1,7 @@
 """Unit tests for stream engines and the lane (config cache, compute)."""
 
+import pytest
+
 from repro.arch.config import FabricConfig, LaneConfig
 from repro.arch.dfg import axpy_dfg, dot_product_dfg, merge_dfg
 from repro.arch.dram import Dram
@@ -7,11 +9,12 @@ from repro.arch.lane import Lane
 from repro.arch.mapper import Mapper
 from repro.arch.noc import Noc
 from repro.sim import Counters, Environment, Store
+from repro.sim.fastengine import FastEnvironment
 
 
 def make_system(lanes=2, chunk_bytes=64, config_cycles=16,
-                config_cache_entries=2):
-    env = Environment()
+                config_cache_entries=2, env_cls=Environment):
+    env = env_cls()
     counters = Counters()
     noc = Noc(env, counters, lanes, link_bytes_per_cycle=16, hop_latency=1,
               header_bytes=0, multicast_enabled=True)
@@ -160,6 +163,15 @@ def run_gen(env, gen):
     return result.get("value")
 
 
+def run_event(env, event):
+    """Helper: run a process that waits on a lane operation's event."""
+    def wrapper():
+        yield event
+
+    env.process(wrapper())
+    env.run()
+
+
 def test_lane_configure_miss_costs_cycles():
     env, counters, noc, dram, lanes = make_system(config_cycles=16)
     lane = lanes[0]
@@ -195,7 +207,7 @@ def test_lane_run_pipeline_timing():
     lane = lanes[0]
     mapping = run_gen(env, lane.configure(dot_product_dfg()))
     start = env.now
-    run_gen(env, lane.run_pipeline(mapping, trips=64))
+    run_event(env, lane.run_pipeline(mapping, trips=64))
     elapsed = env.now - start
     # 64 trips at II + depth fill.
     assert elapsed == mapping.depth + mapping.ii * 64
@@ -208,7 +220,7 @@ def test_lane_run_pipeline_zero_trips_closes_outputs():
     lane = lanes[0]
     mapping = run_gen(env, lane.configure(dot_product_dfg()))
     out = Store(env, capacity=2)
-    run_gen(env, lane.run_pipeline(mapping, trips=0, out_stores=[out]))
+    run_event(env, lane.run_pipeline(mapping, trips=0, out_stores=[out]))
     assert out.closed
 
 
@@ -227,8 +239,7 @@ def test_lane_run_pipeline_waits_for_input_tokens():
         feed.close()
 
     def compute():
-        yield from lane.run_pipeline(mapping, trips=64,
-                                     in_streams=[(feed, 4)])
+        yield lane.run_pipeline(mapping, trips=64, in_streams=[(feed, 4)])
         finished.append(env.now)
 
     env.process(slow_feeder())
@@ -252,9 +263,105 @@ def test_lane_run_pipeline_emits_output_tokens():
             got.append(item)
 
     env.process(consumer())
-    run_gen(env, lane.run_pipeline(mapping, trips=40, out_stores=[out]))
+    run_event(env, lane.run_pipeline(mapping, trips=40, out_stores=[out]))
     # chunk_elems = 64/4 = 16 -> tokens 16, 16, 8.
     assert got == [16, 16, 8]
+
+
+class _BusyLog:
+    """Sanitizer stand-in: logs each fabric-busy interval as it accrues."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def lane_busy(self, lane_id, cycles, now):
+        self.log.append((now, f"busy{cycles}"))
+
+
+class _LoggedStore(Store):
+    """A store that logs each get and put call as it is made."""
+
+    def __init__(self, env, log, name):
+        super().__init__(env, capacity=1, name=name)
+        self.log = log
+
+    def get(self):
+        self.log.append((self.env.now, f"get-{self.name}"))
+        return super().get()
+
+    def put(self, item):
+        self.log.append((self.env.now, f"put-{self.name}"))
+        return super().put(item)
+
+
+@pytest.mark.parametrize("env_cls", [Environment, FastEnvironment])
+def test_lane_run_pipeline_slot_order(env_cls):
+    """Where each pipeline stage falls among same-cycle events.
+
+    Two input stores feed the pipeline (``b`` closes one token short of
+    its declared total, after a put that waits for room), a consumer
+    drains its output, and ``early`` and ``late`` are timeouts of
+    processes started just before and just after the pipeline, landing
+    on the cycles its steps end. The expected order is the one a
+    generator process running the same steps gives, on both kernels."""
+    env, counters, noc, dram, lanes = make_system(
+        chunk_bytes=64, config_cycles=0, env_cls=env_cls)
+    lane = lanes[0]
+    log = []
+    lane.sanitizer = _BusyLog(log)
+    mapping = run_gen(env, lane.configure(dot_product_dfg()))
+    assert (env.now, mapping.depth, mapping.ii) == (0, 12, 1)
+    feed_a, feed_b, out = (_LoggedStore(env, log, name)
+                           for name in ("a", "b", "out"))
+
+    def feeder(store, gaps):
+        for k, gap in enumerate(gaps):
+            yield env.timeout(gap)
+            yield store.put(16)
+            log.append((env.now, f"{store.name}{k}"))
+        store.close()
+
+    def consumer():
+        while True:
+            token = yield out.get()
+            if token is Store.END:
+                log.append((env.now, "out-end"))
+                return
+            log.append((env.now, f"out{token}"))
+
+    def ticker(label, delays):
+        for delay in delays:
+            yield env.timeout(delay)
+            log.append((env.now, label))
+
+    def waiter(event):
+        yield event
+        log.append((env.now, "done"))
+
+    env.process(ticker("early", [12, 16, 16, 8]))
+    env.process(feeder(feed_a, [4, 4, 4]))
+    env.process(feeder(feed_b, [9, 2, 16]))
+    done = lane.run_pipeline(mapping, trips=40,
+                             in_streams=[(feed_a, 3), (feed_b, 4)],
+                             out_stores=[out])
+    env.process(ticker("late", [12, 40]))
+    env.process(consumer())
+    env.process(waiter(done))
+    env.run()
+    assert log == [
+        (0, "get-out"), (4, "put-a"), (4, "a0"), (8, "put-a"),
+        (9, "put-b"), (9, "b0"), (11, "put-b"),
+        (12, "early"), (12, "busy12"), (12, "get-a"), (12, "late"),
+        (12, "get-b"), (12, "a1"), (12, "get-b"), (12, "b1"),
+        (16, "put-a"),
+        (28, "early"), (28, "put-b"), (28, "busy16"), (28, "put-out"),
+        (28, "b2"), (28, "out16"), (28, "get-out"), (28, "get-a"),
+        (28, "get-b"), (28, "a2"),
+        (44, "early"), (44, "busy16"), (44, "put-out"), (44, "out16"),
+        (44, "get-out"), (44, "get-a"), (44, "get-b"),
+        (52, "late"), (52, "early"), (52, "busy8"), (52, "put-out"),
+        (52, "out8"), (52, "get-out"), (52, "out-end"), (52, "done"),
+    ]
 
 
 def test_stream_in_zero_bytes_completes_immediately():
@@ -284,7 +391,7 @@ def test_run_pipeline_input_larger_than_trips_paced():
         feed.close()
 
     env.process(feeder())
-    run_gen(env, lane.run_pipeline(mapping, trips=32,
-                                   in_streams=[(feed, 8)]))
+    run_event(env, lane.run_pipeline(mapping, trips=32,
+                                     in_streams=[(feed, 8)]))
     # Proportional pacing: all 8 chunks consumed across the 2 steps.
     assert feed.level == 0

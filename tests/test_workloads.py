@@ -12,6 +12,7 @@ import multiprocessing
 import pickle
 import threading
 
+import numpy as np
 import pytest
 
 from repro.arch.config import default_baseline_config, default_delta_config
@@ -20,11 +21,13 @@ from repro.core.delta import Delta
 from repro.eval.runner import compare
 from repro.graph import recover_structure
 from repro.util.fingerprint import workload_cache_key
+from repro.util.rng import DeterministicRng
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.base import WorkloadError
 from repro.workloads.bfs import BfsWorkload
 from repro.workloads.cholesky import CholeskyWorkload
 from repro.workloads.histogram import HistogramWorkload
+from repro.workloads.inputs import random_int_array
 from repro.workloads.knn import KnnWorkload
 from repro.workloads.mergesort import MergesortWorkload
 from repro.workloads.registry import workload_names
@@ -33,7 +36,8 @@ from repro.workloads.spmv import SpmvWorkload
 from repro.workloads.stencil_amr import StencilAmrWorkload
 from repro.workloads.synthetic import ChainTasks
 from repro.workloads.triangle import TriangleWorkload
-from repro.workloads.wavefront import WavefrontWorkload
+from repro.workloads.wavefront import (_GAP, _MATCH, _MISMATCH,
+                                       WavefrontWorkload)
 
 # Reduced-size instances keep the full matrix of (workload x machine)
 # fast while exercising identical code paths.
@@ -190,6 +194,81 @@ class TestWorkloadStructure:
         w = StencilAmrWorkload(num_tiles=30)
         areas = sorted(s * s for s in w.sides)
         assert areas[-1] > 8 * areas[0]
+
+
+# -- array-speed functional code against its loop oracles -------------------
+
+def scalar_fill_tile(workload, score, ti, tj):
+    """Fill one wavefront tile cell by cell over NumPy scalars: the oracle
+    for ``WavefrontWorkload._fill_tile``."""
+    b = workload.tile_size
+    for i in range(ti * b, (ti + 1) * b):
+        for j in range(tj * b, (tj + 1) * b):
+            same = workload.seq_a[i] == workload.seq_b[j]
+            diag = score[i, j] + (_MATCH if same else _MISMATCH)
+            up = score[i + 1, j] + _GAP
+            left = score[i, j + 1] + _GAP
+            score[i + 1, j + 1] = max(0, diag, up, left)
+
+
+@pytest.mark.parametrize("tile_size", [1, 3, 8, 32])
+@pytest.mark.parametrize("seed", range(5))
+def test_wavefront_tile_fill_matches_scalar_loop(seed, tile_size):
+    w = WavefrontWorkload(tiles=4, tile_size=tile_size, seed=seed)
+    fast = np.zeros((w.n + 1, w.n + 1), dtype=np.int64)
+    oracle = fast.copy()
+    for ti in range(w.tiles):
+        for tj in range(w.tiles):
+            w._fill_tile(fast, ti, tj)
+            scalar_fill_tile(w, oracle, ti, tj)
+            assert np.array_equal(fast, oracle), (ti, tj)
+    # The untiled row scan agrees with the tile-order fill.
+    assert np.array_equal(w.reference(), oracle)
+
+
+def test_knn_reference_breaks_distance_ties_by_lower_index():
+    w = KnnWorkload(num_points=96, num_queries=6, chunks=4, k=5)
+    base = w.db[:32]
+    # Every point three times (indices j, 63 - j and 64 + j), and the
+    # queries are points of the database: many equal distances.
+    w.db = np.concatenate([base, base[::-1], base])
+    w.queries = base[:6]
+    diff = w.queries[:, None, :] - w.db[None, :, :]
+    dists = (diff * diff).sum(axis=2)
+    oracle = [sorted(range(96), key=lambda j: (int(dists[q, j]), j))[:w.k]
+              for q in range(6)]
+    assert w.reference() == oracle
+    assert [row[:3] for row in oracle] == [
+        [q, 63 - q, 64 + q] for q in range(6)]
+    result = Delta(default_delta_config(lanes=4)).run(w.build_program())
+    assert w.verify_result(result.state)
+
+
+def randint_loop(count, lo, hi, seed):
+    """``random_int_array`` one ``randint`` at a time: its oracle."""
+    rng = DeterministicRng("ints", count, lo, hi, seed)
+    return [rng.randint(lo, hi) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count, lo, hi", [
+    (0, 0, 5), (1, 0, 5), (5000, 0, 3), (5000, -16, 16), (300, 7, 7),
+    *[(3000, 0, (1 << k) - 1) for k in (1, 2, 5, 16, 31, 32)],  # width 2^k
+    *[(3000, -9, (1 << k) - 9) for k in (1, 2, 5, 16, 31)],  # 2^k + 1
+    (300, 0, 1 << 32), (300, -(1 << 40), 1 << 40),  # over 2^32
+], ids=str)
+def test_random_int_array_equals_randint_loop(count, lo, hi):
+    for seed in (0, ("t", 1)):
+        got = random_int_array(count, lo, hi, seed=seed)
+        assert got.dtype == np.int64 and got.shape == (count,)
+        assert got.tolist() == randint_loop(count, lo, hi, seed)
+
+
+def test_random_int_array_empty_range_raises_like_randint():
+    with pytest.raises(ValueError) as expected:
+        DeterministicRng("any").randint(5, 4)
+    with pytest.raises(ValueError) as got:
+        random_int_array(3, 5, 4)
+    assert str(got.value) == str(expected.value)
 
 
 # -- identity: a workload is its bound constructor arguments ----------------
