@@ -9,11 +9,15 @@ a FIFO server, so cross-lane bandwidth contention is emergent.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.sim import BandwidthServer, Counters, Environment, Event
 from repro.sim.engine import SimulationError
 from repro.sim.faults import NULL_INJECTOR, FaultInjector
+
+#: The byte and effective-byte counters of each request kind.
+_READ_KEYS = ("dram.read_bytes", "dram.read_effective_bytes")
+_WRITE_KEYS = ("dram.write_bytes", "dram.write_effective_bytes")
 
 
 class Dram:
@@ -33,43 +37,67 @@ class Dram:
                                        name="dram")
         self.random_penalty = random_penalty
 
+    def fetch_then(self, nbytes: float, locality: float,
+                   fn: Callable[[Any], None]) -> None:
+        """Read ``nbytes``; ``locality`` in [0, 1] scales the row penalty.
+        Queues ``fn(None)`` as a call slot when the data is back."""
+        self._request(nbytes, locality, _READ_KEYS, fn)
+
     def fetch(self, nbytes: float, locality: float = 1.0) -> Event:
-        """Read ``nbytes``; ``locality`` in [0, 1] scales the row penalty."""
-        return self._request(nbytes, locality, "read")
+        """:meth:`fetch_then` as an event."""
+        done = Event(self.env, "dram.fetch")
+        self.fetch_then(nbytes, locality, done._fire)
+        return done
+
+    def writeback_then(self, nbytes: float, locality: float,
+                       fn: Callable[[Any], None]) -> None:
+        """Write ``nbytes`` to memory; queues ``fn(None)`` when done."""
+        self._request(nbytes, locality, _WRITE_KEYS, fn)
 
     def writeback(self, nbytes: float, locality: float = 1.0) -> Event:
-        """Write ``nbytes`` to memory."""
-        return self._request(nbytes, locality, "write")
+        """:meth:`writeback_then` as an event."""
+        done = Event(self.env, "dram.writeback")
+        self.writeback_then(nbytes, locality, done._fire)
+        return done
 
-    def _request(self, nbytes: float, locality: float, kind: str) -> Event:
+    def _request(self, nbytes: float, locality: float,
+                 keys: tuple[str, str], fn: Callable[[Any], None]) -> None:
         if not 0.0 <= locality <= 1.0:
             raise SimulationError(f"locality must be in [0,1]: {locality}")
         if nbytes < 0:
             raise SimulationError(f"negative request size: {nbytes}")
         penalty = self.random_penalty - (self.random_penalty - 1.0) * locality
         effective = nbytes * penalty
-        self.counters.add(f"dram.{kind}_bytes", nbytes)
-        self.counters.add(f"dram.{kind}_effective_bytes", effective)
+        self.counters.add(keys[0], nbytes)
+        self.counters.add(keys[1], effective)
         self.counters.add("dram.requests")
-        served = self.channel.transfer(effective)
         if self.injector.enabled:
             spike = self.injector.dram_spike(self.env.now)
             if spike > 0.0:
-                return self._spiked(served, spike)
-        return served
+                fn = self._spiked(fn, spike)
+        self.channel.transfer_then(effective, fn)
 
-    def _spiked(self, served: Event, spike: float) -> Event:
+    def _spiked(self, fn: Callable[[Any], None],
+                spike: float) -> Callable[[Any], None]:
         """Delay one response by a spike; the requester simply waits —
-        the watchdog bound lives in the injector (``dram-timeout``)."""
+        the watchdog bound lives in the injector (``dram-timeout``).
+
+        The response takes three slots: the channel's delivery, a second
+        ``spike`` cycles later, and ``fn``'s own slot queued from it.
+        """
         self.counters.add("faults.injected")
         self.counters.add("faults.dram_spikes")
         self.counters.add("faults.dram_spike_cycles", spike)
         self.counters.add("recovery.absorbed_spike_cycles", spike)
-        done = self.env.event(name="dram-spike")
-        served.add_callback(
-            lambda _ev: self.env.timeout(spike).add_callback(
-                lambda _t: done.succeed()))
-        return done
+        env = self.env
+
+        def delayed(_arg: object) -> None:
+            env._schedule_call(fn)
+
+        def served(_arg: object) -> None:
+            env._schedule_call_at(env.now + spike, delayed)
+
+        return served
 
     @property
     def total_bytes(self) -> float:

@@ -146,15 +146,15 @@ class Lane:
                     store, total = in_streams[idx]
                     target = min(total, -(-step * total // steps))
                     if consumed[idx] < target:
-                        store.get().add_callback(on_token)
+                        store.get_then(on_token)
                         return
                 idx += 1
             env._schedule_call_at(env.now + mapping.ii * step_trips,
                                   after_step)
 
-        def on_token(ev: Event) -> None:
+        def on_token(token: object) -> None:
             nonlocal idx
-            if ev.value is Store.END:
+            if token is Store.END:
                 # Producer finished early (e.g. filtered stream);
                 # remaining trips run on data already resident.
                 live[idx] = False
@@ -170,11 +170,11 @@ class Lane:
             idx = 0
             emit(None)
 
-        def emit(_ev: object) -> None:
+        def emit(_arg: object) -> None:
             nonlocal idx
             if idx < len(out_stores):
                 idx += 1
-                out_stores[idx - 1].put(step_trips).add_callback(emit)
+                out_stores[idx - 1].put_then(step_trips, emit)
             else:
                 next_step()
 

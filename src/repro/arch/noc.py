@@ -19,7 +19,7 @@ of once per destination as repeated unicasts would.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.sim import BandwidthServer, Counters, Environment, Event
 from repro.sim.engine import SimulationError
@@ -140,16 +140,20 @@ class Noc:
 
     # -- transfers ---------------------------------------------------------
 
-    def unicast(self, src: str, dst: str, nbytes: float) -> Event:
-        """Send one message; returns an event firing on delivery.
+    def unicast_then(self, src: str, dst: str, nbytes: float,
+                     fn: Callable[[Any], None]) -> None:
+        """Send one message; queues ``fn(None)`` as a call slot on
+        delivery.
 
         Every link on the route is booked at once, in route order, with
         :meth:`~repro.sim.BandwidthServer.reserve`; delivery then follows
-        the fixed slot chain of :meth:`_deliver`.
+        the fixed slot chain of :meth:`_deliver`. A message that crosses
+        no link is delivered in one slot at the current time.
         """
         servers, hops = self._route_links(src, dst)
         if hops == 0:
-            return self.env.timeout(0)
+            self.env._schedule_call(fn)
+            return
         payload = nbytes + self.header_bytes
         counters = self.counters
         finish = self.env.now
@@ -161,25 +165,42 @@ class Noc:
                     finish = booked
             counters.add("noc.messages")
             self.sanitizer.noc_message("unicast", payload, self.env.now)
-        return self._deliver(finish, self.hop_latency * hops,
-                             "unicast-delivery")
+        self._deliver(finish, self.hop_latency * hops, fn)
 
-    def multicast(self, src: str, dsts: Sequence[str],
-                  nbytes: float) -> Event:
-        """Send one payload to many destinations.
+    def unicast(self, src: str, dst: str, nbytes: float) -> Event:
+        """:meth:`unicast_then` as an event."""
+        done = Event(self.env, "unicast-delivery")
+        self.unicast_then(src, dst, nbytes, done._fire)
+        return done
+
+    def multicast_then(self, src: str, dsts: Sequence[str], nbytes: float,
+                       fn: Callable[[Any], None]) -> None:
+        """Send one payload to many destinations; queues ``fn`` as a call
+        slot once every destination has it.
 
         With multicast hardware, the payload traverses each link of the
         union-of-routes tree exactly once. Without it, falls back to
-        repeated unicasts (and the counters show the difference). The
-        tree's links are booked and delivered like :meth:`unicast`'s
-        route, with the per-hop latency of the farthest leaf.
+        repeated unicasts (and the counters show the difference), joined
+        like :meth:`~repro.sim.Environment.all_of` joins their events:
+        ``fn`` gets one ``None`` per destination, in a slot of its own
+        queued when the last one arrives. The tree's links are booked and
+        delivered like :meth:`unicast_then`'s route, with the per-hop
+        latency of the farthest leaf.
         """
         dsts = list(dict.fromkeys(dsts))  # dedupe, keep order
         if not dsts:
             raise SimulationError("multicast with no destinations")
         if len(dsts) == 1 or not self.multicast_enabled:
-            events = [self.unicast(src, d, nbytes) for d in dsts]
-            return self.env.all_of(events)
+            pending = [len(dsts)]
+
+            def arrived(_arg: object) -> None:
+                pending[0] -= 1
+                if pending[0] == 0:
+                    self.env._schedule_call(fn, [None] * len(dsts))
+
+            for dst in dsts:
+                self.unicast_then(src, dst, nbytes, arrived)
+            return
 
         tree, max_hops = self._tree_links(src, tuple(dsts))
         payload = nbytes + self.header_bytes
@@ -194,8 +215,14 @@ class Noc:
                     finish = booked
             counters.add("noc.multicasts")
             self.sanitizer.noc_message("multicast", payload, self.env.now)
-        return self._deliver(finish, self.hop_latency * max_hops,
-                             "multicast-delivery")
+        self._deliver(finish, self.hop_latency * max_hops, fn)
+
+    def multicast(self, src: str, dsts: Sequence[str],
+                  nbytes: float) -> Event:
+        """:meth:`multicast_then` as an event."""
+        done = Event(self.env, "multicast-delivery")
+        self.multicast_then(src, dsts, nbytes, done._fire)
+        return done
 
     def _drops(self, kind: str) -> int:
         """Link-level packet loss: how many times the next message is
@@ -215,24 +242,24 @@ class Noc:
         return drops
 
     def _deliver(self, finish: float, tail_delay: float,
-                 name: str) -> Event:
-        """The delivery event of a message whose links are booked.
+                 fn: Callable[[Any], None]) -> None:
+        """Deliver a message whose links are booked.
 
         The message clears its last link at ``finish`` and arrives
-        ``tail_delay`` (the per-hop latency) later. ``done`` fires from
-        the third of three chained call slots: one at ``finish``, a second
-        queued behind it at the same time, and a third ``tail_delay``
-        later. Those are the slots of the last link's transfer event, the
-        join over all link transfers, and the hop-latency timeout, each
-        stage running in the slot of the event it awaits. They fix where
-        a delivery falls among other same-cycle events, so they are part
-        of the frozen fingerprints (``tests/golden_fingerprints.json``).
+        ``tail_delay`` (the per-hop latency) later. ``fn`` runs in the
+        fourth of four chained call slots: one at ``finish``, a second
+        queued behind it at the same time, a third ``tail_delay`` later,
+        and ``fn``'s own queued from the third. Those are the slots of the
+        last link's transfer event, the join over all link transfers, the
+        hop-latency timeout and the delivery event, each stage running in
+        the slot of the event it awaits. They fix where a delivery falls
+        among other same-cycle events, so they are part of the frozen
+        fingerprints (``tests/golden_fingerprints.json``).
         """
         env = self.env
-        done = Event(env, name)
 
         def slot_hop(_arg: object) -> None:
-            done.succeed()
+            env._schedule_call(fn)
 
         def slot_tail(_arg: object) -> None:
             env._schedule_call_at(env.now + tail_delay, slot_hop)
@@ -241,4 +268,3 @@ class Noc:
             env._schedule_call_at(env.now, slot_tail)
 
         env._schedule_call_at(finish, slot_last_link)
-        return done

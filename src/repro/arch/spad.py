@@ -13,7 +13,7 @@ region is already resident reads it at scratchpad bandwidth.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.sim import BandwidthServer, Counters, Environment, Event
 from repro.sim.engine import SimulationError
@@ -48,18 +48,26 @@ class Scratchpad:
 
     # -- bandwidth ---------------------------------------------------------
 
-    def access(self, nbytes: float, is_write: bool) -> Event:
+    def access_then(self, nbytes: float, is_write: bool,
+                    fn: Callable[[Any], None]) -> None:
         """Move ``nbytes`` through the banks (striped round-robin).
 
-        Returns an event firing when the access completes. One call models
-        one chunk; the stream engine issues chunks back-to-back so bank
-        contention between concurrent streams is emergent.
+        Queues ``fn(None)`` as a call slot when the access completes. One
+        call models one chunk; the stream engine issues chunks
+        back-to-back so bank contention between concurrent streams is
+        emergent.
         """
         bank = self.banks[self._rr]
         self._rr = (self._rr + 1) % len(self.banks)
         self.counters.add(self._write_key if is_write else self._read_key,
                           nbytes)
-        return bank.transfer(nbytes)
+        bank.transfer_then(nbytes, fn)
+
+    def access(self, nbytes: float, is_write: bool) -> Event:
+        """:meth:`access_then` as an event."""
+        done = Event(self.env, "spad.access")
+        self.access_then(nbytes, is_write, done._fire)
+        return done
 
     # -- residency ---------------------------------------------------------
 

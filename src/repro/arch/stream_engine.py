@@ -13,12 +13,18 @@ backpressure (a slow consumer of ``dest_store``) throttles DRAM issue —
 exactly the behaviour hardware credit-based streams have.
 
 ``stream_in``, ``read_resident`` and ``stream_out`` are callback chains,
-not generator processes. Their ordering rule is the one a process obeys: each stage runs inside the scheduling slot of the
-event it awaits, and each chain starts from a call slot of its own at the
-current time, where a freshly started process would take its first step.
-So every stage lands in a fixed queue position among the other events of
-its cycle, which the frozen fingerprints pin
-(``tests/golden_fingerprints.json``).
+not generator processes, and they run on the callback forms of the
+datapath operations (``Resource.acquire_then``, ``Dram.fetch_then``,
+``Noc.unicast_then``, ``Scratchpad.access_then``, ``Store.put_then``,
+…), which queue each continuation as a bare call slot and make no
+``Event``. The event forms (``fetch()``, ``put()``, …) are adapters over
+them, kept for the runtimes' generator processes. The ordering rule is
+the one a process obeys: each stage runs inside the scheduling slot of
+the event it awaits, and each chain starts from a call slot of its own at
+the current time, where a freshly started process would take its first
+step. So every stage lands in a fixed queue position among the other
+events of its cycle, which ``tests/test_slot_order.py`` and the slot
+counts of ``tests/golden_pins.json`` pin.
 """
 
 from __future__ import annotations
@@ -99,21 +105,20 @@ class StreamEngine:
                 dest_store.close()
             complete.succeed()
 
-        def after_fetch(_ev: object) -> None:
+        def after_fetch(_arg: object) -> None:
             tails.append(self._deliver_chunk(
                 sizes[idx[0]], dest_store, credits))
             idx[0] += 1
             next_chunk(None)
 
-        def after_grant(_ev: object) -> None:
-            self.dram.fetch(sizes[idx[0]],
-                            locality).add_callback(after_fetch)
+        def after_grant(_arg: object) -> None:
+            self.dram.fetch_then(sizes[idx[0]], locality, after_fetch)
 
         def next_chunk(_arg: object) -> None:
             if idx[0] == len(sizes):
                 env.all_of(tails).add_callback(final)
             else:
-                credits.acquire().add_callback(after_grant)
+                credits.acquire_then(after_grant)
 
         env._schedule_call(next_chunk, complete)
         return complete
@@ -126,22 +131,21 @@ class StreamEngine:
         env = self.env
         complete = Event(env, "deliver_chunk")
 
-        def finish(_ev: object) -> None:
+        def finish(_arg: object) -> None:
             credits.release()
             complete.succeed()
 
-        def after_spad(_ev: object) -> None:
+        def after_spad(_arg: object) -> None:
             if dest_store is not None:
-                dest_store.put(size).add_callback(finish)
+                dest_store.put_then(size, finish)
             else:
                 finish(None)
 
-        def after_noc(_ev: object) -> None:
-            self.spad.access(size, is_write=True).add_callback(after_spad)
+        def after_noc(_arg: object) -> None:
+            self.spad.access_then(size, True, after_spad)
 
         def start(_arg: object) -> None:
-            self.noc.unicast(MEM_NODE, self.lane_name,
-                             size).add_callback(after_noc)
+            self.noc.unicast_then(MEM_NODE, self.lane_name, size, after_noc)
 
         env._schedule_call(start, complete)
         return complete
@@ -169,13 +173,13 @@ class StreamEngine:
                 dest_store.close()
             complete.succeed()
 
-        def after_put(_ev: object) -> None:
+        def after_put(_arg: object) -> None:
             idx[0] += 1
             step(None)
 
-        def after_access(_ev: object) -> None:
+        def after_access(_arg: object) -> None:
             if dest_store is not None:
-                dest_store.put(sizes[idx[0]]).add_callback(after_put)
+                dest_store.put_then(sizes[idx[0]], after_put)
             else:
                 after_put(None)
 
@@ -183,8 +187,7 @@ class StreamEngine:
             if idx[0] == len(sizes):
                 final()
             else:
-                self.spad.access(sizes[idx[0]],
-                                 is_write=False).add_callback(after_access)
+                self.spad.access_then(sizes[idx[0]], False, after_access)
 
         env._schedule_call(step, complete)
         return complete
@@ -208,14 +211,14 @@ class StreamEngine:
         remaining = [float(nbytes)]
 
         def writeback(size: float, then) -> None:
-            def after_noc(_ev: object) -> None:
-                self.dram.writeback(size, locality).add_callback(then)
+            def after_noc(_arg: object) -> None:
+                self.dram.writeback_then(size, locality, then)
 
-            def after_spad(_ev: object) -> None:
-                self.noc.unicast(self.lane_name, MEM_NODE,
-                                 size).add_callback(after_noc)
+            def after_spad(_arg: object) -> None:
+                self.noc.unicast_then(self.lane_name, MEM_NODE, size,
+                                      after_noc)
 
-            self.spad.access(size, is_write=False).add_callback(after_spad)
+            self.spad.access_then(size, False, after_spad)
 
         def final() -> None:
             self.counters.add(self._out_key, nbytes)
@@ -229,7 +232,7 @@ class StreamEngine:
                 if idx[0] == len(sizes):
                     final()
                 else:
-                    def done(_ev: object) -> None:
+                    def done(_arg: object) -> None:
                         idx[0] += 1
                         step(None)
 
@@ -245,7 +248,7 @@ class StreamEngine:
             if remaining[0] > 0:
                 size = min(self.chunk_bytes, remaining[0])
 
-                def done(_ev: object) -> None:
+                def done(_arg: object) -> None:
                     remaining[0] -= size
                     trailing(None)
 
@@ -253,13 +256,13 @@ class StreamEngine:
             else:
                 final()
 
-        def on_token(ev: Event) -> None:
-            if ev.value is Store.END:
+        def on_token(token: object) -> None:
+            if token is Store.END:
                 trailing(None)
                 return
             size = min(self.chunk_bytes, remaining[0])
             if size > 0:
-                def done(_ev: object) -> None:
+                def done(_arg: object) -> None:
                     remaining[0] -= size
                     get_next(None)
 
@@ -268,7 +271,7 @@ class StreamEngine:
                 get_next(None)
 
         def get_next(_arg: object) -> None:
-            src_store.get().add_callback(on_token)
+            src_store.get_then(on_token)
 
         env._schedule_call(get_next, complete)
         return complete

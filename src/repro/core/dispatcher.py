@@ -200,6 +200,12 @@ class Dispatcher:
             if self.config.dispatch_cycles:
                 yield self.env.timeout(self.config.dispatch_cycles)
             self.counters.add("dispatch.cycles", self.config.dispatch_cycles)
+            if lane in self.dead_lanes:
+                # The lane fail-stopped during the dispatch delay. The
+                # task was never placed: it goes back to the head of the
+                # pool and the policy picks again among the survivors.
+                self.pool.insert(0, task)
+                continue
             task.lane_id = lane
             self.pending_work[lane] += task.work + self.config.work_overhead
             self.pending_count[lane] += 1

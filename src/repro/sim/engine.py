@@ -117,6 +117,18 @@ class Event:
         self._trigger(False, exc, delay)
         return self
 
+    def _fire(self, value: Any = None) -> None:
+        """Succeed and run the callbacks now, inside the current slot.
+
+        The event form of a resource operation is an adapter over its
+        callback form: it passes ``_fire`` as the callback, which the
+        callback form queues as a call slot exactly where the event
+        would have been queued by ``succeed``.
+        """
+        self._triggered = self._ok = True
+        self._value = value
+        self._process()
+
     def _trigger(self, ok: bool, value: Any, delay: float) -> None:
         if self._triggered:
             raise SimulationError(f"event {self} already triggered")
@@ -142,9 +154,8 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` cycles after creation.
 
-    The display name is derived lazily in ``__repr__`` — timeouts are the
-    single most-created object in a run, and formatting a name for each
-    would dominate their cost.
+    The display name is derived lazily in ``__repr__``: formatting a name
+    for each timeout would dominate its cost.
     """
 
     __slots__ = ("delay",)
@@ -306,9 +317,11 @@ class Environment:
         self._seq += 1
         heapq.heappush(self._heap, (at, self._seq, shim))
 
-    def _schedule_call(self, fn: Callable[[Event], None],
-                       event: Event) -> None:
-        self._schedule_call_at(self.now, fn, event)
+    def _schedule_call(self, fn: Callable[[Any], None],
+                       arg: Any = None) -> None:
+        """Queue ``fn(arg)`` as one scheduling slot at the current time:
+        where ``succeed`` would queue an event now."""
+        self._schedule_call_at(self.now, fn, arg)
 
     def _schedule_process_start(self, process: "Process") -> None:
         """Queue the first resume of a freshly created process.

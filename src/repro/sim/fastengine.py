@@ -9,11 +9,12 @@
   is the sequence order — the reference kernel's monotonically increasing
   ``seq`` tiebreaker produces exactly the same total order, because both
   kernels enqueue from the same single-threaded call sites.
-- Call slots (callback-after-processed, process bootstrap, and the
-  timed slots of the NoC delivery chain), which the reference kernel
-  queues as pre-triggered shim events, become bare ``(fn, arg)`` tuples
-  in the same queue position, with no Event allocation or callback-list
-  churn.
+- Call slots (callback-after-processed, process bootstrap, and every
+  continuation the datapath's callback forms queue, such as
+  ``Store.get_then`` or ``Noc.unicast_then``), which the reference
+  kernel queues as pre-triggered shim events, become bare ``(fn, arg)``
+  tuples in the same queue position, with no Event allocation or
+  callback-list churn.
 
 Both kernels run the same component code: they differ only in how they
 queue a slot, so they drain the same slots in the same order.
@@ -80,15 +81,15 @@ class FastEnvironment(Environment):
         else:
             bucket.append(event)
 
-    def _schedule_call(self, fn: Callable[[Event], None],
-                       event: Event) -> None:
+    def _schedule_call(self, fn: Callable[[Any], None],
+                       arg: Any = None) -> None:
         at = self.now
         bucket = self._buckets.get(at)
         if bucket is None:
-            self._buckets[at] = [(fn, event)]
+            self._buckets[at] = [(fn, arg)]
             heapq.heappush(self._times, at)
         else:
-            bucket.append((fn, event))
+            bucket.append((fn, arg))
 
     def _schedule_call_at(self, at: float, fn: Callable[[Any], None],
                           arg: Any = None) -> None:

@@ -8,7 +8,7 @@ ordering (which :mod:`repro.sim.engine` guarantees via sequence numbers).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Environment, Event, SimulationError
 
@@ -31,9 +31,8 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.name = name
-        self._acquire_name = f"acquire:{name}"
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[Callable[[Any], None]] = deque()
 
     @property
     def in_use(self) -> int:
@@ -45,14 +44,18 @@ class Resource:
         """Number of acquire requests waiting."""
         return len(self._waiters)
 
-    def acquire(self) -> Event:
-        """Return an event that fires when a slot is granted."""
-        grant = Event(self.env, self._acquire_name)
+    def acquire_then(self, fn: Callable[[Any], None]) -> None:
+        """Queue ``fn(self)`` as a call slot once a slot is granted."""
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
-            grant.succeed(self)
+            self.env._schedule_call(fn, self)
         else:
-            self._waiters.append(grant)
+            self._waiters.append(fn)
+
+    def acquire(self) -> Event:
+        """Return an event that fires when a slot is granted."""
+        grant = Event(self.env, f"acquire:{self.name}")
+        self.acquire_then(grant._fire)
         return grant
 
     def release(self) -> None:
@@ -60,8 +63,8 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release() of idle resource {self.name!r}")
         if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.succeed(self)  # slot transfers directly
+            # The slot transfers directly to the oldest waiter.
+            self.env._schedule_call(self._waiters.popleft(), self)
         else:
             self._in_use -= 1
 
@@ -86,11 +89,9 @@ class Store:
         self.env = env
         self.capacity = capacity
         self.name = name
-        self._put_name = f"put:{name}"
-        self._get_name = f"get:{name}"
         self._items: deque[Any] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-        self._getters: deque[Event] = deque()
+        self._putters: deque[tuple[Callable[[Any], None], Any]] = deque()
+        self._getters: deque[Callable[[Any], None]] = deque()
         self._closed = False
         self.total_put = 0
 
@@ -104,35 +105,44 @@ class Store:
         """True once the producer has closed the stream."""
         return self._closed
 
-    def put(self, item: Any) -> Event:
-        """Return an event that fires when ``item`` has been enqueued."""
+    def put_then(self, item: Any, fn: Callable[[Any], None]) -> None:
+        """Enqueue ``item``; queue ``fn(None)`` as a call slot once it is
+        in. A consumer it hands the item to is queued first."""
         if self._closed:
             raise SimulationError(f"put() on closed store {self.name!r}")
-        done = Event(self.env, self._put_name)
+        schedule = self.env._schedule_call
         if self._getters:
             # Hand the item straight to the oldest waiting consumer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
+            schedule(self._getters.popleft(), item)
             self.total_put += 1
-            done.succeed()
+            schedule(fn)
         elif len(self._items) < self.capacity:
             self._items.append(item)
             self.total_put += 1
-            done.succeed()
+            schedule(fn)
         else:
-            self._putters.append((done, item))
+            self._putters.append((fn, item))
+
+    def put(self, item: Any) -> Event:
+        """Return an event that fires when ``item`` has been enqueued."""
+        done = Event(self.env, f"put:{self.name}")
+        self.put_then(item, done._fire)
         return done
+
+    def get_then(self, fn: Callable[[Any], None]) -> None:
+        """Queue ``fn(item)`` as a call slot with the next item (or END)."""
+        if self._items:
+            self.env._schedule_call(fn, self._items.popleft())
+            self._admit_waiting_putter()
+        elif self._closed and not self._putters:
+            self.env._schedule_call(fn, Store.END)
+        else:
+            self._getters.append(fn)
 
     def get(self) -> Event:
         """Return an event that fires with the next item (or END)."""
-        got = Event(self.env, self._get_name)
-        if self._items:
-            got.succeed(self._items.popleft())
-            self._admit_waiting_putter()
-        elif self._closed and not self._putters:
-            got.succeed(Store.END)
-        else:
-            self._getters.append(got)
+        got = Event(self.env, f"get:{self.name}")
+        self.get_then(got._fire)
         return got
 
     def peek(self) -> Any:
@@ -164,18 +174,20 @@ class Store:
         self._closed = True
         # Only wake getters if nothing remains to deliver.
         if not self._items and not self._putters:
-            while self._getters:
-                self._getters.popleft().succeed(Store.END)
+            self._end_getters()
 
     def _admit_waiting_putter(self) -> None:
         if self._putters:
-            done, item = self._putters.popleft()
+            fn, item = self._putters.popleft()
             self._items.append(item)
             self.total_put += 1
-            done.succeed()
+            self.env._schedule_call(fn)
         elif self._closed and not self._items:
-            while self._getters:
-                self._getters.popleft().succeed(Store.END)
+            self._end_getters()
+
+    def _end_getters(self) -> None:
+        while self._getters:
+            self.env._schedule_call(self._getters.popleft(), Store.END)
 
 
 class BandwidthServer:
@@ -207,17 +219,28 @@ class BandwidthServer:
         self.total_transfers = 0
         self._busy_cycles = 0.0
 
+    def transfer_then(self, nbytes: float,
+                      fn: Callable[[Any], None]) -> None:
+        """Book ``nbytes`` and queue ``fn(None)`` as a call slot at their
+        delivery. The slot sits at ``now + (delivery - now)``, the time a
+        timeout of that delay would fire at, which float rounding can
+        move off the delivery time itself."""
+        now = self.env.now
+        self.env._schedule_call_at(now + (self.reserve(nbytes) - now), fn)
+
     def transfer(self, nbytes: float) -> Event:
         """Return an event firing when ``nbytes`` have been delivered."""
-        return self.env.timeout(self.reserve(nbytes) - self.env.now)
+        done = Event(self.env, "transfer")
+        self.transfer_then(nbytes, done._fire)
+        return done
 
     def reserve(self, nbytes: float) -> float:
         """Book a transfer and return its absolute delivery time.
 
-        Identical channel bookkeeping to :meth:`transfer` without creating
-        an event. The NoC books every link of a message this way and
+        The channel bookkeeping of :meth:`transfer_then`, without queueing
+        anything. The NoC books every link of a message this way and
         queues one delivery chain for the whole message
-        (:meth:`repro.arch.noc.Noc.unicast`).
+        (:meth:`repro.arch.noc.Noc.unicast_then`).
         """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")

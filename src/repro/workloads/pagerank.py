@@ -60,15 +60,22 @@ class PagerankWorkload(Workload):
         ranks_bytes = n * _ELEM
         graph_bytes = sum(len(a) + 1 for a in graph.adjacency) * _ELEM
 
+        # Each vertex's rank is split over its degree by one float64
+        # division, as a scalar division would; an isolated vertex's
+        # share is never read, so its divisor is clamped to 1.
+        divisors = np.array([max(1, len(nbrs)) for nbrs in graph.adjacency],
+                            dtype=np.float64)
+
         def chunk_kernel(ctx: TaskContext, args: dict) -> None:
             lo, hi = args["lo"], args["hi"]
-            ranks = ctx.state["ranks"]
-            out = ctx.state["next"]
-            for v in range(lo, hi):
+            share = (ctx.state["ranks"] / divisors).tolist()
+            new = []
+            for nbrs in graph.adjacency[lo:hi]:
                 acc = 0.0
-                for u in graph.adjacency[v]:
-                    acc += ranks[u] / graph.degree(u)
-                out[v] = (1 - _DAMPING) / n + _DAMPING * acc
+                for u in nbrs:  # left to right, not a compensated sum
+                    acc += share[u]
+                new.append((1 - _DAMPING) / n + _DAMPING * acc)
+            ctx.state["next"][lo:hi] = new
 
         chunk_type = TaskType(
             name="pr_chunk",

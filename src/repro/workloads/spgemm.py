@@ -62,20 +62,25 @@ class SpgemmWorkload(Workload):
         state = {"c": np.zeros((size, size), dtype=np.int64)}
         b_bytes = b.nnz * _NNZ_BYTES + (size + 1) * _ELEM
 
+        # Both operands as Python ints, crossed into once per build: the
+        # products then never wrap, and a row too large for ``c`` raises
+        # on assignment instead.
+        a_ptr, a_cols, a_vals = (a.row_ptr.tolist(), a.col_idx.tolist(),
+                                 a.values.tolist())
+        b_ptr, b_cols, b_vals = (b.row_ptr.tolist(), b.col_idx.tolist(),
+                                 b.values.tolist())
+
         def kernel(ctx: TaskContext, args: dict) -> None:
             start = args["start"]
             end = min(start + per_task, size)
             c = ctx.state["c"]
             for row in range(start, end):
-                acols, avals = a.row_slice(row)
-                accum: dict[int, int] = {}
-                for k, aval in zip(acols, avals):
-                    bcols, bvals = b.row_slice(int(k))
-                    for j, bval in zip(bcols, bvals):
-                        accum[int(j)] = accum.get(int(j), 0) \
-                            + int(aval) * int(bval)
-                for j, value in accum.items():
-                    c[row, j] = value
+                accum = [0] * size
+                for p in range(a_ptr[row], a_ptr[row + 1]):
+                    k, aval = a_cols[p], a_vals[p]
+                    for q in range(b_ptr[k], b_ptr[k + 1]):
+                        accum[b_cols[q]] += aval * b_vals[q]
+                c[row] = accum
 
         task_type = TaskType(
             name="spgemm_block",

@@ -250,6 +250,19 @@ class TestRecoveryPaths:
         # Survivors absorb the backlog: the run still retires every task.
         assert result.tasks_executed == 48
 
+    @pytest.mark.parametrize("cycle", [503.0, 506.0])
+    def test_delta_lane_failstop_inside_dispatch_delay(self, cycle):
+        # micro-uniform's dispatcher picks lane 1 for a task at cycle
+        # 502.75 and waits out its 4-cycle dispatch delay; the lane
+        # fail-stops inside that wait. The task must go to a survivor, not
+        # onto the dead lane's queue (the sanitizer rejects that dispatch).
+        plan = FaultPlan(lane_failures=(LaneFailure(1, cycle),))
+        workload = get_workload("micro-uniform")
+        result = Delta(sanitized_delta(plan)).run(workload.build_program())
+        workload.check(result.state)
+        assert fault_counters(result)["recovery.lanes_lost"] == 1
+        assert result.tasks_executed == workload.num_tasks
+
     def test_static_lane_failstop_repair_pass(self):
         plan = FaultPlan(lane_failures=(LaneFailure(1, 0.0),))
         workload = UniformTasks(num_tasks=32)

@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 from repro.arch.config import default_delta_config
 from repro.eval.runner import compare
+from repro.sim.engine import total_events_processed
+from repro.sim.faults import FaultPlan
 from repro.util.fingerprint import comparison_fingerprint
 from repro.workloads.registry import get_workload, workload_names
 
@@ -46,16 +49,25 @@ def point_key(workload_name: str, lanes: int) -> str:
     return f"{workload_name}@lanes={lanes}"
 
 
-def compute_fingerprint(workload_name: str, lanes: int) -> str:
-    """The canonical fingerprint of one matrix point.
+def measure_point(workload_name: str, lanes: int,
+                  faults: Optional[FaultPlan] = None) -> tuple[str, int]:
+    """(fingerprint, slots drained) of one matrix point.
 
     Runs the ordinary Delta-vs-static comparison with a fresh program
-    (``verify=False``: functional checking is a separate test concern) and
-    digests both sides' :func:`result_stats`.
+    (``verify=False``: functional checking is a separate test concern),
+    under ``faults`` if given, digests both sides' :func:`result_stats`
+    and counts the scheduling slots the two runs drain.
     """
-    comparison = compare(get_workload(workload_name),
-                         default_delta_config(lanes=lanes), verify=False)
-    return comparison_fingerprint(comparison)
+    config = default_delta_config(lanes=lanes).with_faults(faults)
+    before = total_events_processed()
+    comparison = compare(get_workload(workload_name), config, verify=False)
+    return (comparison_fingerprint(comparison),
+            total_events_processed() - before)
+
+
+def compute_fingerprint(workload_name: str, lanes: int) -> str:
+    """The canonical fingerprint of one matrix point."""
+    return measure_point(workload_name, lanes)[0]
 
 
 def load_golden() -> dict[str, str]:

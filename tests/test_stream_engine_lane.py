@@ -285,13 +285,13 @@ class _LoggedStore(Store):
         super().__init__(env, capacity=1, name=name)
         self.log = log
 
-    def get(self):
+    def get_then(self, fn):
         self.log.append((self.env.now, f"get-{self.name}"))
-        return super().get()
+        super().get_then(fn)
 
-    def put(self, item):
+    def put_then(self, item, fn):
         self.log.append((self.env.now, f"put-{self.name}"))
-        return super().put(item)
+        super().put_then(item, fn)
 
 
 @pytest.mark.parametrize("env_cls", [Environment, FastEnvironment])

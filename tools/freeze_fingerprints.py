@@ -1,14 +1,17 @@
 #!/usr/bin/env python
-"""Regenerate ``tests/golden_fingerprints.json``.
+"""Regenerate ``tests/golden_fingerprints.json`` and ``tests/golden_pins.json``.
 
 Recomputes the comparison fingerprint of every point in the frozen matrix
 (the full workload registry × lane counts — the same enumeration
 ``tests/test_golden_fingerprints.py`` checks against) and rewrites the
-golden file. Run it after an *intentional* behaviour change::
+golden file. The same runs give the slots each point drains, and every
+workload is run once more at 4 lanes under ``RICH_PLAN``; both go into
+the pins file that ``tests/test_golden_pins.py`` checks. Run it after an
+*intentional* behaviour change::
 
     PYTHONPATH=src python tools/freeze_fingerprints.py
 
-then review the JSON diff: each changed key names the workload×config
+then review the JSON diffs: each changed key names the workload×config
 whose bit-level behaviour moved.
 """
 
@@ -35,36 +38,55 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(REPO_ROOT))
     from tests.test_golden_fingerprints import (
-        compute_fingerprint,
         golden_points,
+        measure_point,
         point_key,
     )
+    from tests.test_golden_pins import PINS_PATH, RICH_PLAN, RICH_PLAN_LANES
+    from repro.workloads.registry import workload_names
 
-    fingerprints = {}
+    fingerprints, slots, rich_plan = {}, {}, {}
     for name, lanes in golden_points():
         key = point_key(name, lanes)
-        fingerprints[key] = compute_fingerprint(name, lanes)
-        print(f"  {key:<28} {fingerprints[key][:16]}…")
+        fingerprints[key], slots[key] = measure_point(name, lanes)
+        print(f"  {key:<28} {fingerprints[key][:16]}… {slots[key]} slots")
+    for name in workload_names():
+        key = point_key(name, RICH_PLAN_LANES)
+        rich_plan[key], _slots = measure_point(name, RICH_PLAN_LANES,
+                                               faults=RICH_PLAN)
+        print(f"  {key:<28} {rich_plan[key][:16]}… under RICH_PLAN")
 
-    payload = {
-        "_comment": (
-            "Frozen comparison fingerprints (workload × lanes). "
-            "Regenerate with: PYTHONPATH=src python "
-            "tools/freeze_fingerprints.py"),
-        "fingerprints": fingerprints,
+    regenerate = ("Regenerate with: PYTHONPATH=src python "
+                  "tools/freeze_fingerprints.py")
+    outputs = {
+        args.output: {
+            "_comment": ("Frozen comparison fingerprints "
+                         f"(workload × lanes). {regenerate}"),
+            "fingerprints": fingerprints,
+        },
+        PINS_PATH: {
+            "_comment": (
+                "Slots drained by each golden point, and comparison "
+                f"fingerprints at {RICH_PLAN_LANES} lanes under "
+                f"tests/test_faults.py's RICH_PLAN. {regenerate}"),
+            "slots": slots,
+            "rich_plan": rich_plan,
+        },
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.check:
-        current = (args.output.read_text()
-                   if args.output.exists() else "")
-        if current != text:
-            print(f"{args.output} is stale", file=sys.stderr)
-            return 1
-        print(f"{args.output} is up to date")
-        return 0
-    args.output.write_text(text)
-    print(f"wrote {len(fingerprints)} fingerprints to {args.output}")
-    return 0
+    stale = False
+    for path, payload in outputs.items():
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if args.check:
+            current = path.read_text() if path.exists() else ""
+            if current != text:
+                print(f"{path} is stale", file=sys.stderr)
+                stale = True
+            else:
+                print(f"{path} is up to date")
+        else:
+            path.write_text(text)
+            print(f"wrote {path}")
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":
