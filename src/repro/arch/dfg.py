@@ -143,6 +143,7 @@ class Dfg:
         node_id = self._next_id
         self._next_id += 1
         self.nodes[node_id] = Node(node_id, op, name or f"{op.value}{node_id}")
+        self.__dict__.pop("_signature", None)
         return node_id
 
     def connect(self, src: int, dst: int, distance: int = 0) -> None:
@@ -150,6 +151,14 @@ class Dfg:
         if src not in self.nodes or dst not in self.nodes:
             raise DfgError(f"edge references unknown node: {src}->{dst}")
         self.edges.append(Edge(src, dst, distance))
+        self.__dict__.pop("_signature", None)
+
+    def __getstate__(self) -> dict:
+        # The signature memo is derived state: a graph pickles to the
+        # same bytes whether or not it was ever asked for its signature.
+        state = dict(self.__dict__)
+        state.pop("_signature", None)
+        return state
 
     # -- queries -----------------------------------------------------------
 
@@ -301,11 +310,20 @@ class Dfg:
         return order
 
     def signature(self) -> tuple:
-        """Hashable identity used by lane config caches."""
-        return (self.name, len(self.nodes),
+        """Hashable identity used by lane config caches.
+
+        Computed on first use and kept until :meth:`add` or
+        :meth:`connect` changes the graph.
+        """
+        signature = self.__dict__.get("_signature")
+        if signature is None:
+            signature = self._signature = (
+                self.name, len(self.nodes),
                 tuple(sorted((n.node_id, n.op.value)
                              for n in self.nodes.values())),
-                tuple(sorted((e.src, e.dst, e.distance) for e in self.edges)))
+                tuple(sorted((e.src, e.dst, e.distance)
+                             for e in self.edges)))
+        return signature
 
 
 class DfgBuilder:

@@ -54,12 +54,6 @@ class Dram:
         """Write ``nbytes`` to memory; queues ``fn(None)`` when done."""
         self._request(nbytes, locality, _WRITE_KEYS, fn)
 
-    def writeback(self, nbytes: float, locality: float = 1.0) -> Event:
-        """:meth:`writeback_then` as an event."""
-        done = Event(self.env, "dram.writeback")
-        self.writeback_then(nbytes, locality, done._fire)
-        return done
-
     def _request(self, nbytes: float, locality: float,
                  keys: tuple[str, str], fn: Callable[[Any], None]) -> None:
         if not 0.0 <= locality <= 1.0:

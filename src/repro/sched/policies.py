@@ -135,11 +135,15 @@ class StealPolicy(RoundRobinPolicy):
 
     def choose_victim(self, d: "Dispatcher",
                       thief_lane: int) -> Optional[int]:
-        alive = [i for i in range(d.num_lanes) if i not in d.dead_lanes]
-        if not alive:
-            return None
-        victim = max(alive, key=lambda i: d.queues[i].level)
-        if victim == thief_lane or self._too_poor(d, victim):
+        # One pass: the first alive lane with the most queued tasks.
+        dead = d.dead_lanes
+        victim, richest = None, -1
+        for lane, queue in enumerate(d.queues):
+            level = queue.level
+            if level > richest and lane not in dead:
+                victim, richest = lane, level
+        if victim is None or victim == thief_lane \
+                or self._too_poor(d, victim):
             return None
         return victim
 

@@ -236,15 +236,17 @@ class Process(Event):
         self._step(exc, is_throw=True)
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
+        # Fields, not the ``is_alive``/``ok``/``value`` properties: this
+        # runs once per resume.
+        if self._triggered:
             return  # Stale wakeup of a finished process (e.g. post-interrupt).
         if self._waiting_on is not None and event is not self._waiting_on:
             return  # Stale wakeup after an interrupt detached us.
         self._waiting_on = None
-        if event.ok is False:
-            self._step(event.value, is_throw=True)
+        if event._ok is False:
+            self._step(event._value, is_throw=True)
         else:
-            self._step(event.value, is_throw=False)
+            self._step(event._value, is_throw=False)
 
     def _step(self, value: Any, is_throw: bool) -> None:
         try:

@@ -8,7 +8,10 @@
   small heap of the distinct times. Within a bucket, list-append order
   is the sequence order — the reference kernel's monotonically increasing
   ``seq`` tiebreaker produces exactly the same total order, because both
-  kernels enqueue from the same single-threaded call sites.
+  kernels enqueue from the same single-threaded call sites. The bucket
+  being drained stays registered under its time until it is empty, so a
+  slot queued for the current time is appended to it and drained where
+  a higher-``seq`` heap entry would fall, without touching the heap.
 - Call slots (callback-after-processed, process bootstrap, and every
   continuation the datapath's callback forms queue, such as
   ``Store.get_then`` or ``Noc.unicast_then``), which the reference
@@ -59,10 +62,11 @@ class FastEnvironment(Environment):
 
     Entries in a bucket are either :class:`Event` instances (processed via
     ``_process``) or ``(fn, arg)`` call slots (invoked directly). While a
-    bucket is being drained, new same-time entries land in a fresh bucket
-    that is re-pushed and drained immediately after — matching the
-    reference behaviour where same-time schedules receive higher ``seq``
-    values than everything already heaped.
+    bucket is being drained, new same-time entries are appended to it and
+    drained in the same pass — matching the reference behaviour where
+    same-time schedules receive higher ``seq`` values than everything
+    already heaped. If a slot raises, the slots after it stay queued at
+    its time, as they do on the reference heap.
     """
 
     def __init__(self) -> None:
@@ -123,22 +127,34 @@ class FastEnvironment(Environment):
                 if until is not None and at > until:
                     self.now = until
                     return self.now
-                heapq.heappop(times)
-                # Detach the bucket before draining: same-time entries
-                # scheduled *while* draining start a fresh bucket at
-                # ``at``, which the loop picks up next — after everything
-                # already queued, exactly like higher-seq heap entries
-                # would be.
-                bucket = buckets.pop(at)
                 if self.clock_monitor is not None and at != self.now:
                     self.clock_monitor(self.now, at)
                 self.now = at
+                # The bucket stays registered while it drains: a slot
+                # queued for ``at`` meanwhile is appended to this list,
+                # and the iterator reaches it after everything queued
+                # before it, exactly where a higher-seq heap entry falls.
+                bucket = buckets[at]
+                try:
+                    for entry in bucket:
+                        if type(entry) is tuple:
+                            entry[0](entry[1])
+                        else:
+                            entry._process()
+                except BaseException:
+                    # Dequeue the slots that ran, the raising one
+                    # included; the rest stay queued at ``at``.
+                    ran = next(i for i, queued in enumerate(bucket)
+                               if queued is entry) + 1
+                    self.events_processed += ran
+                    del bucket[:ran]
+                    if not bucket:
+                        del buckets[at]
+                        heapq.heappop(times)
+                    raise
+                del buckets[at]
+                heapq.heappop(times)
                 self.events_processed += len(bucket)
-                for entry in bucket:
-                    if type(entry) is tuple:
-                        entry[0](entry[1])
-                    else:
-                        entry._process()
             return self.now
         finally:
             engine._process_events_total += self.events_processed - start

@@ -16,13 +16,13 @@ from repro.sim.engine import Environment, Event, SimulationError
 class Resource:
     """A FIFO resource with integer capacity (e.g. stream-engine ports).
 
-    Usage inside a process::
+    A holder asks with a callback that runs, as a call slot, once a
+    slot is granted, and gives the slot back with :meth:`release`::
 
-        grant = yield resource.acquire()
-        try:
-            yield env.timeout(10)
-        finally:
-            resource.release()
+        def granted(resource):
+            env.timeout(10).add_callback(lambda _ev: resource.release())
+
+        resource.acquire_then(granted)
     """
 
     def __init__(self, env: Environment, capacity: int, name: str = "") -> None:
@@ -51,12 +51,6 @@ class Resource:
             self.env._schedule_call(fn, self)
         else:
             self._waiters.append(fn)
-
-    def acquire(self) -> Event:
-        """Return an event that fires when a slot is granted."""
-        grant = Event(self.env, f"acquire:{self.name}")
-        self.acquire_then(grant._fire)
-        return grant
 
     def release(self) -> None:
         """Release one held slot, waking the oldest waiter if any."""
@@ -227,12 +221,6 @@ class BandwidthServer:
         move off the delivery time itself."""
         now = self.env.now
         self.env._schedule_call_at(now + (self.reserve(nbytes) - now), fn)
-
-    def transfer(self, nbytes: float) -> Event:
-        """Return an event firing when ``nbytes`` have been delivered."""
-        done = Event(self.env, "transfer")
-        self.transfer_then(nbytes, done._fire)
-        return done
 
     def reserve(self, nbytes: float) -> float:
         """Book a transfer and return its absolute delivery time.

@@ -1,5 +1,7 @@
 """Unit tests for the dataflow-graph IR (repro.arch.dfg)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -170,6 +172,52 @@ def test_const_not_counted_in_histogram():
 def test_signature_stable_and_distinguishing():
     assert dot_product_dfg().signature() == dot_product_dfg().signature()
     assert dot_product_dfg().signature() != merge_dfg().signature()
+
+
+def replay(ops, edges, upto=None):
+    """A fresh graph built from ``ops`` and the first ``upto`` ``edges``,
+    never asked for its signature before."""
+    dfg = Dfg("sig")
+    for op in ops:
+        dfg.add(op)
+    for src, dst, distance in edges[:upto]:
+        dfg.connect(src, dst, distance)
+    return dfg
+
+
+@given(ops=st.lists(st.sampled_from(list(Op)), min_size=1, max_size=6),
+       edge_picks=st.lists(st.tuples(st.integers(0, 99),
+                                     st.integers(0, 99),
+                                     st.integers(0, 2)), max_size=6))
+def test_signature_follows_add_and_connect(ops, edge_picks):
+    """Property: a signature asked for between edits is the signature of
+    a fresh graph with the same contents, and each edit changes it."""
+    edges = [(s % len(ops), d % len(ops), k) for s, d, k in edge_picks]
+    dfg = replay(ops, [])
+    before = dfg.signature()
+    assert before == replay(ops, []).signature()
+    extra = dfg.add(Op.MUL)
+    assert dfg.signature() != before
+    assert dfg.signature() == replay(ops + [Op.MUL], []).signature()
+    for count, (src, dst, distance) in enumerate(edges, start=1):
+        before = dfg.signature()
+        dfg.connect(src, dst, distance)
+        assert dfg.signature() != before
+        assert dfg.signature() == replay(ops + [Op.MUL], edges,
+                                         upto=count).signature()
+    assert extra == len(ops)
+
+
+@pytest.mark.parametrize("factory", ALL_KERNELS)
+def test_signature_leaves_the_pickle_unchanged(factory):
+    """The signature memo is not part of a graph's pickled state."""
+    dfg = factory()
+    before = pickle.dumps(dfg)
+    signature = dfg.signature()
+    assert pickle.dumps(dfg) == before
+    restored = pickle.loads(before)
+    assert restored == dfg
+    assert restored.signature() == signature
 
 
 @pytest.mark.parametrize("factory", ALL_KERNELS)

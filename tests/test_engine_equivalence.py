@@ -215,7 +215,7 @@ def test_store_fifo_under_both_kernels(env_cls):
 
 
 def test_bandwidth_server_timing_matches_between_kernels():
-    """transfer() completion times agree exactly across kernels."""
+    """transfer_then() completion times agree exactly across kernels."""
     sizes = [100, 3, 57, 1024, 8]
     finishes = {}
     for env_cls in (Environment, FastEnvironment):
@@ -223,12 +223,15 @@ def test_bandwidth_server_timing_matches_between_kernels():
         server = BandwidthServer(env, bytes_per_cycle=4.0, latency=3)
         times = []
 
-        def proc():
-            for size in sizes:
-                yield server.transfer(size)
+        def send(index):
+            def delivered(_arg):
                 times.append(env.now)
+                if index + 1 < len(sizes):
+                    send(index + 1)
 
-        env.process(proc())
+            server.transfer_then(sizes[index], delivered)
+
+        send(0)
         env.run()
         finishes[env_cls.__name__] = (times, env.now,
                                       server.total_bytes,
@@ -286,6 +289,37 @@ def test_call_slots_interleave_like_reference(env_cls):
         (5, "timeout@5 late"),
     ]
     assert env.events_processed == len(log)
+
+
+@pytest.mark.parametrize("env_cls", [Environment, FastEnvironment])
+def test_raising_slot_leaves_the_rest_queued(env_cls):
+    """A slot that raises out of ``run()`` takes only itself off the
+    queue: the rest of its time, including a slot it queued for that
+    time before raising, runs on the next ``run()``, and
+    ``events_processed`` counts each slot that ran exactly once."""
+    env = env_cls()
+    log = []
+
+    def note(tag):
+        return lambda _arg: log.append((env.now, tag))
+
+    def boom(_arg):
+        log.append((env.now, "boom"))
+        env._schedule_call(note("late"), None)
+        raise RuntimeError("boom")
+
+    env._schedule_call_at(5.0, note("a"))
+    env._schedule_call_at(5.0, boom)
+    env._schedule_call_at(5.0, note("c"))
+    env._schedule_call_at(7.0, note("d"))
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run()
+    assert log == [(5.0, "a"), (5.0, "boom")]
+    assert env.events_processed == 2
+    env.run()
+    assert log == [(5.0, "a"), (5.0, "boom"), (5.0, "c"), (5.0, "late"),
+                   (7.0, "d")]
+    assert env.events_processed == 5
 
 
 # ------------------------------------------------- engine selection

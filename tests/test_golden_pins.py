@@ -26,6 +26,7 @@ import pytest
 from repro.workloads.registry import workload_names
 from tests.test_faults import RICH_PLAN
 from tests.test_golden_fingerprints import (
+    golden_measurement,
     golden_points,
     measure_point,
     point_key,
@@ -58,7 +59,7 @@ def test_pins_cover_exactly_the_registry():
 def test_slot_count_matches_pin(workload_name, lanes):
     """Each golden point still drains its frozen number of slots."""
     key = point_key(workload_name, lanes)
-    _fingerprint, slots = measure_point(workload_name, lanes)
+    _fingerprint, slots = golden_measurement(workload_name, lanes)
     assert slots == load_pins()["slots"][key], (
         f"{key} drained {slots} slots; the pin says "
         f"{load_pins()['slots'][key]}")

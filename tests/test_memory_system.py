@@ -167,11 +167,10 @@ def test_dram_writeback_counted_separately():
     dram = Dram(env, counters, bytes_per_cycle=4, latency=0,
                 random_penalty=1.0)
 
-    def proc():
-        yield dram.fetch(40)
-        yield dram.writeback(24)
+    def fetched(_arg):
+        dram.writeback_then(24, 1.0, lambda _arg: None)
 
-    env.process(proc())
+    dram.fetch_then(40, 1.0, fetched)
     env.run()
     assert counters.get("dram.read_bytes") == 40
     assert counters.get("dram.write_bytes") == 24

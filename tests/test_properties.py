@@ -247,13 +247,10 @@ def test_bandwidth_server_never_exceeds_rate(sizes, rate):
     server = BandwidthServer(env, bytes_per_cycle=rate, latency=0)
     done = []
 
-    def proc():
-        for size in sizes:
-            server.transfer(size)
-        yield server.transfer(0)  # fence: after all queued service
-        done.append(env.now)
-
-    env.process(proc())
+    for size in sizes:
+        server.transfer_then(size, lambda _arg: None)
+    # fence: after all queued service
+    server.transfer_then(0, lambda _arg: done.append(env.now))
     env.run()
     total = sum(sizes)
     assert env.now >= total / rate - 1e-6

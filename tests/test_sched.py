@@ -13,6 +13,8 @@ Covers the `repro.sched` seam end to end:
 - the policy-matrix tournament produces a ranked table.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -443,6 +445,80 @@ class TestStealTunedPolicy:
         p = env.process(thief())
         env.run()
         assert p.value >= 1
+
+
+# ------------------------------------------------------------ steal victims
+
+def oracle_victim(policy, d, thief_lane):
+    """The victim rule as first written: the richest alive lane by
+    ``max`` (the first one on a tie), then the thief and too-poor rules
+    (an empty queue for ``steal``, a backlog below the tuned threshold
+    for ``steal-tuned``)."""
+    alive = [i for i in range(d.num_lanes) if i not in d.dead_lanes]
+    if not alive:
+        return None
+    victim = max(alive, key=lambda i: d.queues[i].level)
+    threshold = policy._threshold if policy.name == "steal-tuned" else 1
+    if victim == thief_lane or d.queues[victim].level < threshold:
+        return None
+    return victim
+
+
+def queue_view(levels, dead=()):
+    """The part of a dispatcher that ``choose_victim`` reads."""
+    return SimpleNamespace(
+        num_lanes=len(levels), dead_lanes=set(dead),
+        queues=[SimpleNamespace(level=level) for level in levels])
+
+
+class TestChooseVictim:
+    def steal_policy(self, name, threshold=1):
+        policy = create_policy(name)
+        policy.bind(DispatchConfig(policy=name), 4)
+        if name == "steal-tuned":
+            policy._threshold = threshold
+        return policy
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(),
+           name=st.sampled_from(["steal", "steal-tuned"]),
+           levels=st.lists(st.integers(0, 6), min_size=1, max_size=16),
+           threshold=st.integers(1, 7))
+    def test_matches_the_oracle(self, data, name, levels, threshold):
+        lanes = range(len(levels))
+        dead = data.draw(st.sets(st.sampled_from(lanes)))
+        thief = data.draw(st.sampled_from(lanes))
+        policy = self.steal_policy(name, threshold)
+        d = queue_view(levels, dead)
+        assert policy.choose_victim(d, thief) == \
+            oracle_victim(policy, d, thief)
+
+    @pytest.mark.parametrize("name", ["steal", "steal-tuned"])
+    def test_tie_goes_to_the_lowest_index(self, name):
+        policy = self.steal_policy(name)
+        assert policy.choose_victim(queue_view([3, 5, 5, 2]), 0) == 1
+        assert policy.choose_victim(queue_view([3, 5, 5, 2], dead={1}),
+                                    0) == 2
+
+    @pytest.mark.parametrize("name", ["steal", "steal-tuned"])
+    def test_no_alive_lane_means_no_victim(self, name):
+        policy = self.steal_policy(name)
+        assert policy.choose_victim(queue_view([4, 2], dead={0, 1}),
+                                    1) is None
+
+    @pytest.mark.parametrize("name", ["steal", "steal-tuned"])
+    def test_richest_thief_steals_from_nobody(self, name):
+        policy = self.steal_policy(name)
+        assert policy.choose_victim(queue_view([1, 4, 4]), 1) is None
+        assert policy.choose_victim(queue_view([0, 0]), 1) is None
+
+    def test_tuned_threshold_skips_a_shallow_backlog(self):
+        assert self.steal_policy("steal-tuned", threshold=3).choose_victim(
+            queue_view([2, 0]), 1) is None
+        assert self.steal_policy("steal-tuned", threshold=2).choose_victim(
+            queue_view([2, 0]), 1) == 0
+        assert self.steal_policy("steal").choose_victim(
+            queue_view([1, 0]), 1) == 0
 
 
 # ------------------------------------------------------------ steal x faults

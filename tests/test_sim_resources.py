@@ -19,15 +19,19 @@ def test_resource_grants_up_to_capacity():
     order = []
 
     def worker(tag, hold):
-        yield res.acquire()
-        order.append((tag, "in", env.now))
-        yield env.timeout(hold)
-        res.release()
-        order.append((tag, "out", env.now))
+        def granted(_res):
+            order.append((tag, "in", env.now))
+            env.timeout(hold).add_callback(done)
 
-    env.process(worker("a", 10))
-    env.process(worker("b", 10))
-    env.process(worker("c", 10))
+        def done(_ev):
+            res.release()
+            order.append((tag, "out", env.now))
+
+        res.acquire_then(granted)
+
+    worker("a", 10)
+    worker("b", 10)
+    worker("c", 10)
     env.run()
     entries = [(tag, t) for tag, what, t in order if what == "in"]
     assert entries == [("a", 0), ("b", 0), ("c", 10)]
@@ -39,13 +43,14 @@ def test_resource_fifo_ordering():
     admitted = []
 
     def worker(tag):
-        yield res.acquire()
-        admitted.append(tag)
-        yield env.timeout(1)
-        res.release()
+        def granted(_res):
+            admitted.append(tag)
+            env.timeout(1).add_callback(lambda _ev: res.release())
+
+        res.acquire_then(granted)
 
     for tag in range(5):
-        env.process(worker(tag))
+        worker(tag)
     env.run()
     assert admitted == [0, 1, 2, 3, 4]
 
@@ -67,18 +72,14 @@ def test_resource_counts():
     env = Environment()
     res = Resource(env, capacity=1)
 
-    def holder():
-        yield res.acquire()
-        yield env.timeout(5)
-        res.release()
+    def hold(_res):
+        env.timeout(5).add_callback(lambda _ev: res.release())
 
-    def waiter():
-        yield env.timeout(1)
-        yield res.acquire()
-        res.release()
+    def wait(_ev):
+        res.acquire_then(lambda granted: granted.release())
 
-    env.process(holder())
-    env.process(waiter())
+    res.acquire_then(hold)
+    env.timeout(1).add_callback(wait)
     env.run(until=2)
     assert res.in_use == 1
     assert res.queued == 1
@@ -245,11 +246,7 @@ def test_bandwidth_single_transfer_time():
     chan = BandwidthServer(env, bytes_per_cycle=4, latency=10)
     done_at = []
 
-    def proc():
-        yield chan.transfer(64)
-        done_at.append(env.now)
-
-    env.process(proc())
+    chan.transfer_then(64, lambda _arg: done_at.append(env.now))
     env.run()
     assert done_at == [64 / 4 + 10]
 
@@ -260,11 +257,13 @@ def test_bandwidth_serializes_contending_transfers():
     finish = {}
 
     def proc(tag):
-        yield chan.transfer(10)
-        finish[tag] = env.now
+        def delivered(_arg):
+            finish[tag] = env.now
 
-    env.process(proc("a"))
-    env.process(proc("b"))
+        chan.transfer_then(10, delivered)
+
+    proc("a")
+    proc("b")
     env.run()
     assert finish == {"a": 10, "b": 20}
 
@@ -273,12 +272,13 @@ def test_bandwidth_idle_gap_not_counted():
     env = Environment()
     chan = BandwidthServer(env, bytes_per_cycle=2, latency=0)
 
-    def proc():
-        yield chan.transfer(20)   # busy 10 cycles
-        yield env.timeout(90)     # idle
-        yield chan.transfer(20)   # busy 10 more
+    def idle(_arg):
+        env.timeout(90).add_callback(again)
 
-    env.process(proc())
+    def again(_ev):
+        chan.transfer_then(20, lambda _arg: None)   # busy 10 more
+
+    chan.transfer_then(20, idle)   # busy 10 cycles
     env.run()
     assert env.now == 110
     assert chan.utilization() == pytest.approx(20 / 110)
@@ -291,11 +291,7 @@ def test_bandwidth_zero_byte_transfer_only_latency():
     chan = BandwidthServer(env, bytes_per_cycle=8, latency=5)
     done_at = []
 
-    def proc():
-        yield chan.transfer(0)
-        done_at.append(env.now)
-
-    env.process(proc())
+    chan.transfer_then(0, lambda _arg: done_at.append(env.now))
     env.run()
     assert done_at == [5]
 
@@ -308,7 +304,7 @@ def test_bandwidth_invalid_params():
         BandwidthServer(env, bytes_per_cycle=1, latency=-1)
     chan = BandwidthServer(env, bytes_per_cycle=1)
     with pytest.raises(SimulationError):
-        chan.transfer(-5)
+        chan.transfer_then(-5, lambda _arg: None)
 
 
 def test_bandwidth_backlog_reporting():
@@ -316,7 +312,7 @@ def test_bandwidth_backlog_reporting():
     chan = BandwidthServer(env, bytes_per_cycle=1, latency=0)
 
     def proc():
-        chan.transfer(100)
+        chan.transfer_then(100, lambda _arg: None)
         assert chan.backlog_cycles == 100
         yield env.timeout(40)
         assert chan.backlog_cycles == 60
