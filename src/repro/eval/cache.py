@@ -18,10 +18,19 @@ a stable hash of everything that determines its value:
 
 This keying is sound because of the determinism contract (see
 :mod:`repro.util.fingerprint`): a point's result is a pure function of the
-key's inputs. Each entry stores one digest of its comparison fingerprint
-and its critical-path bound alongside the payload, re-verified on load,
+key's inputs. A batch keys every point with the same two configs, so
+their reprs are built once per batch, not once per point.
+
+Each entry stores one digest alongside the payload, re-verified on load,
 so a corrupted or tampered entry is discarded and recomputed instead of
-poisoning a sweep.
+poisoning a sweep. The digest covers what the comparison fingerprint
+covers — the workload name and both runs' canonical stats — plus the
+critical-path bound, hashed as SHA-256 over their ``marshal`` bytes
+(format version 2, which writes no object references, so a comparison and
+its unpickled copy give the same bytes; every float is written bit-exact).
+A hit therefore pays for its read, its unpickle and this check, and never
+rebuilds the reprs :func:`~repro.util.fingerprint.comparison_fingerprint`
+hashes.
 
 Storage — sharding, atomic publish, per-shard locking, the size-cap
 eviction policy, and the ``cache.*`` metrics — is the shared
@@ -39,13 +48,14 @@ resolution, and workload identity key form the store's key model
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 import pickle
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from repro.store.keys import code_version, stable_hash, workload_cache_key
+from repro.store.keys import code_version, hash_reprs, workload_cache_key
 from repro.store.sharded import ShardedStore
-from repro.util.fingerprint import comparison_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.config import MachineConfig
@@ -53,33 +63,50 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.base import Workload
 
 #: Bump when the entry layout changes; old entries are simply never hit.
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 #: The store namespace comparison entries live in.
 NAMESPACE = "eval"
+
+#: The configs of the last key built and their reprs. Reused only for the
+#: very same objects (identity, not equality: equal configs can differ in
+#: repr, as 0.0 and -0.0 do, and the check must cost less than the reprs
+#: it saves); holding them keeps their ids from being recycled. One
+#: tuple, read and replaced whole, so threads keying different configs at
+#: once each hash their own.
+_last_configs: tuple = (None, None, None, ())
 
 
 def comparison_key(workload: "Workload",
                    delta_config: "MachineConfig",
                    static_config: "MachineConfig",
                    verify: bool = True) -> str:
-    """Cache key for one (workload, machine pair, verify) point.
+    """Cache key for one (workload, machine pair, verify) point:
+    ``stable_hash(CACHE_FORMAT, code_version(), workload_cache_key(workload),
+    delta_config, static_config, verify)``.
 
     Module-level so the parallel executor can coalesce duplicate
     in-flight points by key even when no cache is attached. Composed from
     this module's imported key-model names, so tests can monkeypatch
     ``code_version`` here to prove invalidation.
     """
-    return stable_hash(CACHE_FORMAT, code_version(),
-                       workload_cache_key(workload),
-                       delta_config, static_config, verify)
+    global _last_configs
+    last = _last_configs
+    if (last[0] is not delta_config or last[1] is not static_config
+            or last[2] is not verify):
+        last = _last_configs = (
+            delta_config, static_config, verify,
+            (repr(delta_config), repr(static_config), repr(verify)))
+    return hash_reprs((repr(CACHE_FORMAT), repr(code_version()),
+                       repr(workload_cache_key(workload)), *last[3]))
 
 
 def _entry_digest(comparison: "Comparison") -> str:
-    """What an entry is verified by: its comparison fingerprint and the
-    critical-path bound it carries, in one digest."""
-    return stable_hash(comparison_fingerprint(comparison),
-                       comparison.parallelism)
+    """What an entry is verified by: the workload name, both runs' stats
+    and the critical-path bound, in one digest of their bytes."""
+    return hashlib.sha256(marshal.dumps(
+        (comparison.workload, comparison.delta.stats,
+         comparison.static.stats, comparison.parallelism), 2)).hexdigest()
 
 
 class EvalCache:

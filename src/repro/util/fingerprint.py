@@ -14,15 +14,16 @@ promise into something checkable and cacheable:
   digest. Two runs are "bit-identical" exactly when these match.
 - :func:`comparison_fingerprint` — the same for a Delta-vs-static pair.
 
-The on-disk result cache stores fingerprints next to payloads so a
-corrupted or stale entry is detected on load, and the determinism tests
+The on-disk result cache stores a digest of the fields a comparison
+fingerprint covers next to each payload, so a corrupted or stale entry is
+detected on load (:mod:`repro.eval.cache`), and the determinism tests
 assert fingerprint equality instead of hand-picking fields.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.machine.result import RunRecord, RunResult
@@ -39,8 +40,13 @@ def stable_hash(*parts: object) -> str:
     hash equal iff they are bit-identical; builtin ``hash`` is avoided
     because string hashing is salted per process.
     """
-    payload = "\x1f".join(repr(p) for p in parts)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return hash_reprs(repr(p) for p in parts)
+
+
+def hash_reprs(reprs: Iterable[str]) -> str:
+    """:func:`stable_hash` of parts whose reprs are given: a caller that
+    hashes the same part many times builds its repr once."""
+    return hashlib.sha256("\x1f".join(reprs).encode()).hexdigest()
 
 
 def _stable_repr(value: object) -> bool:

@@ -110,16 +110,28 @@ def _recording_arguments(init: Callable[..., None]) -> Callable[..., None]:
     """Wrap a subclass ``__init__`` so it records its bound arguments.
 
     Only the outermost constructor records: a subclass whose ``__init__``
-    chains to its parent's is identified by its own arguments.
+    chains to its parent's is identified by its own arguments. A call
+    without arguments — how the registry and ``repro serve`` build
+    workloads — records the defaults, bound once here.
     """
     signature = inspect.signature(init)
+
+    def bind(self: Workload, *args: Any, **kwargs: Any) -> tuple:
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        return tuple(bound.arguments.items())[1:]
+
+    try:
+        defaults = bind(None)
+    except TypeError:
+        defaults = None  # a required parameter: every call binds
 
     @functools.wraps(init)
     def __init__(self: Workload, *args: Any, **kwargs: Any) -> None:
         if "_arguments" not in vars(self):
-            bound = signature.bind(self, *args, **kwargs)
-            bound.apply_defaults()
-            self._arguments = tuple(bound.arguments.items())[1:]
+            self._arguments = (defaults if defaults is not None
+                               and not args and not kwargs
+                               else bind(self, *args, **kwargs))
         init(self, *args, **kwargs)
 
     return __init__
