@@ -6,25 +6,31 @@ suite fans ``compare()`` calls out over ``multiprocessing`` workers:
 
 1. resolve each point against the on-disk :class:`~repro.eval.cache
    .EvalCache` (when one is given) — warm sweeps run zero simulations;
-2. coalesce identical in-flight points: duplicates of a key already in
-   this batch are never submitted — the leader's result fans out to them
-   (the synchronous twin of :class:`repro.store.coalesce.Coalescer`,
-   counted as ``cache.coalesced``);
-3. with ``jobs > 1``, submit the remaining misses — one point or many —
-   to the process-wide worker pool, each worker re-running the exact
-   serial ``compare()`` path. The first batch that needs the pool
-   creates it with ``jobs`` workers; every later batch, from any thread,
-   reuses it, so no batch pays a fork and concurrent ``repro serve``
-   jobs compute on separate cores instead of contending for the
-   server's interpreter lock. Misses are dispatched longest-first by the
-   host seconds their workload last took (points never timed go first,
-   in input order), so a long point does not start last and run alone
-   while the other workers idle; a reorder buffer still delivers pool
-   results in input order;
+2. register every miss in the process-wide in-flight table, keyed like
+   the cache (:func:`~repro.eval.cache.comparison_key`) and shared by
+   every batch of every thread. The first request for a key starts its
+   one computation; every other request — a duplicate in the same batch
+   or a point of a concurrent ``repro serve`` job — waits on that same
+   computation and settles ``coalesced`` (counted as ``cache.coalesced``).
+   The entry owns the computation, not the batch that started it, so a
+   cancelled batch stops only its own requests and jobs that overlap in
+   part share their common points;
+3. with ``jobs > 1``, a fresh point goes to the process-wide worker pool,
+   each worker re-running the exact serial ``compare()`` path. The first
+   batch that needs the pool creates it with ``jobs`` workers; every
+   later batch, from any thread, reuses it, so no batch pays a fork and
+   concurrent ``repro serve`` jobs compute on separate cores instead of
+   contending for the server's interpreter lock. Misses are dispatched
+   longest-first by the host seconds their workload last took (points
+   never timed go first, in input order), so a long point does not start
+   last and run alone while the other workers idle; a reorder buffer
+   still delivers results in input order. With ``jobs <= 1`` a point is
+   computed in the thread of the first request that reaches it;
 4. any per-point failure — pickling, a per-point timeout, a worker
    that keeps dying under it, pool creation itself — falls back to
-   recomputing that point serially in the parent, so the parallel path
-   can only ever be a speedup, never a behaviour change.
+   recomputing that point in this process, once per point, by the
+   first request that meets the failure; so the parallel path can only
+   ever be a speedup, never a behaviour change.
 
 Results are field-identical to the serial path by the determinism
 contract: all randomness is seeded from the configuration
@@ -73,7 +79,8 @@ class _Cancelled(Exception):
     outcome ``"cancelled"`` (result ``None``), not as an exception."""
 
 
-#: How often a cancellable wait re-checks the cancel event, in seconds.
+#: How often a waiting request re-checks its cancel event, its budget and
+#: its pool, and fires its heartbeat, in seconds.
 _CANCEL_POLL_S = 0.05
 
 #: How long a future may stay pending after its pool is seen broken, in
@@ -87,34 +94,21 @@ def _is_broken(executor: ProcessPoolExecutor) -> bool:
 
 
 def _await_result(future, timeout: Optional[float],
-                  cancel: Optional[threading.Event],
-                  heartbeat: Optional[Callable[[], None]] = None,
-                  executor: Optional[ProcessPoolExecutor] = None):
-    """Wait on a pool future under an optional budget and cancel event.
+                  cancel: Optional[threading.Event]):
+    """Wait on a future under an optional budget and cancel event.
 
     Returns the future's result; raises :class:`FutureTimeoutError` when
     the budget runs out first, :class:`_Cancelled` when the event fires
-    first. Without a cancel event, heartbeat or executor this is exactly
-    ``future.result``; with any of them, the wait polls in short slices
-    so cooperative cancellation takes effect within :data:`_CANCEL_POLL_S`
-    rather than after the (possibly unbounded) point finishes, and
-    ``heartbeat()`` fires every slice — how a served job's lease stays
-    warm while its points compute.
-
-    ``executor`` is the pool the future was submitted to. A future still
-    pending :data:`_BROKEN_GRACE_S` after that pool is seen broken raises
-    :class:`BrokenProcessPool`: a broken pool fails its pending futures
-    without taking the lock ``submit`` holds, so a submission racing a
-    worker death can leave a future nobody will ever resolve.
+    first. Without a cancel event this is exactly ``future.result``; with
+    one, the wait polls in short slices so cooperative cancellation takes
+    effect within :data:`_CANCEL_POLL_S` rather than after the (possibly
+    unbounded) point finishes.
     """
-    if cancel is None and heartbeat is None and executor is None:
+    if cancel is None:
         return future.result(timeout=timeout)
     deadline = None if timeout is None else time.monotonic() + timeout
-    broken_at = None
     while True:
-        if heartbeat is not None:
-            heartbeat()
-        if cancel is not None and cancel.is_set():
+        if cancel.is_set():
             raise _Cancelled()
         slice_s = _CANCEL_POLL_S
         if deadline is not None:
@@ -125,13 +119,7 @@ def _await_result(future, timeout: Optional[float],
         try:
             return future.result(timeout=slice_s)
         except FutureTimeoutError:
-            pass  # re-check cancel / deadline / pool, then keep waiting
-        if executor is not None and _is_broken(executor):
-            if broken_at is None:
-                broken_at = time.monotonic()
-            elif time.monotonic() - broken_at >= _BROKEN_GRACE_S:
-                raise BrokenProcessPool(
-                    "the pool broke and never resolved this future")
+            pass  # re-check cancel and deadline, then keep waiting
 
 
 def default_jobs() -> int:
@@ -418,9 +406,11 @@ def dispatch_order(points: Sequence[PointSpec]) -> list[int]:
 
 def _recover_point(spec: PointSpec, timeout: Optional[float],
                    cancel: Optional[threading.Event] = None):
-    """Recompute one point serially, under the same per-point budget.
+    """Compute one point in this process — a serial request's point, or a
+    recompute under the same per-point budget; returns ``(result, host
+    seconds it took)``, as :func:`_timed_point` does.
 
-    Without a budget this is a plain in-process recompute. With one, the
+    Without a budget this is a plain in-process computation. With one, the
     recompute runs in a single-worker pool bounded by the same ``timeout``
     the parallel pass used — a point that hangs must not hang the whole
     suite on the fallback path. A second timeout raises
@@ -432,16 +422,17 @@ def _recover_point(spec: PointSpec, timeout: Optional[float],
     fires while the recompute is still pending raises :class:`_Cancelled`
     (the point reports outcome ``"cancelled"``) instead of letting a
     timeout — or the pool teardown racing the dying worker — escape as an
-    error the caller never asked for.
+    error the caller never asked for. A recompute abandoned this way, or
+    by its timeout, has its worker terminated before this returns.
     """
     if cancel is not None and cancel.is_set():
         raise _Cancelled()
     if timeout is None:
-        return _compare_point(spec)
-    pool = None
+        return _timed_point(spec)
+    pool = future = None
     try:
         pool = _new_pool(1)
-        future = pool.submit(_compare_point, spec)
+        future = pool.submit(_timed_point, spec)
         return _await_result(future, timeout, cancel)
     except _Cancelled:
         raise
@@ -456,13 +447,262 @@ def _recover_point(spec: PointSpec, timeout: Optional[float],
             # The teardown of a cancelled pool can surface as a broken
             # future; cancellation wins over any such secondary error.
             raise _Cancelled() from None
-        return _compare_point(spec)
+        return _timed_point(spec)
     finally:
         if pool is not None:
+            workers = list((pool._processes or {}).values())
             pool.shutdown(wait=False, cancel_futures=True)
+            if future is None or not future.done():
+                for worker in workers:
+                    worker.terminate()
+                for worker in workers:
+                    worker.join(timeout=5)
 
 
-def run_points(points: Sequence[PointSpec],
+#: The work a fresh in-flight entry offers, as ``(outcome, budget)``: the
+#: point itself, computed in the thread of a serial request that reaches
+#: it (a pooled request submits it to the pool instead).
+_FRESH = ("ok", None)
+
+#: The pool-health counter each recovered outcome adds once per point.
+_OUTCOME_METRICS = {"retried": "retried_points",
+                    "lost-worker": "lost_worker_points"}
+
+
+class _Entry:
+    """One in-flight point: the one computation every request for its key
+    shares. Its fields are guarded by the table's condition."""
+
+    __slots__ = ("key", "spec", "holders", "todo", "future", "executor",
+                 "jobs", "resubmitted", "value", "error", "reported")
+
+    def __init__(self, key: str, spec: PointSpec) -> None:
+        self.key, self.spec = key, spec
+        #: Requests registered on the entry that have not released it.
+        self.holders = 0
+        #: ``(outcome, budget)`` of the work the next request to reach the
+        #: entry runs in its own thread: :data:`_FRESH` until the point
+        #: starts, a recovery after a failure; None while the pool or a
+        #: request's thread has the point.
+        self.todo: Optional[tuple] = _FRESH
+        #: The pool's future, its executor and its worker count, while
+        #: the point is in the pool.
+        self.future: Optional[Future] = None
+        self.executor: Optional[ProcessPoolExecutor] = None
+        self.jobs = 0
+        self.resubmitted = False
+        #: ``(result, seconds, outcome)`` once computed, or the exception
+        #: every holder raises.
+        self.value: Optional[tuple] = None
+        self.error: Optional[BaseException] = None
+        #: Whether a request has settled the value, reporting its outcome.
+        self.reported = False
+
+
+class _InflightTable:
+    """The points being computed in this process, keyed like the cache.
+
+    Every :func:`run_points` batch, from any thread, serial or pooled,
+    registers one request per point when it starts. The first request
+    for a key starts its computation: a pooled request submits it when it
+    registers, a serial request computes it when it reaches it. Every
+    other request waits on that computation. An entry lives while a
+    request holds it, and while a pool computation that no request holds
+    any more still runs, so a later request for its key joins that
+    computation instead of starting a second one.
+
+    Failure recovery belongs to the entry: the first request to meet a
+    broken pool resubmits the point once, then recomputes it here; the
+    first to meet a timeout retires the pool and recomputes the point
+    under the same budget. The other requests take its outcome, and an
+    exception reaches every request that holds the entry.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._entries: dict[str, _Entry] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def hold(self, points: Sequence[tuple[str, PointSpec]], jobs: int,
+             metrics) -> list[_Entry]:
+        """Register one request per ``(key, spec)``, in order; with
+        ``jobs > 1``, submit every point nothing has started yet."""
+        with self._cond:
+            held, fresh = [], []
+            for key, spec in points:
+                entry = self._entries.get(key)
+                if entry is None:
+                    entry = self._entries[key] = _Entry(key, spec)
+                entry.holders += 1
+                held.append(entry)
+                if jobs > 1 and entry.todo is _FRESH:
+                    entry.todo = None
+                    fresh.append(entry)
+            if fresh:
+                self._submit(fresh, jobs, metrics)
+        return held
+
+    def release(self, entry: _Entry) -> None:
+        """Drop one request's hold; a pool computation that no request
+        holds any more is cancelled if it has not started."""
+        with self._cond:
+            entry.holders -= 1
+            if entry.holders == 0 and entry.future is not None:
+                entry.future.cancel()
+            self._forget(entry)
+
+    def report(self, entry: _Entry) -> bool:
+        """Whether this request settles the value first, and so reports
+        the computation's outcome and publishes it."""
+        with self._cond:
+            first, entry.reported = not entry.reported, True
+        return first
+
+    def resolve(self, entry: _Entry, timeout: Optional[float],
+                cancel: Optional[threading.Event],
+                heartbeat: Optional[Callable[[], None]], metrics) -> tuple:
+        """This request's ``(result, seconds, outcome)`` of ``entry``.
+
+        Waits while the pool or another request's thread computes the
+        point, and does what falls to this request: computing a point
+        nothing started, or the recovery from a failure it meets first.
+        ``timeout`` bounds each of the point's pool attempts from when
+        this request starts waiting on it. ``heartbeat()`` fires once per
+        poll slice. Raises :class:`_Cancelled` once ``cancel`` fires, or
+        the computation's exception.
+        """
+        watched = deadline = broken_at = None
+        while True:
+            if heartbeat is not None:
+                heartbeat()
+            if cancel is not None and cancel.is_set():
+                raise _Cancelled()
+            with self._cond:
+                if entry.error is not None:
+                    raise entry.error
+                if entry.value is not None:
+                    return entry.value
+                future = entry.future
+                if future is None:
+                    work, entry.todo = entry.todo, None
+                    if work is None:
+                        # Another request's thread computes the point.
+                        self._cond.wait(_CANCEL_POLL_S)
+                        continue
+                else:
+                    if future is not watched:
+                        watched, broken_at = future, None
+                        deadline = (None if timeout is None
+                                    else time.monotonic() + timeout)
+                    now = time.monotonic()
+                    if broken_at is None and _is_broken(entry.executor):
+                        broken_at = now
+                    if future.done():
+                        work = self._collect(entry, metrics)
+                    elif deadline is not None and now >= deadline:
+                        entry.future = None
+                        _shared_pool.retire(entry.executor)
+                        future.cancel()
+                        work = ("recovered-after-timeout", timeout)
+                    elif (broken_at is not None
+                          and now - broken_at >= _BROKEN_GRACE_S):
+                        # A broken pool fails its pending futures without
+                        # the lock ``submit`` holds, so a submission that
+                        # raced a worker death may never be resolved.
+                        work = self._broke(entry, metrics)
+                    else:
+                        self._cond.wait(_CANCEL_POLL_S)
+                        continue
+                    if work is None:
+                        continue
+            self._run_here(entry, work, cancel)
+
+    def _submit(self, entries: list[_Entry], jobs: int, metrics) -> None:
+        try:
+            executor, futures = _shared_pool.submit(
+                [entry.spec for entry in entries], jobs, metrics)
+        except Exception:
+            # No pool to submit to: each point is recomputed here.
+            for entry in entries:
+                entry.todo = ("recovered", None)
+            return
+        for entry, future in zip(entries, futures):
+            entry.future, entry.executor, entry.jobs = future, executor, jobs
+            future.add_done_callback(
+                lambda _future, entry=entry: self._landed(entry))
+
+    def _landed(self, entry: _Entry) -> None:
+        """A pool future of ``entry`` finished: wake its waiters."""
+        with self._cond:
+            self._forget(entry)
+            self._cond.notify_all()
+
+    def _forget(self, entry: _Entry) -> None:
+        if (entry.holders == 0 and self._entries.get(entry.key) is entry
+                and (entry.future is None or entry.future.done())):
+            del self._entries[entry.key]
+
+    def _collect(self, entry: _Entry, metrics) -> Optional[tuple]:
+        """Take the finished pool future's value; returns the recovery
+        this request must run when it failed."""
+        try:
+            result, seconds = entry.future.result()
+        except BrokenProcessPool:
+            return self._broke(entry, metrics)
+        except Exception:
+            # Recomputed here, so the serial path is the one that reports
+            # a genuine simulation error.
+            entry.future = None
+            return ("recovered", None)
+        entry.future = None
+        outcome = "retried" if entry.resubmitted else "ok"
+        entry.value = (result, seconds, outcome)
+        self._cond.notify_all()
+        return None
+
+    def _broke(self, entry: _Entry, metrics) -> Optional[tuple]:
+        """A worker died under the point: resubmit it to a replaced pool
+        once, then recompute it here."""
+        entry.future = None
+        _shared_pool.note_break(entry.executor, metrics)
+        if entry.resubmitted:
+            return ("lost-worker", None)
+        entry.resubmitted = True
+        self._submit([entry], entry.jobs, metrics)
+        work, entry.todo = entry.todo, None
+        return work
+
+    def _run_here(self, entry: _Entry, work: tuple,
+                  cancel: Optional[threading.Event]) -> None:
+        outcome, budget = work
+        try:
+            result, seconds = _recover_point(entry.spec, budget, cancel)
+        except _Cancelled:
+            with self._cond:
+                entry.todo = work  # another holder takes the work over
+                self._cond.notify_all()
+            raise
+        except BaseException as exc:
+            with self._cond:
+                entry.error = exc
+                self._cond.notify_all()
+            raise
+        with self._cond:
+            entry.value = (result, seconds, outcome)
+            self._cond.notify_all()
+
+
+_inflight = _InflightTable()
+
+
+def inflight_points() -> int:
+    """How many points the in-flight table holds right now."""
+    return len(_inflight)
+
+
+def run_points(points: Sequence[tuple[str, PointSpec]],
                jobs: int,
                timeout: Optional[float] = None,
                outcomes: Optional[list] = None,
@@ -470,199 +710,116 @@ def run_points(points: Sequence[PointSpec],
                on_point: Optional[PointCallback] = None,
                heartbeat: Optional[Callable[[], None]] = None,
                metrics=NULL_METRICS) -> list:
-    """Evaluate points, fanning out over ``jobs`` worker processes.
+    """Evaluate ``(key, spec)`` points, fanning out over ``jobs`` workers.
 
-    With ``jobs <= 1`` every point runs in the calling thread. Otherwise
-    every point goes to the process-wide pool of ``jobs`` workers, which
-    this call creates only if no batch has yet, and leaves running for
-    the next batch; concurrent calls share it. The pool runs points in
+    Each point is one request on the process-wide in-flight table, under
+    its :func:`~repro.eval.cache.comparison_key`: a point whose key is
+    already being computed — by this batch or by any other batch of the
+    process — waits on that computation instead of starting another.
+
+    With ``jobs <= 1`` a point nothing has started is computed in the
+    calling thread when the batch reaches it. Otherwise it goes to the
+    process-wide pool of ``jobs`` workers, which this call creates only
+    if no batch has yet, and leaves running for the next batch;
+    concurrent calls share it. The pool runs points in
     :func:`dispatch_order`, longest first by the host seconds each
-    workload's last computed point took (the serial path and the pool
-    time every point they compute); the order changes only when points
-    finish, never what they compute.
+    workload's last computed point took; the order changes only when
+    points finish, never what they compute.
 
     ``timeout`` bounds each point's wall-clock seconds in the pool; a
-    point that exceeds it (or fails to pickle) is recomputed serially in
-    the parent — still under the same budget when the failure was a
+    point that exceeds it (or fails to pickle) is recomputed in this
+    process — still under the same budget when the failure was a
     timeout (see :func:`_recover_point`). A timeout also retires the
     pool, whose worker is stuck: later batches get a fresh one. Genuine
     simulation errors — a workload failing functional verification, an
     invalid configuration — therefore surface exactly as the serial path
-    would raise them.
+    would raise them, in every request that holds the point.
 
     **Worker death is survivable.** A ``kill -9`` of a pool child breaks
     the whole ``ProcessPoolExecutor`` (every unfinished future poisons
-    with ``BrokenProcessPool``); instead of falling back to serial for
-    the rest of the batch, the batch resubmits only its poisoned points
-    to a replaced pool, once. A point that completes there reports
-    outcome ``"retried"``; a point poisoned again is recomputed serially
-    with outcome ``"lost-worker"`` — one murdered child degrades to one
-    retried point, never a failed sweep.
-    ``metrics`` (an object with ``add``) counts ``worker_deaths`` and
-    ``pool_rebuilds`` once per broken pool, however many batches saw it
-    break, and this batch's ``retried_points`` and
-    ``lost_worker_points``.
+    with ``BrokenProcessPool``); each poisoned point is resubmitted to a
+    replaced pool, once. A point that completes there reports outcome
+    ``"retried"``; a point poisoned again is recomputed here with outcome
+    ``"lost-worker"`` — one murdered child degrades to one retried point,
+    never a failed sweep. ``metrics`` (an object with ``add``) counts
+    ``worker_deaths`` and ``pool_rebuilds`` once per broken pool, however
+    many batches saw it break, and ``retried_points`` and
+    ``lost_worker_points`` once per point.
 
     ``cancel`` is a cooperative stop: once the event fires, every point
-    not yet delivered — including one mid-recompute after a timeout, or
-    one computed but waiting on an earlier index — resolves to result
-    ``None`` with outcome ``"cancelled"``; nothing is raised.
+    of this batch not yet delivered — including one mid-recompute after a
+    timeout, or one computed but waiting on an earlier index — resolves
+    to result ``None`` with outcome ``"cancelled"``; nothing is raised.
+    Requests of other batches for the same points are not affected.
     ``heartbeat()`` fires once per poll slice while any point is awaited
     — the lease-renewal seam for ``repro serve``.
     ``on_point(index, result, outcome)`` fires as each point resolves
-    (the streaming seam ``repro serve`` feeds from): pool points in index
-    order, then the points that left the pool (cancelled, lost-worker,
-    recovered), each group in index order. A callback exception
-    propagates and aborts the batch.
+    (the streaming seam ``repro serve`` feeds from): delivered points in
+    index order, then cancelled ones in index order. A callback
+    exception propagates and aborts the batch.
 
     ``outcomes``, when given, is filled in place with one entry per
-    point: ``"ok"``, ``"retried"``, ``"lost-worker"``, ``"recovered"``
-    (serial fallback after a non-timeout failure),
-    ``"recovered-after-timeout"``, or ``"cancelled"``.
+    point. The first request to settle a computation reports its outcome:
+    ``"ok"``, ``"retried"``, ``"lost-worker"``, ``"recovered"`` (serial
+    fallback after a non-timeout failure) or
+    ``"recovered-after-timeout"``; every other request for it reports
+    ``"coalesced"``, and a request whose batch was cancelled first
+    ``"cancelled"``.
     """
     points = list(points)
     results: list = [None] * len(points)
     if outcomes is not None:
         outcomes[:] = ["ok"] * len(points)
+    order = (dispatch_order([spec for _key, spec in points]) if jobs > 1
+             else list(range(len(points))))
+    held = dict(zip(order, _inflight.hold([points[index] for index in order],
+                                          jobs, metrics)))
 
-    def settle(index: int, result, outcome: str) -> None:
-        results[index] = result
-        if outcomes is not None:
-            outcomes[index] = outcome
-        if on_point is not None:
-            on_point(index, result, outcome)
-
-    if jobs <= 1:
-        for index, spec in enumerate(points):
-            if heartbeat is not None:
-                heartbeat()
-            if cancel is not None and cancel.is_set():
-                settle(index, None, "cancelled")
-            else:
-                result, seconds = _timed_point(spec)
-                _point_costs[_cost_key(spec)] = seconds
-                settle(index, result, "ok")
-        return results
-
-    # Points that leave the pool; they settle after it, in index order.
-    redo: set[int] = set()        # non-pool failures and timeouts
-    lost: set[int] = set()        # poisoned twice
-    timed_out: set[int] = set()
-    cancelled: set[int] = set()
-    # The reorder buffer: a pool result waits in ``held`` until every
-    # earlier index has settled or left the pool, so callers see pool
-    # points in input order whatever order they were dispatched in.
-    held: dict[int, tuple] = {}
-    cursor = 0
-
-    def release() -> None:
-        nonlocal cursor
-        while cursor < len(points):
-            if cursor in held:
-                if cancel is not None and cancel.is_set():
-                    return  # computed but unreleased: cancelled below
-                settle(cursor, *held.pop(cursor))
-            elif not (cursor in redo or cursor in lost
-                      or cursor in cancelled):
-                return  # still in the pool
-            cursor += 1
-
-    pending = dispatch_order(points)
-    resubmitted = False
-    while pending:
+    def settle(index: int, value: Optional[tuple]) -> None:
+        entry = held.pop(index)
         try:
-            executor, futures = _shared_pool.submit(
-                [points[index] for index in pending], jobs, metrics)
-        except Exception:
-            # Pool creation / submission failed: every point of this
-            # round falls back to serial.
-            redo.update(pending)
-            break
-        broken_inflight: list[int] = []
-        pool_broken = False
-        try:
-            # Awaited in dispatch order: awaiting in input order would
-            # start a cheap, late-dispatched point's timeout clock while it
-            # still waits behind the long ones.
-            for index, future in zip(pending, futures):
-                if cancel is not None and cancel.is_set():
-                    future.cancel()
-                    cancelled.add(index)
-                elif pool_broken:
-                    # Poisoned by the same break; classified below.
-                    broken_inflight.append(index)
+            result, outcome = None, "cancelled"
+            if value is not None:
+                result, seconds, outcome = value
+                if _inflight.report(entry):
+                    _point_costs[_cost_key(entry.spec)] = seconds
+                    if outcome in _OUTCOME_METRICS:
+                        metrics.add(_OUTCOME_METRICS[outcome])
                 else:
-                    try:
-                        result, seconds = _await_result(
-                            future, timeout, cancel, heartbeat, executor)
-                    except _Cancelled:
-                        future.cancel()
-                        cancelled.add(index)
-                    except FutureTimeoutError:
-                        future.cancel()
-                        _shared_pool.retire(executor)
-                        timed_out.add(index)
-                        redo.add(index)
-                    except BrokenProcessPool:
-                        # A worker died: every later future is poisoned.
-                        pool_broken = True
-                        _shared_pool.note_break(executor, metrics)
-                        broken_inflight.append(index)
-                    except Exception:
-                        # Any other per-point error is retried serially,
-                        # so the serial path is the one that reports it.
-                        redo.add(index)
-                    else:
-                        _point_costs[_cost_key(points[index])] = seconds
-                        outcome = "ok"
-                        if resubmitted:
-                            metrics.add("retried_points")
-                            outcome = "retried"
-                        held[index] = (result, outcome)
-                release()
+                    outcome = "coalesced"
+            results[index] = result
+            if outcomes is not None:
+                outcomes[index] = outcome
+            if on_point is not None:
+                on_point(index, result, outcome)
         finally:
-            # Only this batch's own queued points are withdrawn: the pool
-            # and other batches' points are not ours to stop.
-            for future in futures:
-                future.cancel()
-        pending = []
-        if broken_inflight:
-            if resubmitted:
-                # Poisoned in the replaced pool too: recompute serially.
-                lost.update(broken_inflight)
-            else:
-                resubmitted = True
-                pending = broken_inflight
-            release()
+            _inflight.release(entry)
 
-    release()
-    # Only a cancel fired ahead of them can still hold results: computed
-    # but never delivered, they settle as cancelled, as unresolved points do.
-    cancelled.update(held)
-    for index in sorted(cancelled):
-        settle(index, None, "cancelled")
-    for index in sorted(lost):
-        if heartbeat is not None:
-            heartbeat()
-        try:
-            result = _recover_point(points[index], None, cancel)
-        except _Cancelled:
-            settle(index, None, "cancelled")
-            continue
-        metrics.add("lost_worker_points")
-        settle(index, result, "lost-worker")
-    for index in sorted(redo):
-        if heartbeat is not None:
-            heartbeat()
-        bounded = index in timed_out
-        try:
-            result = _recover_point(points[index],
-                                    timeout if bounded else None, cancel)
-        except _Cancelled:
-            settle(index, None, "cancelled")
-            continue
-        settle(index, result,
-               "recovered-after-timeout" if bounded else "recovered")
+    # The reorder buffer: a resolved point waits in ``landed`` until every
+    # earlier index has settled, so callers see points in input order
+    # whatever order they were dispatched in.
+    landed: dict[int, tuple] = {}
+    cursor = 0
+    try:
+        # Awaited in dispatch order: awaiting in input order would start a
+        # cheap, late-dispatched point's timeout clock while it still
+        # waits behind the long ones.
+        for index in order:
+            try:
+                landed[index] = _inflight.resolve(
+                    held[index], timeout, cancel, heartbeat, metrics)
+            except _Cancelled:
+                break
+            while cursor in landed and not (cancel is not None
+                                            and cancel.is_set()):
+                settle(cursor, landed.pop(cursor))
+                cursor += 1
+        # Whatever the cancel left, computed or not, settles as cancelled.
+        for index in sorted(held):
+            settle(index, None)
+    finally:
+        for entry in held.values():
+            _inflight.release(entry)
     return results
 
 
@@ -684,16 +841,18 @@ def run_suite_parallel(lanes: int = 8,
 
     Returns one :class:`Comparison` per workload, in input order,
     field-identical to the serial path. With a warm ``cache`` every point
-    is served from disk and no simulation runs at all. Identical in-flight
-    points (same workload identity, configs, and verify flag) are
-    coalesced: the key's first occurrence computes, duplicates share its
-    result — bit-identical by the determinism contract, and exactly one
-    computation per distinct key reaches the pool. ``sanitize`` (or a
-    ``delta_config`` with ``sanitize`` set) runs both machines of every
+    is served from disk and no simulation runs at all; a hit never
+    touches the in-flight table. Identical in-flight points (same workload
+    identity, configs, and verify flag) are coalesced through that table,
+    within this sweep and across concurrent ones: the key's first request
+    computes, the others share its result — bit-identical by the
+    determinism contract, so exactly one computation per distinct key
+    runs, and exactly one request publishes it to the cache. ``sanitize``
+    (or a ``delta_config`` with ``sanitize`` set) runs both machines of every
     point under the model sanitizer; ``faults`` injects a
     :class:`~repro.sim.faults.FaultPlan` into both machines of every point.
     ``outcomes``, when given, is filled with one per-workload entry:
-    ``"cached"``, ``"coalesced"`` (shared a duplicate's computation),
+    ``"cached"``, ``"coalesced"`` (shared another request's computation),
     ``"cancelled"`` (see below), or the :func:`run_points` outcome
     (``"ok"`` / ``"retried"`` / ``"lost-worker"`` / ``"recovered"`` /
     ``"recovered-after-timeout"``). ``heartbeat`` and ``metrics`` are
@@ -703,9 +862,9 @@ def run_suite_parallel(lanes: int = 8,
     ``cancel`` stops the sweep cooperatively: every point not yet resolved
     when the event fires returns ``None`` with outcome ``"cancelled"``
     (never raised, never cached). ``on_result(index, comparison, outcome)``
-    fires as each point resolves — immediately for cache hits, as the
-    leader lands for in-batch duplicates — which is how ``repro serve``
-    streams incremental per-point results.
+    fires as each point resolves — immediately for cache hits, then the
+    other points in index order as each lands — which is how ``repro
+    serve`` streams incremental per-point results.
     """
     workloads = list(workloads) if workloads is not None else all_workloads()
     delta_config = delta_config or default_delta_config(lanes=lanes)
@@ -727,41 +886,32 @@ def run_suite_parallel(lanes: int = 8,
             on_result(index, comparison, outcome)
 
     pending: list[tuple[int, str, PointSpec]] = []
-    # The keyed in-flight map: key -> indices that share the leader's
-    # result instead of being submitted themselves.
-    followers: dict[str, list[int]] = {}
     for index, workload in enumerate(workloads):
         spec: PointSpec = (workload, delta_config, static_config, verify)
         key = comparison_key(workload, delta_config, static_config, verify)
-        if key in followers:
-            # The key is already in flight in this batch; a cache lookup
-            # cannot hit (its leader just missed), so join the leader.
-            followers[key].append(index)
-            if cache is not None:
-                cache.store.metrics.add("coalesced")
-            continue
         if cache is not None:
             hit = cache.get(key)
             if hit is not None:
                 settle(index, hit, "cached")
                 continue
-        followers[key] = []
         pending.append((index, key, spec))
 
     def on_point(pending_index: int, comparison, outcome: str) -> None:
-        # Map the batch index back to the suite index, fan the leader's
-        # result out to its in-batch duplicates, and publish to the cache
-        # — all as the point lands, so callers stream incrementally.
+        # Map the batch index back to the suite index and publish what
+        # this request reports — as the point lands, so callers stream
+        # incrementally.
         index, key, _spec = pending[pending_index]
         settle(index, comparison, outcome)
-        for duplicate in followers[key]:
-            settle(duplicate, comparison,
-                   "cancelled" if outcome == "cancelled" else "coalesced")
-        if cache is not None and comparison is not None:
+        if cache is None:
+            return
+        if outcome == "coalesced":
+            cache.store.metrics.add("coalesced")
+        elif comparison is not None:
             cache.put(key, comparison)
 
-    run_points([spec for _i, _k, spec in pending],
-               jobs=resolve_jobs(jobs), timeout=timeout,
-               cancel=cancel, on_point=on_point,
-               heartbeat=heartbeat, metrics=metrics)
+    if pending:
+        run_points([(key, spec) for _index, key, spec in pending],
+                   jobs=resolve_jobs(jobs), timeout=timeout,
+                   cancel=cancel, on_point=on_point,
+                   heartbeat=heartbeat, metrics=metrics)
     return results

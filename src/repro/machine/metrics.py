@@ -229,9 +229,6 @@ class ServeMetrics(CounterGroup):
     failed = metric("failed", "Jobs that ended in an error.")
     replayed = metric(
         "replayed", "Persisted jobs re-queued after a server restart.")
-    coalesced_sweeps = metric(
-        "coalesced_sweeps",
-        "Jobs that shared another job's identical in-flight sweep.")
     points = metric("points", "Per-point results streamed to job logs.")
     queue_wait_s = metric(
         "queue_wait_s", "Seconds jobs spent queued before starting, total.")

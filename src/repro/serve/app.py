@@ -10,10 +10,11 @@ One :class:`Server` composes the whole subsystem:
   quotas, fair-share draining);
 - the :class:`~repro.serve.executor.JobExecutor`, which runs each
   claimed job through :mod:`repro.eval.parallel` on a small pool of job
-  threads, coalescing duplicate in-flight sweeps; with ``jobs > 1`` the
-  points of every running job go to the one worker-process pool of
-  :mod:`repro.eval.parallel`, so concurrent jobs compute on separate
-  cores;
+  threads; a point that a running job is already computing is shared
+  through that module's in-flight table, not computed again; with
+  ``jobs > 1`` the points of every running job go to the one
+  worker-process pool of :mod:`repro.eval.parallel`, so concurrent jobs
+  compute on separate cores;
 - a **watchdog task** that enforces job leases (a crashed or wedged
   worker's job is requeued with backoff, then failed typed once its
   retry budget is spent) and ages terminal job history out of the store;
@@ -39,7 +40,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.eval.cache import EvalCache
-from repro.eval.parallel import shutdown_pool
+from repro.eval.parallel import inflight_points, shutdown_pool
 from repro.machine.metrics import MetricsBus
 from repro.serve.executor import JobExecutor
 from repro.serve.http import Responder, read_request
@@ -85,8 +86,6 @@ class Server:
         self.cache = None if no_cache else EvalCache(store=self.store)
         self.executor = JobExecutor(self.cache, jobs=jobs, timeout=timeout,
                                     heartbeat=self.queue.heartbeat,
-                                    job_alive=self.queue.job_alive,
-                                    store_metrics=self.bus.cache,
                                     serve_metrics=self.bus.serve,
                                     eval_metrics=self.bus.eval)
         self.max_concurrent_jobs = max_concurrent_jobs
@@ -104,7 +103,8 @@ class Server:
         self._watchdog: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
         self._stop_requested: Optional[asyncio.Event] = None
-        self._changed: dict[str, asyncio.Event] = {}
+        #: job id -> one wake event per open stream of that job.
+        self._changed: dict[str, set[asyncio.Event]] = {}
         self._stopping = False
 
     # -- lifecycle -------------------------------------------------------
@@ -264,8 +264,7 @@ class Server:
         self._notify(job.id)
 
     def _notify(self, job_id: str) -> None:
-        changed = self._changed.get(job_id)
-        if changed is not None:
+        for changed in self._changed.get(job_id, ()):
             changed.set()
 
     # -- HTTP ------------------------------------------------------------
@@ -340,20 +339,28 @@ class Server:
                              responder: Responder) -> None:
         """Replay a job's event log, then follow it to the terminal event."""
         job = self.queue.get(job_id)
-        changed = self._changed.setdefault(job_id, asyncio.Event())
-        await responder.start_stream()
-        cursor = 0
-        while True:
-            while cursor < len(job.events):
-                await responder.send_line(job.events[cursor])
-                cursor += 1
-            if job.state in TERMINAL and cursor >= len(job.events):
-                return
-            try:
-                await asyncio.wait_for(changed.wait(), _POLL_S)
-            except asyncio.TimeoutError:
-                pass
-            changed.clear()
+        changed = asyncio.Event()
+        streams = self._changed.setdefault(job_id, set())
+        streams.add(changed)
+        try:
+            await responder.start_stream()
+            cursor = 0
+            while True:
+                while cursor < len(job.events):
+                    await responder.send_line(job.events[cursor])
+                    cursor += 1
+                if job.state in TERMINAL and cursor >= len(job.events):
+                    return
+                try:
+                    await asyncio.wait_for(changed.wait(), _POLL_S)
+                except asyncio.TimeoutError:
+                    pass
+                changed.clear()
+        finally:
+            # The job's entry lives only while one of its streams is open.
+            streams.discard(changed)
+            if not streams:
+                self._changed.pop(job_id, None)
 
     # -- health ----------------------------------------------------------
 
@@ -365,7 +372,7 @@ class Server:
             "queue": self.queue.counts(),
             "tenants": self.queue.tenant_usage(),
             "conservation_ok": self.queue.conservation_ok(),
-            "inflight_sweeps": self.executor.coalescer.inflight(),
+            "inflight_points": inflight_points(),
             "cache": {
                 "hits": cache.hits, "misses": cache.misses,
                 "stores": cache.stores, "evictions": cache.evictions,
@@ -377,7 +384,7 @@ class Server:
                 **{name: self.bus.serve.get(name)
                    for name in ("submitted", "started", "completed",
                                 "cancelled", "rejected", "failed",
-                                "replayed", "coalesced_sweeps", "points",
+                                "replayed", "points",
                                 "stream_stalls", "lease_renewals",
                                 "lease_expired", "lease_requeued",
                                 "lease_failed", "lease_zombie", "shed",

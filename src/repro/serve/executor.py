@@ -1,32 +1,20 @@
 """Runs one job's sweep through the evaluation harness, streaming points.
 
-The executor is the bridge between the server's job model and the PR 1-8
-harness stack:
+The executor is the bridge between the server's job model and the
+harness stack: each job is one
+:func:`repro.eval.parallel.run_suite_parallel` call — the same
+multiprocessing fan-out, per-point timeouts, and on-disk
+:class:`~repro.eval.cache.EvalCache` the CLI uses — with the job's
+cooperative cancel event, a heartbeat that renews the job's lease once
+per poll slice, and a progress callback that emits one NDJSON ``point``
+event as each point lands.
 
-- each point runs through :func:`repro.eval.parallel.run_suite_parallel`
-  — the same multiprocessing fan-out, per-point timeouts, and on-disk
-  :class:`~repro.eval.cache.EvalCache` the CLI uses — with the job's
-  cooperative cancel event and a progress callback that emits one NDJSON
-  ``point`` event as each point lands;
-- *duplicate in-flight sweeps* coalesce through one shared
-  :class:`repro.store.Coalescer` keyed by :meth:`JobSpec.sweep_key`: the
-  first job computes, concurrent identical jobs block on the leader and
-  replay its per-point results with outcome ``"coalesced"`` — exactly one
-  computation per distinct sweep reaches the pool, proven by the
-  ``cache.coalesced`` counter;
-- a leader that is *cancelled* mid-flight poisons its followers with
-  :class:`SweepCancelled`; a follower that was not itself cancelled
-  retries (becoming the new leader), so one tenant's DELETE can never
-  cancel another tenant's identical job;
-- a leader that *dies* (worker thread wedged, lease revoked) is detected
-  through the queue's lease machinery: followers poll
-  ``job_alive(leader_job, leader_owner)`` while they wait, and once the
-  leader's lease lapses a follower unseats it in the coalescer and
-  computes the sweep itself — no follower ever waits forever on a corpse.
-
-While computing (and while waiting as a follower) the executor heartbeats
-the job's lease through the ``heartbeat`` hook, so only a genuinely dead
-or wedged worker loses its claim.
+Concurrent jobs share in-flight points through the harness's one
+in-flight table, keyed like the cache: a point another job is already
+computing is not computed again — this job's request waits on that
+computation and streams it with outcome ``"coalesced"``. Cancellation is
+per request, so one tenant's DELETE never cancels another tenant's job,
+even an identical one.
 
 The executor runs in worker threads (the server's event loop stays free
 for sockets); ``emit`` callbacks must therefore be thread-safe — the
@@ -35,7 +23,6 @@ server passes a ``loop.call_soon_threadsafe`` trampoline.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Optional
 
 from repro.arch.config import default_delta_config
@@ -43,20 +30,7 @@ from repro.eval.cache import EvalCache
 from repro.eval.parallel import run_suite_parallel
 from repro.serve.protocol import point_event
 from repro.serve.queue import CANCELLED, COMPLETED, FAILED, Job
-from repro.store import Coalescer
 from repro.store.metrics import NULL_METRICS
-
-#: How often a coalesced follower re-checks its leader's pulse, seconds.
-FOLLOWER_POLL_S = 0.25
-
-
-class SweepCancelled(Exception):
-    """The sweep's leader was cancelled before finishing.
-
-    Raised out of the leader's compute so the :class:`~repro.store
-    .Coalescer` propagates it to every follower of the same sweep key;
-    followers that are still alive retry as the new leader.
-    """
 
 
 class JobExecutor:
@@ -67,31 +41,16 @@ class JobExecutor:
                  timeout: Optional[float] = None,
                  heartbeat: Optional[Callable[[str, Optional[str]],
                                               bool]] = None,
-                 job_alive: Optional[Callable[[str, Optional[str]],
-                                              bool]] = None,
-                 follower_poll_s: float = FOLLOWER_POLL_S,
-                 store_metrics=NULL_METRICS,
                  serve_metrics=NULL_METRICS,
                  eval_metrics=NULL_METRICS) -> None:
         self.cache = cache
         self.jobs = jobs
         self.timeout = timeout
-        #: Lease hooks, wired to the server's queue (None standalone):
-        #: ``heartbeat(job_id, owner)`` renews our claim while we work;
-        #: ``job_alive(job_id, owner)`` asks whether a *leader's* claim
-        #: still stands, bounding how long followers wait on it.
+        #: Lease hook, wired to the server's queue (None standalone):
+        #: ``heartbeat(job_id, owner)`` renews our claim while we work.
         self.heartbeat = heartbeat
-        self.job_alive = job_alive
-        self.follower_poll_s = follower_poll_s
         self.serve_metrics = serve_metrics
         self.eval_metrics = eval_metrics
-        #: Sweep-level single flight: identical in-flight jobs share one
-        #: computation (counted on the shared ``cache.coalesced`` metric).
-        self.coalescer = Coalescer(metrics=store_metrics)
-        #: sweep_key -> (job id, owner token) of the current leader, so
-        #: followers know whose lease to watch.
-        self._leaders: dict[str, tuple[str, Optional[str]]] = {}
-        self._leaders_lock = threading.Lock()
 
     def run_job(self, job: Job,
                 emit: Callable[[dict], None]) -> tuple[str, Optional[str]]:
@@ -101,108 +60,36 @@ class JobExecutor:
         so the server's scheduler loop cannot be killed by a bad spec or
         a workload that fails verification.
         """
+        from repro.workloads import get_workload
+
         # Pin this claim incarnation. A lease revocation swaps the Job's
         # cancel event for a fresh one; we must keep acting on *ours* so
         # the new incarnation is undisturbed by its zombie predecessor.
         cancel = job.cancel
         owner = job.owner
-        key = job.spec.sweep_key()
+        spec = job.spec
+
+        def on_result(index: int, comparison, outcome: str) -> None:
+            emit(point_event(index, comparison, outcome))
+            self.serve_metrics.add("points")
 
         def pulse() -> None:
             if self.heartbeat is not None:
                 self.heartbeat(job.id, owner)
 
-        def leader_abandoned() -> bool:
-            # Runs once per follower poll slice: keep our own lease warm,
-            # bail out if we were cancelled, and take over if the
-            # leader's claim is gone.
-            pulse()
-            if cancel.is_set():
-                return True
-            if self.job_alive is None:
-                return False
-            with self._leaders_lock:
-                leader = self._leaders.get(key)
-            if leader is None or leader[0] == job.id:
-                return False
-            return not self.job_alive(*leader)
-
-        while True:
-            try:
-                leader_id, events = self.coalescer.run(
-                    key,
-                    lambda: self._compute_sweep(job, owner, cancel, emit),
-                    poll_s=self.follower_poll_s,
-                    abandoned=leader_abandoned)
-            except SweepCancelled:
-                if cancel.is_set():
-                    return CANCELLED, None
-                # Our leader died cancelled but *we* were not cancelled:
-                # go round again and compute the sweep ourselves.
-                continue
-            except Exception as exc:  # noqa: BLE001 - the job, not us
-                return FAILED, f"{type(exc).__name__}: {exc}"
-            if leader_id == job.id:
-                # We were the leader; events already streamed live.
-                return COMPLETED, None
-            if cancel.is_set():
-                return CANCELLED, None
-            # Follower: replay the leader's per-point results under the
-            # coalesced outcome — same numbers, zero simulations.
-            self.serve_metrics.add("coalesced_sweeps")
-            for event in events:
-                replay = dict(event)
-                if replay.get("outcome") != "cancelled":
-                    replay["outcome"] = "coalesced"
-                emit(replay)
-                self.serve_metrics.add("points")
-            return COMPLETED, None
-
-    def _compute_sweep(self, job: Job, owner: Optional[str],
-                       cancel: threading.Event,
-                       emit: Callable[[dict], None]) -> tuple[str, list]:
-        """Leader path: actually run the sweep, emitting live points.
-
-        Returns ``(leader job id, point events)`` so followers can both
-        recognise they coalesced and replay the event log.
-        """
-        from repro.workloads import get_workload
-
-        spec = job.spec
-        key = spec.sweep_key()
-        with self._leaders_lock:
-            self._leaders[key] = (job.id, owner)
         try:
             workloads = [get_workload(name) for name in spec.workloads]
             delta_config = default_delta_config(lanes=spec.lanes,
                                                 seed=spec.seed)
-            delta_config = delta_config.with_policy(spec.policy)
-            events: list = []
-
-            def on_result(index: int, comparison, outcome: str) -> None:
-                event = point_event(index, comparison, outcome)
-                events.append(event)
-                emit(event)
-                self.serve_metrics.add("points")
-
-            def pulse() -> None:
-                if self.heartbeat is not None:
-                    self.heartbeat(job.id, owner)
-
             run_suite_parallel(lanes=spec.lanes, workloads=workloads,
                                jobs=self.jobs, verify=spec.verify,
                                timeout=self.timeout, cache=self.cache,
-                               delta_config=delta_config,
+                               delta_config=delta_config.with_policy(
+                                   spec.policy),
                                sanitize=spec.sanitize,
                                cancel=cancel, on_result=on_result,
                                heartbeat=pulse,
                                metrics=self.eval_metrics)
-            if cancel.is_set():
-                raise SweepCancelled(job.id)
-            return job.id, events
-        finally:
-            with self._leaders_lock:
-                # A takeover may have installed a new leader while we
-                # wedged; never evict a successor's registration.
-                if self._leaders.get(key) == (job.id, owner):
-                    del self._leaders[key]
+        except Exception as exc:  # noqa: BLE001 - the job, not us
+            return FAILED, f"{type(exc).__name__}: {exc}"
+        return (CANCELLED if cancel.is_set() else COMPLETED), None

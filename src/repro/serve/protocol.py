@@ -2,10 +2,10 @@
 
 Everything that crosses the socket is JSON. A *job spec* is what a client
 POSTs to ``/jobs``; this module validates it into a frozen
-:class:`JobSpec` whose :meth:`JobSpec.sweep_key` identifies the
-*computation* (workloads × machine configuration), deliberately excluding
-tenant and priority so two tenants submitting the same sweep coalesce
-onto one execution.
+:class:`JobSpec`. What a job computes is its workloads and machine
+configuration; tenant and priority only say who asks and how urgently,
+so two tenants' identical points share one computation in flight (the
+harness's in-flight table keys points like the cache does).
 
 Errors the server must reject are :class:`ServeError` instances carrying
 a stable machine-readable ``code`` and the HTTP status the front-end maps
@@ -23,8 +23,6 @@ import math
 import os
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.store import stable_hash
 
 #: Bump when the persisted job layout or the event schema changes.
 #: v2: job records grew lease fields (owner, attempts, next_eligible_at,
@@ -119,16 +117,6 @@ class JobSpec:
     sanitize: bool = False
     tenant: str = "default"
     priority: int = 0
-
-    def sweep_key(self) -> str:
-        """Identity of the computation, for in-flight sweep coalescing.
-
-        Excludes tenant and priority: identical sweeps from different
-        tenants are the same work and must compute once.
-        """
-        return stable_hash("serve-sweep", PROTOCOL_VERSION, self.workloads,
-                           self.lanes, self.policy, self.seed, self.verify,
-                           self.sanitize)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "workloads": list(self.workloads),

@@ -329,18 +329,6 @@ class JobQueue:
             self.metrics.add("lease_renewals")
             return True
 
-    def job_alive(self, job_id: str, owner: Optional[str]) -> bool:
-        """Is this claim incarnation still the live owner of the job?
-
-        The coalescer's followers poll this about their leader: once the
-        leader's process dies (its lease expires, or the job is requeued
-        under a new owner) this flips False and a follower takes over.
-        """
-        with self._lock:
-            job = self._jobs.get(job_id)
-            return (job is not None and job.state == RUNNING
-                    and job.owner == owner)
-
     def expire_leases(self) -> list[Job]:
         """Requeue (or retire) every running job whose lease lapsed.
 

@@ -14,22 +14,21 @@ over this package, so concurrent tenants (the ``eval`` worker pool and
   (``REPRO_CACHE_MAX_MB`` / ``repro eval --cache-max-mb``): after every
   write the store sheds the least-recently-used entries until it is back
   under budget. Reads refresh an entry's mtime, so warm entries survive.
-- :class:`Coalescer` — in-process request coalescing: concurrent callers
-  computing the same key share one in-flight computation instead of
-  duplicating it (``repro serve``'s executor coalesces identical sweeps
-  with it; :mod:`repro.eval.parallel` dedups a batch's keys itself).
 - metrics — every operation lands on a ``cache.*`` counter sink (hits,
   misses, stores, evictions, coalesced, corrupt, lock_waits). Any object
   with ``add(name, amount)`` works; :class:`repro.machine.metrics
   .CacheMetrics` is the typed MetricsBus group, :class:`StoreMetrics`
   the dependency-free default.
 
+The store holds completed results only. A point still being computed is
+shared in flight by :mod:`repro.eval.parallel`'s in-flight table, which
+counts each request that joined it as ``cache.coalesced``.
+
 Layering: this package imports only :mod:`repro.util` (enforced by
 ``tools/check_layering.py``). The typed schemas — what an entry *means*,
 how it serializes, how it is verified — live above it.
 """
 
-from repro.store.coalesce import Coalescer
 from repro.store.keys import (
     cache_budget_bytes,
     code_version,
@@ -42,7 +41,6 @@ from repro.store.metrics import NULL_METRICS, StoreMetrics
 from repro.store.sharded import ShardedStore, open_store
 
 __all__ = [
-    "Coalescer",
     "NULL_METRICS",
     "ShardLock",
     "ShardedStore",

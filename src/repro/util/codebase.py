@@ -17,11 +17,10 @@ choice: a cache must never survive a change that could alter results.
 from __future__ import annotations
 
 import functools
+import hashlib
 import os
 from pathlib import Path
 from typing import Optional
-
-from repro.util.fingerprint import stable_hash
 
 
 def source_files(package_root: Optional[Path] = None) -> list[Path]:
@@ -37,14 +36,21 @@ def source_files(package_root: Optional[Path] = None) -> list[Path]:
 
 
 def digest_tree(package_root: Optional[Path] = None) -> str:
-    """Digest of every source file under ``package_root`` (path + bytes)."""
+    """Digest of every source file under ``package_root`` (path + bytes).
+
+    One incremental SHA-256 over each file's relative path and bytes,
+    each prefixed by its length, so no part can pass for its neighbour
+    and no copy of the tree is held at once.
+    """
     if package_root is None:
         package_root = Path(__file__).resolve().parents[1]
-    digest_parts = []
+    digest = hashlib.sha256()
     for source in source_files(package_root):
-        digest_parts.append(source.relative_to(package_root).as_posix())
-        digest_parts.append(source.read_bytes())
-    return stable_hash(*digest_parts)
+        for part in (source.relative_to(package_root).as_posix().encode(),
+                     source.read_bytes()):
+            digest.update(len(part).to_bytes(8, "big"))
+            digest.update(part)
+    return digest.hexdigest()
 
 
 @functools.lru_cache(maxsize=1)

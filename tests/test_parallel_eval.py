@@ -66,6 +66,11 @@ def reverse_dispatch(workloads):
         parallel_mod._point_costs[key] = float(rank + 1)
 
 
+def keyed(points):
+    """``(key, spec)`` pairs for :func:`run_points`, keyed like the cache."""
+    return [(comparison_key(*spec), spec) for spec in points]
+
+
 def fast_workloads():
     """Fresh instances each call — kernels mutate workload programs."""
     return [SkewedTasks(num_tasks=24), SharedReadTasks(num_tasks=12)]
@@ -228,7 +233,7 @@ class TestCancellation:
                   for workload in fast_workloads()]
         outcomes: list = []
         try:
-            results = run_points(points, jobs=2, timeout=0.3,
+            results = run_points(keyed(points), jobs=2, timeout=0.3,
                                  outcomes=outcomes, cancel=cancel)
         finally:
             timer.cancel()
@@ -293,7 +298,7 @@ class TestDispatchOrder:
         delta = default_delta_config(lanes=LANES)
         static = default_baseline_config(lanes=LANES)
         points = [(w, delta, static, True) for w in workloads]
-        assert None not in run_points(points, jobs=jobs)
+        assert None not in run_points(keyed(points), jobs=jobs)
         costs = parallel_mod._point_costs
         assert set(costs) == {("SkewedTasks", "skewed"),
                               ("SharedReadTasks", "shared-read")}
@@ -312,7 +317,8 @@ class TestDispatchOrder:
         def batches():
             try:
                 for _ in range(200):
-                    assert run_points(points, jobs=1) == names
+                    assert run_points(named_points(names),
+                                      jobs=1) == names
                     assert sorted(dispatch_order(points)) == \
                         list(range(len(points)))
             except Exception as exc:  # reported below, not lost in a thread
@@ -340,7 +346,8 @@ needs_fork = pytest.mark.skipif(
 
 
 def named_points(names):
-    return [(Named(name), None, None, True) for name in names]
+    """Stand-in points keyed by their names."""
+    return [(name, (Named(name), None, None, True)) for name in names]
 
 
 def pid_after(seconds):
@@ -421,7 +428,7 @@ class TestSharedPool:
                            SharedReadTasks(num_tasks=24)]]
 
         def specs(suite):
-            return [(w, delta, static, True) for w in suite()]
+            return keyed([(w, delta, static, True) for w in suite()])
 
         serial = [run_points(specs(suite), jobs=1) for suite in suites]
         results: dict = {}
@@ -611,6 +618,52 @@ class TestSharedPool:
         assert bus.eval.get("lost_worker_points") == 1
 
 
+@needs_fork
+class TestBoundedRecompute:
+    """The recompute after a timeout runs in a private one-worker pool; a
+    recompute abandoned to its budget or to a cancel stops that worker
+    before the call returns."""
+
+    @staticmethod
+    def spec():
+        return (SkewedTasks(num_tasks=24), default_delta_config(lanes=LANES),
+                default_baseline_config(lanes=LANES), True)
+
+    @staticmethod
+    def assert_no_child_left(before):
+        deadline = time.monotonic() + 1.0
+        while {p.pid for p in multiprocessing.active_children()} - before:
+            assert time.monotonic() < deadline, \
+                "the recompute's worker outlived the call"
+            time.sleep(0.05)
+
+    def test_timed_out_recompute_leaves_no_worker(self, monkeypatch):
+        from repro.eval.parallel import PointTimeoutError, _recover_point
+
+        monkeypatch.setattr(parallel_mod, "_compare_point",
+                            _sleeping_compare)
+        before = {p.pid for p in multiprocessing.active_children()}
+        with pytest.raises(PointTimeoutError):
+            _recover_point(self.spec(), timeout=0.3)
+        self.assert_no_child_left(before)
+
+    def test_cancelled_recompute_leaves_no_worker(self, monkeypatch):
+        from repro.eval.parallel import _Cancelled, _recover_point
+
+        monkeypatch.setattr(parallel_mod, "_compare_point",
+                            _sleeping_compare)
+        before = {p.pid for p in multiprocessing.active_children()}
+        cancel = threading.Event()
+        timer = threading.Timer(0.3, cancel.set)
+        timer.start()
+        try:
+            with pytest.raises(_Cancelled):
+                _recover_point(self.spec(), timeout=600.0, cancel=cancel)
+        finally:
+            timer.cancel()
+        self.assert_no_child_left(before)
+
+
 class TestFaultedSweeps:
     """A fault plan travels through the pool and the cache like any other
     config field: a degraded point is as deterministic as a clean one."""
@@ -796,6 +849,28 @@ class TestCodeVersionInvalidation:
         before = digest_tree(tmp_path)
         source.write_text("EDGE_KINDS = 4\n")
         assert digest_tree(tmp_path) != before
+
+    @pytest.mark.parametrize("before, after", [
+        # One byte edited.
+        ({"a.py": b"X = 1\n"}, {"a.py": b"X = 2\n"}),
+        # A file renamed.
+        ({"a.py": b"X = 1\n"}, {"b.py": b"X = 1\n"}),
+        # A byte moved from one file's bytes into the next file's path:
+        # plain concatenation gives "a.pyxbc.pyy" both times.
+        ({"a.py": b"xb", "c.py": b"y"}, {"a.py": b"x", "bc.py": b"y"}),
+    ], ids=["edit", "rename", "boundary"])
+    def test_digest_separates_paths_and_bytes(self, tmp_path, before,
+                                              after):
+        from repro.store.keys import digest_tree
+
+        digests = []
+        for name, files in (("before", before), ("after", after)):
+            root = tmp_path / name
+            root.mkdir()
+            for path, data in files.items():
+                (root / path).write_bytes(data)
+            digests.append(digest_tree(root))
+        assert digests[0] != digests[1]
 
     def test_code_version_change_invalidates_cache_keys(self, monkeypatch):
         import repro.eval.cache as cache_mod

@@ -15,13 +15,13 @@ What must hold (see docs/serving.md):
   tenants are unaffected;
 - **restart recovery**: queued jobs persisted in the ``jobs`` store
   namespace are replayed by a fresh server;
-- **coalescing**: duplicate in-flight sweeps — even from different
-  tenants — compute once, proven by the ``cache.coalesced`` metric;
+- **shared points**: a point that several in-flight jobs request — even
+  from different tenants, even when their sweeps overlap only in part —
+  computes once, counted through the point function itself; one
+  tenant's DELETE never cancels another tenant's job;
 - **overload control**: past the global or per-tenant queue-depth cap,
   submissions shed with a typed 503 carrying ``Retry-After``; the books
   still balance;
-- **follower takeover**: a coalesced follower bounds its wait on the
-  leader and retries as leader once the leader is declared dead;
 - **jobs CLI**: ``repro jobs list|gc`` reads the persisted ``jobs``
   namespace directly, with live records shielded from GC;
 - **conservation**: random submit/claim/cancel/finish interleavings never
@@ -39,6 +39,7 @@ import multiprocessing
 import os
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -47,6 +48,7 @@ from hypothesis import strategies as st
 
 from repro.arch.config import default_delta_config
 from repro.eval.parallel import run_suite_parallel
+from repro.eval.runner import compare
 from repro.serve import JobQueue, JobSpec, QuotaExceeded, Server
 from repro.serve.protocol import parse_job_spec
 from repro.serve.queue import CANCELLED, COMPLETED, FAILED, RUNNING
@@ -138,21 +140,37 @@ def wait_for_state(port, job_id, states, timeout=30):
     raise AssertionError(f"job {job_id} never reached {states}")
 
 
-def slow_points(monkeypatch, delay_s):
-    """Make every evaluation point take ``delay_s`` extra seconds.
+def slow_points(monkeypatch, delay_s, log=None):
+    """Make every evaluation point take ``delay_s`` extra seconds; with
+    ``log``, also append each computed point's workload name to that file.
 
-    The server under test runs in this process, so patching the point
-    function is enough to hold a job in flight long enough to race it.
+    The server under test runs in this process, and its pool workers are
+    forked from it, so patching the point function is enough to hold a
+    job in flight long enough to race it, and to count computations
+    wherever they run.
     """
     from repro.eval import parallel as parallel_mod
 
     real = parallel_mod._compare_point
 
     def slowed(spec):
+        if log is not None:
+            with open(log, "a") as out:
+                out.write(spec[0].name + "\n")
         time.sleep(delay_s)
         return real(spec)
 
     monkeypatch.setattr(parallel_mod, "_compare_point", slowed)
+
+
+def computed_points(log) -> Counter:
+    """How many times each workload was computed, per :func:`slow_points`."""
+    return Counter(log.read_text().split()) if log.exists() else Counter()
+
+
+def once_each(registered) -> Counter:
+    """One computation of each named registered workload."""
+    return Counter(get_workload(name).name for name in registered)
 
 
 # -- the battery ------------------------------------------------------------
@@ -307,79 +325,6 @@ class TestOverloadShedding:
             assert health["conservation_ok"] is True
 
 
-class TestFollowerTakeover:
-    """A coalesced follower must not wait forever on a dead leader."""
-
-    def test_follower_takes_over_an_abandoned_leader(self):
-        from repro.store import Coalescer
-
-        coalescer = Coalescer()
-        leader_started = threading.Event()
-        leader_release = threading.Event()
-
-        def wedged_leader():
-            leader_started.set()
-            leader_release.wait(30)
-            return "leader"
-
-        leader = threading.Thread(
-            target=lambda: coalescer.run("key", wedged_leader),
-            daemon=True)
-        leader.start()
-        assert leader_started.wait(10)
-
-        polls = []
-
-        def abandoned():
-            polls.append(1)
-            # First two polls: leader still looks alive; third: declared
-            # dead (in the server this is queue.job_alive going False
-            # once the leader's lease expires).
-            return len(polls) >= 3
-
-        result = coalescer.run("key", lambda: "follower",
-                               poll_s=0.01, abandoned=abandoned)
-        assert result == "follower"
-        assert len(polls) == 3
-        leader_release.set()
-        leader.join(10)
-
-    def test_follower_still_waits_on_a_live_leader(self):
-        from repro.store import Coalescer
-
-        coalescer = Coalescer()
-        leader_started = threading.Event()
-        leader_release = threading.Event()
-        results = {}
-
-        def slow_leader():
-            leader_started.set()
-            assert leader_release.wait(30)
-            return "leader"
-
-        leader = threading.Thread(
-            target=lambda: results.update(
-                leader=coalescer.run("key", slow_leader)),
-            daemon=True)
-        leader.start()
-        assert leader_started.wait(10)
-
-        def follower():
-            results["follower"] = coalescer.run(
-                "key", lambda: "follower",
-                poll_s=0.01, abandoned=lambda: False)
-
-        follower_thread = threading.Thread(target=follower, daemon=True)
-        follower_thread.start()
-        time.sleep(0.1)  # let the follower poll a few times
-        leader_release.set()
-        leader.join(10)
-        follower_thread.join(10)
-        # The leader stayed alive, so the follower replays its result
-        # instead of recomputing.
-        assert results == {"leader": "leader", "follower": "leader"}
-
-
 class TestJobsCli:
     """``repro jobs`` inspects/GCs the jobs namespace with no server."""
 
@@ -504,7 +449,7 @@ class TestCancellation:
             assert health["queue"]["queued"] == 0
             assert health["queue"]["cancelled"] == 1
             assert health["conservation_ok"] is True
-            assert health["inflight_sweeps"] == 0
+            assert health["inflight_points"] == 0
 
             # The pool is clean: the next job runs to completion.
             follow_up = submit(port, sweep_spec(seed=7))
@@ -588,15 +533,16 @@ class TestRestartRecovery:
 class TestMultiClientSoak:
     def test_duplicate_sweeps_from_four_tenants_compute_once(
             self, tmp_path, monkeypatch):
-        slow_points(monkeypatch, delay_s=0.5)
+        log = tmp_path / "computed.log"
+        slow_points(monkeypatch, delay_s=0.5, log=log)
         clients = 4
         with serving(tmp_path, max_concurrent_jobs=clients) as server:
             port = server.port
             results: dict = {}
 
             def client(tenant: str) -> None:
-                # Identical sweep from every tenant: the sweep_key
-                # excludes tenant, so these must coalesce onto one run.
+                # Identical sweep from every tenant: points are keyed
+                # without the tenant, so each must compute once.
                 job_id = submit(port, sweep_spec(tenant=tenant))
                 results[tenant] = stream(port, job_id)
 
@@ -618,15 +564,92 @@ class TestMultiClientSoak:
                 if "ok" in outcomes:
                     computed += sum(1 for e in points
                                     if e["outcome"] == "ok")
-            # Exactly one client was the leader; its points computed,
-            # every other client replayed them.
+            # One computation per distinct point, reported once; every
+            # other request coalesced onto it or hit the cache.
             assert computed == len(NAMES)
+            assert computed_points(log) == once_each(NAMES)
 
             health = request(port, "GET", "/healthz")[1]
-            assert health["serve"]["coalesced_sweeps"] == clients - 1
             assert health["cache"]["coalesced"] >= clients - 1
             assert health["queue"]["completed"] == clients
             assert health["conservation_ok"] is True
+
+
+class TestSharedPoints:
+    """Concurrent jobs share their common in-flight points, whoever
+    submitted them, and one job's cancellation stops only that job."""
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "pool"])
+    def test_jobs_sharing_half_their_points_compute_each_once(
+            self, tmp_path, monkeypatch, jobs):
+        log = tmp_path / "computed.log"
+        slow_points(monkeypatch, delay_s=0.5, log=log)
+        sweeps = [["micro-chain", "micro-skewed"],
+                  ["micro-skewed", "micro-shared"]]
+        with serving(tmp_path, jobs=jobs, start_paused=True,
+                     max_concurrent_jobs=2) as server:
+            ids = [submit(server.port, sweep_spec(workloads=names,
+                                                  tenant=f"t{i}"))
+                   for i, names in enumerate(sweeps)]
+            server.resume()
+            streams = [stream(server.port, job_id) for job_id in ids]
+            health = request(server.port, "GET", "/healthz")[1]
+        assert [events[-1]["state"] for events in streams] == \
+            ["completed", "completed"]
+        assert computed_points(log) == once_each(
+            ["micro-chain", "micro-skewed", "micro-shared"])
+        outcomes = sorted(e["outcome"] for events in streams
+                          for e in events if e["event"] == "point")
+        assert outcomes == ["coalesced", "ok", "ok", "ok"]
+        assert health["cache"]["coalesced"] == 1
+        assert health["inflight_points"] == 0
+
+    def test_deleting_one_tenants_job_spares_anothers_identical_job(
+            self, tmp_path, monkeypatch):
+        log = tmp_path / "computed.log"
+        slow_points(monkeypatch, delay_s=1.0, log=log)
+        names = NAMES + ["micro-shared"]
+        with serving(tmp_path, jobs=2, start_paused=True,
+                     max_concurrent_jobs=2) as server:
+            port = server.port
+            # The doomed job is claimed first, so its requests start the
+            # points the kept job then shares.
+            doomed = submit(port, sweep_spec(workloads=names,
+                                             tenant="doomed", priority=1))
+            kept = submit(port, sweep_spec(workloads=names, tenant="kept"))
+            server.resume()
+            for job_id in (doomed, kept):
+                wait_for_state(port, job_id, {"running"})
+            status, _body = request(port, "DELETE", f"/jobs/{doomed}")
+            assert status == 202
+            assert stream(port, doomed)[-1]["state"] == "cancelled"
+            events = stream(port, kept)
+        assert events[-1]["state"] == "completed"
+        points = sorted((e for e in events if e["event"] == "point"),
+                        key=lambda e: e["index"])
+        assert [e["outcome"] for e in points] == ["ok"] * len(names)
+        config = default_delta_config(lanes=LANES, seed=0)
+        config = config.with_policy("work-aware").with_sanitize(True)
+        for event, name in zip(points, names):
+            expected = compare(get_workload(name), config)
+            assert event["workload"] == expected.workload
+            assert event["delta_cycles"] == expected.delta.cycles
+            assert event["static_cycles"] == expected.static.cycles
+            assert event["speedup"] == expected.speedup
+        assert computed_points(log) == once_each(names)
+
+
+class TestStreamWakeEvents:
+    def test_ended_streams_leave_no_wake_event(self, tmp_path):
+        with serving(tmp_path) as server:
+            for seed in range(3):
+                job_id = submit(server.port, sweep_spec(
+                    workloads=["micro-chain"], seed=seed))
+                assert stream(server.port, job_id)[-1]["state"] == \
+                    "completed"
+            assert server.queue.gc_terminal(0) == 3
+            assert server.queue.jobs() == []
+            assert server._changed == {}
 
 
 # -- the job-queue state machine under Hypothesis ---------------------------
@@ -679,13 +702,6 @@ def test_random_interleavings_conserve_jobs(steps):
 
 
 class TestSpecParsing:
-    def test_sweep_key_ignores_tenant_and_priority(self):
-        base = parse_job_spec(sweep_spec())
-        other = parse_job_spec(sweep_spec(tenant="else", priority=9))
-        assert base.sweep_key() == other.sweep_key()
-        assert parse_job_spec(sweep_spec(seed=1)).sweep_key() != \
-            base.sweep_key()
-
     def test_compare_kind_is_one_workload(self):
         spec = parse_job_spec({"kind": "compare", "workload": NAMES[0]})
         assert spec.workloads == (NAMES[0],)

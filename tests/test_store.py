@@ -1,4 +1,4 @@
-"""The shared store layer: sharding, locking, eviction, coalescing, metrics.
+"""The shared store layer: sharding, locking, eviction, metrics.
 
 The contract under test (see docs/storage.md):
 
@@ -9,8 +9,6 @@ The contract under test (see docs/storage.md):
   served;
 - the size cap holds: after eviction runs the store is within budget,
   and the least-recently-used entries go first;
-- identical in-flight computations coalesce (one compute per key per
-  process);
 - N concurrent processes hammering one store corrupt nothing and lose
   no published writes;
 - the parallel evaluation path stays field-identical to the serial path
@@ -32,7 +30,6 @@ import pytest
 
 from repro.machine.metrics import MetricsBus
 from repro.store import (
-    Coalescer,
     ShardLock,
     ShardedStore,
     StoreMetrics,
@@ -328,77 +325,6 @@ class TestShardLock:
         with ShardLock(tmp_path / "cd") as lock:
             assert lock.path == tmp_path / "cd" / ".lock"
             assert lock.path.exists()
-
-
-# ------------------------------------------------------------- coalescing
-
-class TestCoalescer:
-    def test_concurrent_callers_compute_once(self):
-        metrics = StoreMetrics()
-        coalescer = Coalescer(metrics)
-        computes = []
-        gate = threading.Event()
-
-        def compute():
-            gate.wait(5)
-            computes.append(1)
-            return "value"
-
-        results = []
-        threads = [threading.Thread(
-            target=lambda: results.append(coalescer.run("k", compute)))
-            for _ in range(4)]
-        for t in threads:
-            t.start()
-        time.sleep(0.1)  # let every follower reach the in-flight future
-        gate.set()
-        for t in threads:
-            t.join(timeout=5)
-        assert results == ["value"] * 4
-        assert len(computes) == 1, "identical in-flight keys compute once"
-        assert metrics.get("coalesced") == 3
-        assert coalescer.inflight() == 0
-
-    def test_distinct_keys_do_not_coalesce(self):
-        coalescer = Coalescer()
-        assert coalescer.run("a", lambda: 1) == 1
-        assert coalescer.run("b", lambda: 2) == 2
-        assert coalescer.inflight() == 0
-
-    def test_leader_exception_propagates_to_followers(self):
-        coalescer = Coalescer()
-        gate = threading.Event()
-        failures = []
-
-        def compute():
-            gate.wait(5)
-            raise RuntimeError("boom")
-
-        def follower():
-            try:
-                coalescer.run("k", compute)
-            except RuntimeError as exc:
-                failures.append(str(exc))
-
-        threads = [threading.Thread(target=follower) for _ in range(3)]
-        for t in threads:
-            t.start()
-        time.sleep(0.1)
-        gate.set()
-        for t in threads:
-            t.join(timeout=5)
-        assert failures == ["boom"] * 3
-        # A failed key leaves the map — the next caller retries fresh.
-        assert coalescer.run("k", lambda: "recovered") == "recovered"
-
-    def test_sequential_calls_recompute(self):
-        # Coalescing is for *in-flight* work only; completed results are
-        # the cache's job.
-        coalescer = Coalescer()
-        counter = []
-        for _ in range(2):
-            coalescer.run("k", lambda: counter.append(1))
-        assert len(counter) == 2
 
 
 # ----------------------------------------------------- metrics plumbing
