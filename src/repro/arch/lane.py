@@ -179,8 +179,11 @@ class Lane:
                 next_step()
 
         def next_step() -> None:
-            nonlocal step, step_trips, idx
+            nonlocal step, step_trips, idx, gather, emit
             if step == steps:
+                # Unlink the chain's cycles (gather <-> on_token, emit ->
+                # emit), so reference counting frees it.
+                gather = emit = None
                 self.counters.add(self._trips_key, trips)
                 for store in out_stores:
                     store.close()

@@ -17,13 +17,19 @@ Algorithm (a pragmatic modulo-scheduling-free P&R):
    that lower the congestion objective (simulated-annealing-lite, seeded,
    deterministic).
 
-Mappings are cached per (dfg signature, fabric config) because the same
-task type is mapped once and executed millions of times.
+Mappings are cached per (dfg signature, fabric config, seed) because the
+same task type is mapped once and executed millions of times. The cache
+keeps the :data:`MAPPING_CACHE_ENTRIES` most recently used mappings: a
+long-lived process (``repro serve`` gives every new spec its own seed)
+would otherwise keep every mapping it ever made.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,6 +43,10 @@ Link = tuple[Coord, Coord]
 
 #: Placement attempts after the first; the best-II attempt wins.
 REFINE_PASSES = 2
+
+#: Mappings the process-wide cache keeps, least recently used evicted
+#: first; one 18-workload sweep at one seed maps 32 DFGs.
+MAPPING_CACHE_ENTRIES = 256
 
 
 @dataclass
@@ -96,9 +106,12 @@ class _PlacementState:
 
 
 class Mapper:
-    """Maps DFGs onto fabrics, with a process-wide mapping cache."""
+    """Maps DFGs onto fabrics, with a process-wide LRU mapping cache."""
 
-    _cache: dict[tuple, Mapping] = {}
+    _cache: OrderedDict[tuple, Mapping] = OrderedDict()
+    #: Serve's in-process jobs map from several threads at once. A forked
+    #: child gets its own (see :func:`_after_fork_in_child`).
+    _cache_lock = threading.Lock()
 
     def __init__(self, fabric_config: FabricConfig, seed: int = 0) -> None:
         self.fabric_config = fabric_config
@@ -106,13 +119,24 @@ class Mapper:
         self.seed = seed
 
     def map(self, dfg: Dfg) -> Mapping:
-        """Place and route ``dfg``; cached by (dfg, fabric, seed)."""
+        """Place and route ``dfg``; cached by (dfg, fabric, seed).
+
+        A mapping is a pure function of that key — the signature includes
+        the DFG's name, and placement draws from an RNG seeded by (name,
+        seed) — so an evicted mapping is remade equal, field for field.
+        """
         key = (dfg.signature(), self.fabric_config, self.seed)
-        cached = Mapper._cache.get(key)
-        if cached is not None:
-            return cached
+        cache = Mapper._cache
+        with Mapper._cache_lock:
+            cached = cache.get(key)
+            if cached is not None:
+                cache.move_to_end(key)
+                return cached
         mapping = self._map_uncached(dfg)
-        Mapper._cache[key] = mapping
+        with Mapper._cache_lock:
+            cache[key] = mapping
+            while len(cache) > MAPPING_CACHE_ENTRIES:
+                cache.popitem(last=False)
         return mapping
 
     @classmethod
@@ -256,3 +280,22 @@ class Mapper:
             path.append(prev[path[-1]])
         path.reverse()
         return path
+
+
+def _after_fork_in_child() -> None:
+    """Give a forked child (a pool worker) a cache lock of its own.
+
+    The child has only the thread that forked. Had another thread been
+    inside the lock at the fork, the child's copy would be held by a
+    thread that does not exist there, and its first mapping would wait
+    forever; that thread may also have left the cache half updated, so
+    the child then starts an empty one (a mapping is remade equal).
+    Otherwise the child keeps the parent's warm cache.
+    """
+    if Mapper._cache_lock.locked():
+        Mapper._cache = OrderedDict()
+    Mapper._cache_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)

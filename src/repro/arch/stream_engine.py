@@ -25,6 +25,12 @@ the current time, where a freshly started process would take its first
 step. So every stage lands in a fixed queue position among the other
 events of its cycle, which ``tests/test_slot_order.py`` and the slot
 counts of ``tests/golden_pins.json`` pin.
+
+A chain's continuations name each other, so while it runs they form a
+reference cycle. Its last step unlinks the cycle by setting one of the
+names to ``None``; a finished stream is then freed by reference counting
+as soon as nothing holds its event, not by a later garbage collection
+(``tests/test_cyclic_garbage.py`` pins what one point leaves).
 """
 
 from __future__ import annotations
@@ -115,7 +121,9 @@ class StreamEngine:
             self.dram.fetch_then(sizes[idx[0]], locality, after_fetch)
 
         def next_chunk(_arg: object) -> None:
+            nonlocal after_grant
             if idx[0] == len(sizes):
+                after_grant = None  # unlink the chain: see the module doc
                 env.all_of(tails).add_callback(final)
             else:
                 credits.acquire_then(after_grant)
@@ -184,7 +192,9 @@ class StreamEngine:
                 after_put(None)
 
         def step(_arg: object) -> None:
+            nonlocal after_access
             if idx[0] == len(sizes):
+                after_access = None  # unlink the chain
                 final()
             else:
                 self.spad.access_then(sizes[idx[0]], False, after_access)
@@ -229,7 +239,9 @@ class StreamEngine:
             idx = [0]
 
             def step(_arg: object) -> None:
+                nonlocal step
                 if idx[0] == len(sizes):
+                    step = None  # unlink the chain
                     final()
                 else:
                     def done(_arg: object) -> None:
@@ -245,6 +257,7 @@ class StreamEngine:
         # full store), writing back at most ``nbytes`` total; any bytes
         # left after the stream closes go out as a trailing burst.
         def trailing(_arg: object) -> None:
+            nonlocal trailing
             if remaining[0] > 0:
                 size = min(self.chunk_bytes, remaining[0])
 
@@ -254,10 +267,13 @@ class StreamEngine:
 
                 writeback(size, done)
             else:
+                trailing = None  # unlink the chain
                 final()
 
         def on_token(token: object) -> None:
+            nonlocal get_next
             if token is Store.END:
+                get_next = None  # unlink the chain
                 trailing(None)
                 return
             size = min(self.chunk_bytes, remaining[0])

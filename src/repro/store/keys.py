@@ -34,9 +34,9 @@ from repro.util.codebase import (  # noqa: F401  (re-exported: the key model)
     source_files,
 )
 from repro.util.fingerprint import (  # noqa: F401  (re-exported: the key model)
-    hash_reprs,
     stable_hash,
     workload_cache_key,
+    workload_identity,
 )
 
 #: Environment override for the store-wide size cap, in megabytes.

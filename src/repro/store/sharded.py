@@ -50,13 +50,20 @@ _BUDGET_FROM_ENV = object()
 
 _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
 
+#: Bytes asked of each ``os.read``: more than any eval entry holds, so a
+#: read is one call that fills and one that finds the end. Reading
+#: through ``open(path, "rb", buffering=0).readall()`` instead adds an
+#: ``fstat`` and an ``lseek`` to every hit (docs/performance.md).
+_READ_SIZE = 1 << 16
+
 
 class ShardedStore:
     """Concurrent-safe, size-capped, namespaced store of opaque payloads."""
 
     #: Hex-prefix length used to pick an entry's shard directory.
     SHARD_WIDTH = 2
-    #: On-disk entry suffix (schemas pickle their payloads).
+    #: On-disk entry suffix, whatever the schema's encoding (eval entries
+    #: are a digest and ``marshal`` bytes, job records a pickle).
     SUFFIX = ".pkl"
     #: Namespaces that hold *live state*, not recomputable cache entries.
     #: They are exempt from the LRU size-cap sweep and from a blanket
@@ -121,22 +128,29 @@ class ShardedStore:
         A successful read refreshes the entry's mtime, which is the
         eviction policy's recency signal. An entry that cannot be read at
         all (permissions, I/O error) is treated as absent, never raised.
+        One descriptor serves the read and the refresh, so the path is
+        resolved once.
         """
         path = self._entry_file(namespace, key)
+        chunks = []
         try:
-            with open(path, "rb") as entry:
-                payload = entry.read()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                while chunk := os.read(fd, _READ_SIZE):
+                    chunks.append(chunk)
+                try:
+                    os.utime(fd)
+                except OSError:
+                    pass  # recency refresh is best-effort
+            finally:
+                os.close(fd)
         except FileNotFoundError:
             return None
         except OSError as exc:  # pragma: no cover - host-specific I/O errors
             logger.warning("unreadable cache entry %s (%s); ignoring",
                            path, exc)
             return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass  # recency refresh is best-effort (entry may be evicted)
-        return payload
+        return b"".join(chunks)
 
     # -- writes --------------------------------------------------------------
 

@@ -14,8 +14,8 @@ promise into something checkable and cacheable:
   digest. Two runs are "bit-identical" exactly when these match.
 - :func:`comparison_fingerprint` — the same for a Delta-vs-static pair.
 
-The on-disk result cache stores a digest of the fields a comparison
-fingerprint covers next to each payload, so a corrupted or stale entry is
+The on-disk result cache stores the fields a comparison fingerprint
+covers behind a digest of their bytes, so a corrupted or stale entry is
 detected on load (:mod:`repro.eval.cache`), and the determinism tests
 assert fingerprint equality instead of hand-picking fields.
 """
@@ -23,7 +23,7 @@ assert fingerprint equality instead of hand-picking fields.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.machine.result import RunRecord, RunResult
@@ -34,19 +34,14 @@ _SCALAR_TYPES = (bool, int, float, str, bytes, type(None))
 
 
 def stable_hash(*parts: object) -> str:
-    """SHA-256 hex digest over the reprs of ``parts``.
+    """SHA-256 hex digest over the reprs of ``parts``, joined by ``\\x1f``.
 
     ``repr`` of floats is exact (shortest round-trip form), so two floats
     hash equal iff they are bit-identical; builtin ``hash`` is avoided
     because string hashing is salted per process.
     """
-    return hash_reprs(repr(p) for p in parts)
-
-
-def hash_reprs(reprs: Iterable[str]) -> str:
-    """:func:`stable_hash` of parts whose reprs are given: a caller that
-    hashes the same part many times builds its repr once."""
-    return hashlib.sha256("\x1f".join(reprs).encode()).hexdigest()
+    return hashlib.sha256(
+        "\x1f".join(repr(p) for p in parts).encode()).hexdigest()
 
 
 def _stable_repr(value: object) -> bool:
@@ -57,16 +52,18 @@ def _stable_repr(value: object) -> bool:
     return isinstance(value, _SCALAR_TYPES)
 
 
-def workload_cache_key(workload: "Workload") -> str:
-    """Stable identity of a workload instance.
+def workload_identity(workload: "Workload") -> tuple:
+    """Stable identity of a workload instance: its class path, display
+    name and bound constructor arguments
+    (:attr:`~repro.workloads.base.Workload.arguments`, defaults applied).
 
-    Hashes the class, the display name and the bound constructor
-    arguments (:attr:`~repro.workloads.base.Workload.arguments`, defaults
-    applied) — nothing the workload generates. Inputs are a deterministic
-    function of those arguments (the determinism contract), so keying
-    never generates them. The evaluation result cache keys its entries
-    by (code version, workload identity, ...). Raises :class:`TypeError`
-    naming any argument whose repr could differ between processes.
+    Nothing the workload generates is part of it. Inputs are a
+    deterministic function of those arguments (the determinism contract),
+    so keying never generates them, and the tuple's ``repr`` is the same
+    in every process. The evaluation result cache keys its entries by
+    (code version, configs, ..., workload identity). Raises
+    :class:`TypeError` naming any argument whose repr could differ
+    between processes.
     """
     cls = type(workload)
     for parameter, value in workload.arguments:
@@ -75,8 +72,14 @@ def workload_cache_key(workload: "Workload") -> str:
                 f"{cls.__qualname__} argument {parameter}={value!r} has no "
                 f"stable repr; workload arguments must be None, bool, int, "
                 f"float, str, bytes or tuples of them")
-    return stable_hash(f"{cls.__module__}.{cls.__qualname__}",
-                       workload.name, workload.arguments)
+    return (f"{cls.__module__}.{cls.__qualname__}", workload.name,
+            workload.arguments)
+
+
+def workload_cache_key(workload: "Workload") -> str:
+    """Digest of :func:`workload_identity`: equal for two instances
+    exactly when they build the same program."""
+    return stable_hash(*workload_identity(workload))
 
 
 def result_stats(result: "RunResult | RunRecord") -> tuple:

@@ -4,13 +4,16 @@ A warm sweep never simulates, so a hit's own host work is all it pays
 for. The contract under test (see docs/evaluation.md, "The result
 cache"):
 
-- the entry digest is the same for a live comparison and its unpickled
-  copy, so the process that writes an entry and the one that reads it
-  agree, and it moves with any one change to the workload name, either
-  run's stats, or the critical-path bound;
-- the key is ``stable_hash(CACHE_FORMAT, code_version(), workload
-  identity, delta config, static config, verify)``, bit for bit, however
-  it is built, from any thread;
+- an entry is the SHA-256 digest of its body followed by the body, the
+  ``marshal`` (version 4) bytes of the workload name, both runs' stats and
+  the critical-path bound; an entry written from a live comparison and
+  one written from its unpickled copy read back equal, and any one change
+  to the body behind the digest as written reads as corrupt;
+- a hit never unpickles: a body that is a pickle reads as corrupt and
+  runs none of its code;
+- the key is ``stable_hash(CACHE_FORMAT, code_version(), delta config,
+  static config, verify, workload identity)``, bit for bit, however it is
+  built, from any thread, and each part alone moves it;
 - a warm batch makes fixed counts of the calls a hit once paid for: the
   counts below are upper bounds, lowered when a change lowers them.
 """
@@ -18,8 +21,11 @@ cache"):
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import inspect
+import marshal
 import math
+import os
 import pickle
 import sys
 import threading
@@ -35,7 +41,7 @@ from repro.eval.parallel import run_suite_parallel
 from repro.eval.runner import compare, simulation_count, static_config_for
 from repro.sched.api import policy_names
 from repro.sim.faults import FaultPlan, LaneFailure, RetryPolicy
-from repro.store.keys import code_version, stable_hash, workload_cache_key
+from repro.store.keys import code_version, stable_hash, workload_identity
 from repro.store.sharded import ShardedStore
 from repro.util import fingerprint as fingerprint_mod
 from repro.workloads.registry import get_workload, workload_names
@@ -61,7 +67,19 @@ HIT_PATH_PINS = {
     "MachineConfig.__repr__": 2,
     # One read per point: a hit re-reads nothing.
     "ShardedStore.read": 18,
+    # A hit decodes its stored bytes once and never unpickles (18 before
+    # entries were marshal bodies).
+    "pickle.loads": 0,
+    "marshal.loads": 18,
+    # The digest covers the stored bytes, so nothing is re-encoded (18).
+    "marshal.dumps": 0,
+    # One key state per batch and one copy per point, plus one digest per
+    # hit (54: a workload key, a point key and a digest per hit).
+    "hashlib.sha256": 19,
 }
+
+#: Pins that are exact counts, not only bounds: one per hit.
+ONE_PER_HIT = ("ShardedStore.read", "marshal.loads")
 
 
 def registered_classes() -> list[type]:
@@ -77,9 +95,15 @@ def bound_arguments(cls: type, *args, **kwargs) -> tuple:
 
 
 def key_formula(workload, delta_config, static_config, verify) -> str:
-    return stable_hash(CACHE_FORMAT, code_version(),
-                       workload_cache_key(workload),
-                       delta_config, static_config, verify)
+    return stable_hash(CACHE_FORMAT, code_version(), delta_config,
+                       static_config, verify, workload_identity(workload))
+
+
+def layout_body(comparison) -> bytes:
+    """The documented entry body: the fields a comparison's fingerprint
+    covers, plus the bound, as version-4 ``marshal`` bytes."""
+    return marshal.dumps((comparison.workload, comparison.delta.stats,
+                          comparison.static.stats, comparison.parallelism), 4)
 
 
 # -- the entry digest -----------------------------------------------------
@@ -103,13 +127,32 @@ def registry_comparisons() -> dict:
     return points
 
 
-def test_digest_survives_a_pickle_round_trip(registry_comparisons):
-    # The writer digests a live comparison, the reader its unpickled copy
-    # (in another process when a pool worker wrote the entry).
-    differ = [point for point, c in registry_comparisons.items()
-              if cache_mod._entry_digest(c)
-              != cache_mod._entry_digest(pickle.loads(pickle.dumps(c)))]
-    assert not differ
+def test_entry_is_the_digest_of_its_body_then_the_body(
+        registry_comparisons):
+    for point, c in registry_comparisons.items():
+        body = layout_body(c)
+        assert cache_mod._encode(c) == \
+            hashlib.sha256(body).digest() + body, point
+
+
+def test_live_and_unpickled_comparisons_read_back_equal(
+        tmp_path, registry_comparisons):
+    # A pool worker's result reaches the writer unpickled, and version-4
+    # marshal may encode it to other bytes than the live comparison: both
+    # entries must read back as the comparison they were written from.
+    cache = EvalCache(tmp_path)
+    for point, c in registry_comparisons.items():
+        keys = [hashlib.sha256(f"{point} {side}".encode()).hexdigest()
+                for side in ("live", "unpickled")]
+        cache.put(keys[0], c)
+        cache.put(keys[1], pickle.loads(pickle.dumps(c)))
+        live, unpickled = (cache.get(key) for key in keys)
+        assert live == unpickled == c, point
+        fingerprint = fingerprint_mod.comparison_fingerprint
+        assert fingerprint(live) == fingerprint(unpickled) == \
+            fingerprint(c), point
+    assert cache.hits == 2 * len(registry_comparisons)
+    assert cache.store.metrics.get("corrupt") == 0
     assert len(registry_comparisons) == 3 * len(workload_names()) + 2
 
 
@@ -175,21 +218,29 @@ SINGLE_EDITS = {
 }
 
 
+def fill_one_point(cache, delta_config):
+    """Fill ``cache`` with one small point; returns (comparison, key)."""
+    (comparison,) = run_suite_parallel(
+        workloads=[SkewedTasks(num_tasks=24)], jobs=1, cache=cache,
+        delta_config=delta_config)
+    key = comparison_key(SkewedTasks(num_tasks=24), delta_config,
+                         static_config_for(delta_config))
+    return comparison, key
+
+
 @pytest.mark.parametrize("edit", sorted(SINGLE_EDITS))
 def test_one_changed_field_reads_as_corrupt(tmp_path, edit):
     cache = EvalCache(tmp_path)
     delta_config = default_delta_config(lanes=4)
-    (original,) = run_suite_parallel(workloads=[SkewedTasks(num_tasks=24)],
-                                     jobs=1, cache=cache,
-                                     delta_config=delta_config)
-    key = comparison_key(SkewedTasks(num_tasks=24), delta_config,
-                         static_config_for(delta_config))
+    original, key = fill_one_point(cache, delta_config)
     path = cache._path(key)
-    entry = pickle.loads(path.read_bytes())
-    edited = SINGLE_EDITS[edit](entry["comparison"])
-    assert edited != entry["comparison"]
-    entry["comparison"] = edited  # the stored digest is left as written
-    path.write_bytes(pickle.dumps(entry))
+    payload = path.read_bytes()
+    assert payload[32:] == layout_body(original)
+    edited = SINGLE_EDITS[edit](original)
+    assert edited != original
+    assert layout_body(edited) != payload[32:]
+    # The stored digest is left as written.
+    path.write_bytes(payload[:32] + layout_body(edited))
 
     misses = cache.misses  # the fill's own miss
     assert cache.get(key) is None
@@ -202,6 +253,62 @@ def test_one_changed_field_reads_as_corrupt(tmp_path, edit):
     assert simulation_count() == before + 1
     assert fresh == original
     assert cache.get(key) == original
+
+
+class Marker:
+    """Unpickles by creating the directory ``path``."""
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+#: Bodies that are not an entry's, each stored behind its own digest.
+FOREIGN_BODIES = {
+    "empty": lambda c: b"",
+    "three-fields": lambda c: marshal.dumps(
+        (c.workload, c.delta.stats, c.static.stats), 4),
+    "stats-as-lists": lambda c: marshal.dumps(
+        (c.workload, list(c.delta.stats), list(c.static.stats),
+         c.parallelism), 4),
+    "short-run": lambda c: marshal.dumps(
+        (c.workload, c.delta.stats[:5], c.static.stats, c.parallelism), 4),
+    "truncated": lambda c: layout_body(c)[:-1],
+    "code-object": lambda c: marshal.dumps(compile("1", "x", "eval"), 4),
+}
+
+
+@pytest.mark.parametrize("body", sorted(FOREIGN_BODIES))
+def test_a_foreign_body_behind_a_matching_digest_reads_as_corrupt(
+        tmp_path, body):
+    cache = EvalCache(tmp_path)
+    original, key = fill_one_point(cache, default_delta_config(lanes=4))
+    foreign = FOREIGN_BODIES[body](original)
+    cache._path(key).write_bytes(hashlib.sha256(foreign).digest() + foreign)
+    assert cache.get(key) is None
+    assert cache.store.metrics.get("corrupt") == 1
+    assert not cache._path(key).exists()
+
+
+def test_a_pickled_body_is_never_unpickled(tmp_path):
+    cache = EvalCache(tmp_path)
+    _original, key = fill_one_point(cache, default_delta_config(lanes=4))
+    # The payload is armed: unpickling it creates its marker.
+    armed = tmp_path / "armed"
+    pickle.loads(pickle.dumps(Marker(armed)))
+    assert armed.is_dir()
+
+    marker = tmp_path / "marker"
+    body = pickle.dumps(Marker(marker), pickle.HIGHEST_PROTOCOL)
+    cache._path(key).write_bytes(hashlib.sha256(body).digest() + body)
+    misses = cache.misses
+    assert cache.get(key) is None
+    assert cache.misses == misses + 1
+    assert cache.store.metrics.get("corrupt") == 1
+    assert not marker.exists()
+    assert not cache._path(key).exists()
 
 
 # -- the key ----------------------------------------------------------------
@@ -257,6 +364,44 @@ def test_equal_configs_with_different_reprs_key_apart():
                                   True)
         keys.add(key)
     assert len(keys) == 2
+
+
+def test_each_part_alone_moves_the_key(monkeypatch):
+    class Subclassed(SkewedTasks):
+        pass
+
+    workload = SkewedTasks()
+    renamed = SkewedTasks()
+    renamed.name = workload.name + "_"
+    delta_config = default_delta_config(lanes=4)
+    static_config = static_config_for(delta_config)
+    point = (delta_config, static_config, True)
+    keys = {
+        "base": comparison_key(workload, *point),
+        "workload class": comparison_key(Subclassed(), *point),
+        "workload name": comparison_key(renamed, *point),
+        "workload arguments": comparison_key(SkewedTasks(num_tasks=7),
+                                             *point),
+        "delta config": comparison_key(
+            workload, delta_config.with_sanitize(True), static_config),
+        "static config": comparison_key(
+            workload, delta_config, static_config.with_sanitize(True)),
+        "verify": comparison_key(workload, delta_config, static_config,
+                                 False),
+    }
+    # Equal copies of the configs keep their reprs, and a batch of new
+    # config objects hashes the format afresh.
+    def copies():
+        return (dataclasses.replace(delta_config),
+                dataclasses.replace(static_config), True)
+
+    assert comparison_key(workload, *copies()) == keys["base"]
+    monkeypatch.setattr(cache_mod, "CACHE_FORMAT", CACHE_FORMAT + 1)
+    keys["format"] = comparison_key(workload, *copies())
+    monkeypatch.undo()
+    monkeypatch.setattr(cache_mod, "code_version", lambda: "edited")
+    keys["code version"] = comparison_key(workload, *point)
+    assert len(set(keys.values())) == len(keys), keys
 
 
 @pytest.mark.parametrize("cls", registered_classes(),
@@ -342,6 +487,10 @@ def test_warm_batch_costs(filled_cache, monkeypatch):
                         counting("Signature.bind", inspect.Signature.bind))
     monkeypatch.setattr(ShardedStore, "read",
                         counting("ShardedStore.read", ShardedStore.read))
+    for module, attr in [(pickle, "loads"), (marshal, "loads"),
+                         (marshal, "dumps"), (hashlib, "sha256")]:
+        monkeypatch.setattr(module, attr, counting(
+            f"{module.__name__}.{attr}", getattr(module, attr)))
     depth = [0]
     config_repr = MachineConfig.__repr__
 
@@ -364,8 +513,8 @@ def test_warm_batch_costs(filled_cache, monkeypatch):
     assert outcomes == ["cached"] * len(classes)
     assert None not in results
     assert simulation_count() == before
-    assert len(classes) == HIT_PATH_PINS["ShardedStore.read"]
-    assert counts["ShardedStore.read"] == HIT_PATH_PINS["ShardedStore.read"]
+    for name in ONE_PER_HIT:
+        assert counts[name] == HIT_PATH_PINS[name] == len(classes), name
     over = {name: count for name, count in counts.items()
             if count > HIT_PATH_PINS[name]}
     assert not over, f"a warm batch makes more calls than pinned: {over}"

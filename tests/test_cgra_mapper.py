@@ -1,9 +1,12 @@
 """Unit tests for the fabric model and the DFG mapper."""
 
+import multiprocessing
+import threading
+
 import pytest
 
 from repro.arch.cgra import Fabric, FabricCapacityError
-from repro.arch.config import FabricConfig
+from repro.arch.config import FabricConfig, default_delta_config
 from repro.arch.dfg import (
     Dfg,
     FuClass,
@@ -13,7 +16,10 @@ from repro.arch.dfg import (
     merge_dfg,
     stencil5_dfg,
 )
-from repro.arch.mapper import Mapper, MappingError
+from repro.arch.mapper import MAPPING_CACHE_ENTRIES, Mapper, MappingError
+from repro.eval.runner import compare
+from repro.util.fingerprint import comparison_fingerprint
+from repro.workloads.synthetic import SkewedTasks
 
 
 @pytest.fixture(autouse=True)
@@ -148,6 +154,86 @@ def test_map_cache_returns_same_object():
     first = mapper.map(dot_product_dfg())
     second = mapper.map(dot_product_dfg())
     assert first is second
+
+
+def test_map_cache_keeps_its_capacity_and_remaps_equal():
+    # repro serve gives every new spec its own seed: the cache must not
+    # keep every mapping a long-lived process ever made.
+    first = default_mapper(seed=0).map(dot_product_dfg())
+    for seed in range(1, MAPPING_CACHE_ENTRIES + 8):
+        default_mapper(seed=seed).map(dot_product_dfg())
+        assert len(Mapper._cache) <= MAPPING_CACHE_ENTRIES
+    assert all(key[2] != 0 for key in Mapper._cache)
+    again = default_mapper(seed=0).map(dot_product_dfg())
+    assert again is not first
+    assert again == first
+
+
+def test_map_cache_evicts_least_recently_used():
+    mappers = [default_mapper(seed=seed)
+               for seed in range(MAPPING_CACHE_ENTRIES)]
+    kept = mappers[0].map(dot_product_dfg())
+    for mapper in mappers[1:]:
+        mapper.map(dot_product_dfg())
+    assert mappers[0].map(dot_product_dfg()) is kept  # now most recent
+    default_mapper(seed=MAPPING_CACHE_ENTRIES).map(dot_product_dfg())
+    assert mappers[0].map(dot_product_dfg()) is kept
+    assert all(key[2] != 1 for key in Mapper._cache)
+
+
+def test_point_recomputed_after_eviction_has_the_same_fingerprint():
+    config = default_delta_config(lanes=2)
+    first = compare(SkewedTasks(num_tasks=24), config)
+    assert any(key[2] == config.seed for key in Mapper._cache)
+    for seed in range(config.seed + 1,
+                      config.seed + 1 + MAPPING_CACHE_ENTRIES):
+        Mapper(config.lane.fabric, seed=seed).map(dot_product_dfg())
+    assert all(key[2] != config.seed for key in Mapper._cache)
+    again = compare(SkewedTasks(num_tasks=24), config)
+    assert comparison_fingerprint(again) == comparison_fingerprint(first)
+
+
+def _map_in_forked_child(expected, warm: bool) -> None:
+    mapping = default_mapper(seed=97).map(dot_product_dfg())
+    assert mapping == expected
+    assert (mapping is expected) == warm
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+@pytest.mark.parametrize("held", [True, False], ids=["held", "free"])
+def test_a_child_forked_mid_mapping_can_map(held):
+    """``repro serve`` forks pool workers while its threads may be inside
+    the mapping cache's lock. Such a worker must not inherit a lock that
+    nothing releases (it hung on its first mapping), nor a cache
+    that thread may have left half updated; a worker forked while the
+    lock is free keeps the parent's warm cache."""
+    expected = default_mapper(seed=97).map(dot_product_dfg())
+    inside, release = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        with Mapper._cache_lock:
+            inside.set()
+            release.wait(30)
+
+    thread = threading.Thread(target=hold)
+    child = None
+    try:
+        if held:
+            thread.start()
+            assert inside.wait(30)
+        child = multiprocessing.get_context("fork").Process(
+            target=_map_in_forked_child, args=(expected, not held))
+        child.start()
+        child.join(30)
+        assert not child.is_alive(), "the forked worker hung on a held lock"
+        assert child.exitcode == 0
+    finally:
+        release.set()
+        if held:
+            thread.join(30)
+        if child is not None and child.is_alive():
+            child.kill()
 
 
 def test_map_dense_graph_ii_reflects_contention():

@@ -15,9 +15,9 @@ The contract under test (see docs/evaluation.md):
 
 import dataclasses
 import gc
+import marshal
 import multiprocessing
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -29,12 +29,7 @@ import pytest
 
 from repro.arch.config import default_baseline_config, default_delta_config
 from repro.eval import parallel as parallel_mod
-from repro.eval.cache import (
-    CACHE_FORMAT,
-    EvalCache,
-    comparison_key,
-    workload_cache_key,
-)
+from repro.eval.cache import CACHE_FORMAT, EvalCache, comparison_key
 from repro.eval.parallel import (
     dispatch_order,
     resolve_jobs,
@@ -44,6 +39,7 @@ from repro.eval.parallel import (
 from repro.eval.runner import run_suite, simulation_count
 from repro.machine.metrics import MetricsBus
 from repro.sim.faults import FaultPlan, LaneFailure, RetryPolicy
+from repro.store.keys import workload_cache_key
 from repro.util.fingerprint import comparison_fingerprint, result_stats
 from repro.workloads import all_workloads
 from repro.workloads.spmv import SpmvWorkload
@@ -69,6 +65,16 @@ def reverse_dispatch(workloads):
 def keyed(points):
     """``(key, spec)`` pairs for :func:`run_points`, keyed like the cache."""
     return [(comparison_key(*spec), spec) for spec in points]
+
+
+def edit_entry_body(path, edit):
+    """Rewrite a cache entry's body — the ``marshal`` bytes of (workload,
+    delta stats, static stats, bound) after its 32-byte digest — through
+    ``edit``, leaving the stored digest as written."""
+    payload = path.read_bytes()
+    body = marshal.dumps(edit(*marshal.loads(payload[32:])), 4)
+    assert body != payload[32:]
+    path.write_bytes(payload[:32] + body)
 
 
 def fast_workloads():
@@ -744,12 +750,8 @@ class TestEvalCache:
                                      jobs=1, cache=cache)
         # The stats still match their fingerprint; only the carried bound
         # changed, and that alone must discard the entry.
-        path = cache._path(key)
-        entry = pickle.loads(path.read_bytes())
-        entry["comparison"] = dataclasses.replace(
-            entry["comparison"],
-            parallelism=entry["comparison"].parallelism + 1.0)
-        path.write_bytes(pickle.dumps(entry))
+        edit_entry_body(cache._path(key), lambda name, delta, static, bound:
+                        (name, delta, static, bound + 1.0))
         before = simulation_count()
         (fresh,) = run_suite_parallel(lanes=LANES,
                                       workloads=[SkewedTasks(num_tasks=24)],
@@ -767,15 +769,15 @@ class TestEvalCache:
         key = comparison_key(workload, delta_cfg, static_cfg)
         comparison = run_suite_parallel(lanes=LANES, workloads=[workload],
                                         jobs=1, cache=cache)[0]
-        # Valid pickle, wrong contents: the stored fingerprint no longer
-        # matches, so the entry must be dropped, not served.
+        # A well-formed body with wrong contents: the stored digest no
+        # longer matches, so the entry must be dropped, not served.
         path = cache._path(key)
-        entry = pickle.loads(path.read_bytes())
-        stored = entry["comparison"]
-        entry["comparison"] = dataclasses.replace(
-            stored, delta=dataclasses.replace(stored.delta,
-                                              cycles=stored.delta.cycles + 1))
-        path.write_bytes(pickle.dumps(entry))
+
+        def later_delta_cycles(name, delta, static, bound):
+            machine, program, cycles, *rest = delta
+            return name, (machine, program, cycles + 1, *rest), static, bound
+
+        edit_entry_body(path, later_delta_cycles)
         assert cache.get(key) is None
         assert not path.exists()
         fresh = run_suite_parallel(lanes=LANES,

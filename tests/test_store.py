@@ -36,6 +36,7 @@ from repro.store import (
     cache_budget_bytes,
     open_store,
 )
+from repro.store import sharded
 from repro.workloads.synthetic import SharedReadTasks, SkewedTasks
 
 KEY_A = hashlib.sha256(b"a").hexdigest()
@@ -54,6 +55,16 @@ class TestShardedStore:
         path = store.path_for("eval", KEY_A)
         assert path == tmp_path / "eval" / KEY_A[:2] / f"{KEY_A}.pkl"
         assert path.exists()
+
+    def test_payload_larger_than_one_read_roundtrips(self, tmp_path):
+        store = ShardedStore(tmp_path, max_bytes=None)
+        payload = os.urandom(3 * sharded._READ_SIZE + 17)
+        store.write("eval", KEY_A, payload)
+        old = time.time() - 3600
+        path = store.path_for("eval", KEY_A)
+        os.utime(path, (old, old))
+        assert store.read("eval", KEY_A) == payload
+        assert path.stat().st_mtime > old + 60  # the read refreshed it
 
     def test_miss_returns_none(self, tmp_path):
         store = ShardedStore(tmp_path, max_bytes=None)
