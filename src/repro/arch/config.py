@@ -142,7 +142,7 @@ class DispatchConfig:
     #: each task's hint, so a lane holding many tiny tasks is correctly
     #: seen as loaded even when the sum of hints is small.
     work_overhead: float = 96.0
-    #: Record the opt-in ``sched.*`` counter group (pool peak, steal
+    #: Record the opt-in ``sched.*`` counters (pool peak, steal
     #: attempts/hits, priority inversions). Off by default: counters feed
     #: run fingerprints, so observability must be armed explicitly — the
     #: same contract as ``MachineConfig.sanitize``/``faults``.
@@ -248,7 +248,7 @@ class MachineConfig:
         return replace(self, sanitize=sanitize)
 
     def with_sched_stats(self, sched_stats: bool = True) -> "MachineConfig":
-        """Copy with the opt-in ``sched.*`` counter group armed (or not)."""
+        """Copy with the opt-in ``sched.*`` counters armed (or not)."""
         return replace(self,
                        dispatch=replace(self.dispatch,
                                         sched_stats=sched_stats))

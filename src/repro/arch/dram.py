@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.sim import BandwidthServer, Counters, Environment, Event
+from repro.sim import BandwidthServer, Environment, Event
 from repro.sim.engine import SimulationError
 from repro.sim.faults import NULL_INJECTOR, FaultInjector
+from repro.util.counters import Counters
 
 #: The byte and effective-byte counters of each request kind.
 _READ_KEYS = ("dram.read_bytes", "dram.read_effective_bytes")

@@ -22,9 +22,9 @@ from repro.arch.mapper import Mapper, Mapping
 from repro.arch.noc import Noc
 from repro.arch.spad import Scratchpad
 from repro.arch.stream_engine import StreamEngine
-from repro.sim import (Counters, Environment, Event, Store,
-                       UtilizationTracker)
+from repro.sim import Environment, Event, Store, UtilizationTracker
 from repro.sim.sanitize import NULL_SANITIZER, Sanitizer
+from repro.util.counters import Counters
 
 
 class Lane:

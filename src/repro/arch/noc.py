@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Optional, Sequence
 
-from repro.sim import BandwidthServer, Counters, Environment, Event
+from repro.sim import BandwidthServer, Environment, Event
 from repro.sim.engine import SimulationError
 from repro.sim.faults import NULL_INJECTOR, FaultInjector
 from repro.sim.sanitize import NULL_SANITIZER, Sanitizer
+from repro.util.counters import Counters
 
 Coord = tuple[int, int]
 

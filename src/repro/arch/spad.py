@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.sim import BandwidthServer, Counters, Environment, Event
+from repro.sim import BandwidthServer, Environment, Event
 from repro.sim.engine import SimulationError
+from repro.util.counters import Counters
 
 
 class CapacityError(RuntimeError):

@@ -41,7 +41,8 @@ from typing import Optional
 from repro.arch.dram import Dram
 from repro.arch.noc import MEM_NODE, Noc
 from repro.arch.spad import Scratchpad
-from repro.sim import Counters, Environment, Event, Resource, Store
+from repro.sim import Environment, Event, Resource, Store
+from repro.util.counters import Counters
 
 #: In-flight chunk credits per inbound stream.
 MAX_INFLIGHT_CHUNKS = 4

@@ -74,7 +74,7 @@ class _StaticRun:
         self.graph = graph
         self.tracer = machine.tracer
         self.env = machine.env
-        self.metrics = machine.metrics
+        self.counters = machine.counters
         self.lanes = machine.lanes
         self.sanitizer = machine.sanitizer
         self.injector = machine.injector
@@ -120,7 +120,7 @@ class _StaticRun:
             # The barrier: every lane finishes before the next phase.
             phase_start = self.env.now
             yield self.env.all_of(workers)
-            self.metrics.static.add("barriers")
+            self.counters.add("static.barriers")
             if self.injector.enabled:
                 yield from self._repair_phase(phase_index)
             self.tracer.span("phase", f"phase{phase_index}", "machine",
@@ -139,7 +139,7 @@ class _StaticRun:
                 for orphan in tasks[index:]:
                     self.sanitizer.task_requeued(orphan, lane.lane_id,
                                                  self.env.now)
-                    self.metrics.recovery.add("redispatched")
+                    self.counters.add("recovery.redispatched")
                 self._orphans.extend(tasks[index:])
                 return
             task.lane_id = lane.lane_id
@@ -151,9 +151,9 @@ class _StaticRun:
         if lane_id in self._lost_lanes:
             return
         self._lost_lanes.add(lane_id)
-        self.metrics.faults.add("injected")
-        self.metrics.faults.add("lane_failstop")
-        self.metrics.recovery.add("lanes_lost")
+        self.counters.add("faults.injected")
+        self.counters.add("faults.lane_failstop")
+        self.counters.add("recovery.lanes_lost")
         self.sanitizer.lane_failed(lane_id, self.env.now)
 
     def _repair_phase(self, phase_index: int) -> Generator:
@@ -176,7 +176,7 @@ class _StaticRun:
                     task=orphans[0].name, cycle=self.env.now)
             cost = backoff * len(orphans)
             if cost:
-                self.metrics.recovery.add("recovery_cycles", cost)
+                self.counters.add("recovery.recovery_cycles", cost)
                 yield self.env.timeout(cost)
             yield self.env.process(
                 self._lane_phase(repair, orphans),
@@ -196,7 +196,7 @@ class _StaticRun:
         self.sanitizer.task_started(task, lane.lane_id, t_begin,
                                     pipelining=False)
         mapping = yield from lane.configure(task.type.dfg)
-        self.metrics.tasks.add(task.type.name)
+        self.counters.add(f"tasks.{task.type.name}")
 
         if self.injector.enabled:
             yield from self.session.ride_out_task_faults(lane, task,
@@ -209,8 +209,8 @@ class _StaticRun:
             store = Store(self.env, capacity=8, name=f"{task.name}.in")
             if spec.shared:
                 # No multicast: every task pays its own fetch.
-                self.metrics.static.add("duplicate_shared_bytes",
-                                        spec.nbytes)
+                self.counters.add("static.duplicate_shared_bytes",
+                                  spec.nbytes)
             procs.append(lane.streams.stream_in(
                 spec.nbytes, spec.locality, dest_store=store,
                 close_dest=True))

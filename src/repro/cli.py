@@ -348,12 +348,12 @@ def _cmd_eval(args) -> int:
     from repro.eval.cache import EvalCache
     from repro.eval.parallel import default_jobs, run_suite_parallel
     from repro.eval.runner import simulation_count
-    from repro.machine.metrics import MetricsBus
     from repro.store import open_store
+    from repro.util.counters import Counters
 
-    bus = MetricsBus()
+    counters = Counters()
     store = open_store(args.cache_dir, max_mb=args.cache_max_mb,
-                       metrics=bus.cache)
+                       counters=counters)
     if args.clear_cache:
         removed = store.clear_report()
         total = sum(removed.values())
@@ -376,7 +376,7 @@ def _cmd_eval(args) -> int:
                                      jobs=jobs, timeout=args.timeout,
                                      cache=cache, sanitize=args.sanitize,
                                      faults=_fault_plan(args),
-                                     outcomes=outcomes)
+                                     outcomes=outcomes, counters=counters)
     elapsed = time.perf_counter() - started
     rows = [c.row_with_bound() for c in comparisons]
     print(format_table(
@@ -399,12 +399,15 @@ def _cmd_eval(args) -> int:
         # Eviction normally runs after writes; a fully-warm run writes
         # nothing, so enforce a (possibly just-lowered) budget here too.
         store.evict_to_budget()
-        m = bus.cache
-        print(f"store: {m.hits:.0f} hits / {m.misses:.0f} misses "
-              f"({m.hit_rate() * 100:.0f}% hit rate), "
-              f"{m.coalesced:.0f} coalesced, {m.evictions:.0f} evicted, "
-              f"{m.corrupt:.0f} corrupt dropped, "
-              f"{m.lock_waits:.0f} lock waits")
+        get = counters.get
+        hits, misses = get("cache.hits"), get("cache.misses")
+        hit_rate = hits / (hits + misses) if hits + misses else 0.0
+        print(f"store: {hits:.0f} hits / {misses:.0f} misses "
+              f"({hit_rate * 100:.0f}% hit rate), "
+              f"{get('cache.coalesced'):.0f} coalesced, "
+              f"{get('cache.evictions'):.0f} evicted, "
+              f"{get('cache.corrupt'):.0f} corrupt dropped, "
+              f"{get('cache.lock_waits'):.0f} lock waits")
     return 0
 
 

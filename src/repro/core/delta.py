@@ -101,7 +101,7 @@ class _DeltaRun:
         self.program = program
         self.tracer = machine.tracer
         self.env = machine.env
-        self.metrics = machine.metrics
+        self.counters = machine.counters
         self.lanes = machine.lanes
         self.noc = machine.noc
         self.dram = machine.dram
@@ -112,13 +112,13 @@ class _DeltaRun:
         self.sanitizer = machine.sanitizer
         self.injector = machine.injector
         self.dispatcher = Dispatcher(
-            self.env, self.metrics, self.config.dispatch, self.config.lanes,
+            self.env, self.counters, self.config.dispatch, self.config.lanes,
             self.features, self.rng.fork("dispatch"),
             sanitizer=self.sanitizer)
         if sched_hints is not None:
             self.dispatcher.attach_hints(sched_hints)
         self.mcast = MulticastManager(
-            self.env, self.metrics, self.noc, self.dram, self.lanes,
+            self.env, self.counters, self.noc, self.dram, self.lanes,
             window_cycles=self.config.effective_mcast_window(),
             sanitizer=self.sanitizer, injector=self.injector)
         self.dispatcher.affinity_window = float(
@@ -216,7 +216,7 @@ class _DeltaRun:
         proc = self.env.process(self._prefetch_pump(lane, nbytes),
                                 name=f"prefetch:{head.name}")
         self._prefetches[head.task_id] = (proc, lane.lane_id, region)
-        self.metrics.prefetch.add("issued")
+        self.counters.add("prefetch.issued")
 
     def _prefetch_pump(self, lane: Lane, nbytes: float) -> Generator:
         """Low-priority prefetch: only issues a chunk when the DRAM channel
@@ -227,7 +227,7 @@ class _DeltaRun:
             yield self.dram.fetch(size, 1.0)
             yield self.noc.unicast(MEM_NODE, lane.name, size)
             yield lane.spad.access(size, is_write=True)
-        self.metrics.prefetch.add("bytes", nbytes)
+        self.counters.add("prefetch.bytes", nbytes)
 
     # -- task execution ------------------------------------------------------------
 
@@ -237,14 +237,14 @@ class _DeltaRun:
         if lane.config.task_overhead_cycles:
             # Software-runtime regime: dequeue + closure-call cost.
             yield self.env.timeout(lane.config.task_overhead_cycles)
-            self.metrics.runtime.add("task_overhead_cycles",
-                                     lane.config.task_overhead_cycles)
+            self.counters.add("runtime.task_overhead_cycles",
+                              lane.config.task_overhead_cycles)
         was_configured = lane.configured_for(task.type.dfg)
         mapping = yield from lane.configure(task.type.dfg)
         if not was_configured and self.env.now > t_begin:
             self.tracer.span("config", task.type.dfg.name, lane.name,
                              t_begin, self.env.now)
-        self.metrics.tasks.add(task.type.name)
+        self.counters.add(f"tasks.{task.type.name}")
 
         # Functional execution: the kernel does the real computation and
         # spawns children. It must run *before* the started event fires —
@@ -276,13 +276,13 @@ class _DeltaRun:
             pf_proc, pf_lane, prefetch_region = prefetch
             if pf_lane == lane.lane_id:
                 prefetched_here = True
-                self.metrics.prefetch.add("used")
+                self.counters.add("prefetch.used")
             else:
                 # Stolen to a different lane: the prefetch was wasted.
                 self.lanes[pf_lane].spad.release(prefetch_region)
                 prefetch_region = None
                 pf_proc = None
-                self.metrics.prefetch.add("wasted")
+                self.counters.add("prefetch.wasted")
 
         # 1. Annotated reads: shared regions via multicast (when enabled),
         #    everything else streamed privately from DRAM.
@@ -307,7 +307,7 @@ class _DeltaRun:
                                          store)))
             else:
                 if spec.shared:
-                    self.metrics.mcast.add("disabled_duplicate_fetches")
+                    self.counters.add("mcast.disabled_duplicate_fetches")
                 procs.append(lane.streams.stream_in(
                     spec.nbytes, spec.locality, dest_store=store,
                     close_dest=True))
@@ -348,7 +348,7 @@ class _DeltaRun:
             procs.append(self.env.process(
                 self._fan_out(out, channels, write_bytes),
                 name=f"fanout:{task.name}"))
-            self.metrics.pipe.add("streams", len(channels))
+            self.counters.add("pipe.streams", len(channels))
         elif write_bytes > 0:
             out = Store(self.env, capacity=8, name=f"{task.name}.out")
             out_stores.append(out)
@@ -356,7 +356,7 @@ class _DeltaRun:
             procs.append(lane.streams.stream_out(
                 write_bytes, locality, src_store=out))
             if task.stream_consumers:
-                self.metrics.pipe.add("disabled_round_trips")
+                self.counters.add("pipe.disabled_round_trips")
 
         # 4. Compute.
         yield lane.run_pipeline(mapping, task.trips, in_streams, out_stores)
@@ -451,7 +451,7 @@ class _DeltaRun:
             yield lane.spad.access(size, is_write=True)
             yield in_store.put(size)
             pulled += size
-        self.metrics.pipe.add("bytes", pulled)
+        self.counters.add("pipe.bytes", pulled)
         in_store.close()
 
     def _resident_after(self, pf_proc, lane: Lane, nbytes: int,
@@ -471,10 +471,10 @@ class _DeltaRun:
         if (self.dispatcher.drained.triggered
                 or self.dispatcher.is_dead(failure.lane)):
             return
-        self.metrics.faults.add("injected")
-        self.metrics.faults.add("lane_failstop")
+        self.counters.add("faults.injected")
+        self.counters.add("faults.lane_failstop")
         rescued = self.dispatcher.fail_lane(failure.lane)
-        self.metrics.recovery.add("lanes_lost")
+        self.counters.add("recovery.lanes_lost")
         self.tracer.instant("lane-failure", f"lane{failure.lane}",
                             f"lane{failure.lane}", self.env.now,
                             rescued=rescued)
@@ -489,8 +489,8 @@ class _DeltaRun:
         policy = self.injector.plan.retry
         while self.injector.stream_corrupt():
             replays += 1
-            self.metrics.faults.add("injected")
-            self.metrics.faults.add("stream_corrupt")
+            self.counters.add("faults.injected")
+            self.counters.add("faults.stream_corrupt")
             if replays >= policy.max_attempts:
                 raise UnrecoverableFault(
                     "stream-replay-exhausted",
@@ -500,7 +500,7 @@ class _DeltaRun:
                     lane=lane.lane_id, cycle=self.env.now)
             self.sanitizer.stream_replayed(*channel.key, size,
                                            self.env.now)
-            self.metrics.recovery.add("replayed_chunks")
-            self.metrics.recovery.add("replayed_bytes", size)
+            self.counters.add("recovery.replayed_chunks")
+            self.counters.add("recovery.replayed_bytes", size)
             yield self.env.timeout(policy.backoff_cycles)
             yield self.noc.unicast(src, lane.name, size)

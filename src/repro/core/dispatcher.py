@@ -31,9 +31,10 @@ from typing import Optional
 from repro.arch.config import DispatchConfig, FeatureFlags
 from repro.core.task import Task
 from repro.sched.api import StructureHints, create_policy
-from repro.sim import Counters, Environment, Event, Store
+from repro.sim import Environment, Event, Store
 from repro.sim.faults import UnrecoverableFault
 from repro.sim.sanitize import NULL_SANITIZER, Sanitizer
+from repro.util.counters import Counters
 from repro.util.rng import DeterministicRng
 
 

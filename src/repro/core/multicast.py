@@ -26,9 +26,10 @@ from repro.arch.dram import Dram
 from repro.arch.lane import Lane
 from repro.arch.noc import MEM_NODE, Noc
 from repro.arch.spad import CapacityError
-from repro.sim import Counters, Environment
+from repro.sim import Environment
 from repro.sim.faults import NULL_INJECTOR, FaultInjector
 from repro.sim.sanitize import NULL_SANITIZER, Sanitizer
+from repro.util.counters import Counters
 
 
 class _Batch:

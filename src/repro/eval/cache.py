@@ -37,7 +37,7 @@ serve`` process on a host reads these entries, so the cache directory
 must be writable only by trusted users.
 
 Storage — sharding, atomic publish, per-shard locking, the size-cap
-eviction policy, and the ``cache.*`` metrics — is the shared
+eviction policy, and the ``cache.*`` counters — is the shared
 :class:`~repro.store.sharded.ShardedStore`'s job; this module only
 defines what an entry *means*: the ``"eval"`` namespace, the entry
 layout, and digest verification. Entries live under
@@ -146,8 +146,8 @@ class EvalCache:
 
     Tracks ``hits`` / ``misses`` / ``stores`` locally so callers (CLI,
     tests) can report this cache's effectiveness — a corrupted entry
-    counts as a miss — and mirrors every operation onto the shared
-    store's ``cache.*`` metrics sink.
+    counts as a miss — and adds every hit and miss to the shared
+    store's ``cache.*`` counters.
     """
 
     def __init__(self, root: Optional[Path] = None, *,
@@ -181,12 +181,12 @@ class EvalCache:
             self._miss()
             return None
         self.hits += 1
-        self.store.metrics.add("hits")
+        self.store.counters.add("cache.hits")
         return comparison
 
     def _miss(self) -> None:
         self.misses += 1
-        self.store.metrics.add("misses")
+        self.store.counters.add("cache.misses")
 
     def put(self, key: str, comparison: "Comparison") -> None:
         """Store an entry (atomic publish + size-budget enforcement)."""

@@ -250,14 +250,15 @@ def f5_traffic(lanes: int = 8,
     comparisons = run_suite(lanes=lanes, workloads=workloads, jobs=jobs)
     rows = []
     for c in comparisons:
+        delta = c.delta.counters
         rows.append([
             c.workload,
             f"{c.delta.dram_bytes / 1024:,.1f}",
             f"{c.static.dram_bytes / 1024:,.1f}",
             f"{c.traffic_ratio:.2f}x",
-            f"{c.delta.metrics.mcast.fetches:,.0f}",
-            f"{c.delta.metrics.mcast.hits:,.0f}",
-            f"{c.delta.metrics.pipe.bytes / 1024:,.1f}",
+            f"{delta.get('mcast.fetches'):,.0f}",
+            f"{delta.get('mcast.hits'):,.0f}",
+            f"{delta.get('pipe.bytes') / 1024:,.1f}",
         ])
     text = format_table(
         ["workload", "delta KiB", "static KiB", "reduction",
@@ -417,8 +418,8 @@ def f9_extensions(lanes: int = 8) -> ExperimentResult:
     thrash.check(aff.state)
 
     def misses(result):
-        return sum(lane.config_misses
-                   for lane in result.metrics.lanes(lanes))
+        return sum(result.counters.get(f"lane{lane}.config_misses")
+                   for lane in range(lanes))
 
     rows.append(["config-affinity", "config-thrash",
                  f"{base.cycles:,.0f}", f"{aff.cycles:,.0f}",
@@ -437,7 +438,7 @@ def f9_extensions(lanes: int = 8) -> ExperimentResult:
     rows.append(["prefetch", "uniform (latency-bound)",
                  f"{pf_base.cycles:,.0f}", f"{pf.cycles:,.0f}",
                  f"{pf_base.cycles / pf.cycles:.2f}x",
-                 f"prefetches used {pf.metrics.prefetch.used:.0f}"])
+                 f"prefetches used {pf.counters.get('prefetch.used'):.0f}"])
 
     text = format_table(
         ["extension", "regime workload", "off cycles", "on cycles",
@@ -446,7 +447,7 @@ def f9_extensions(lanes: int = 8) -> ExperimentResult:
     data = {"affinity_gain": base.cycles / aff.cycles,
             "prefetch_gain": pf_base.cycles / pf.cycles,
             "misses_before": misses(base), "misses_after": misses(aff),
-            "prefetch_used": pf.metrics.prefetch.used}
+            "prefetch_used": pf.counters.get("prefetch.used")}
     return ExperimentResult("F9", "extensions", data, text)
 
 
@@ -612,7 +613,7 @@ def a1_design_sensitivity(lanes: int = 8) -> ExperimentResult:
         result = Delta(cfg).run(w.build_program())
         w.check(result.state)
         window_cycles.append(result.cycles)
-        window_fetches.append(result.metrics.mcast.fetches)
+        window_fetches.append(result.counters.get("mcast.fetches"))
     sections.append(series_table(
         "window", windows,
         {"cycles": window_cycles, "fetches": window_fetches},

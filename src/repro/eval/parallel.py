@@ -56,7 +56,7 @@ from typing import Callable, Optional, Sequence
 from repro.arch.config import MachineConfig, default_delta_config
 from repro.eval.cache import EvalCache, comparison_key
 from repro.eval.runner import static_config_for
-from repro.store.metrics import NULL_METRICS
+from repro.util.counters import Counters
 from repro.workloads import all_workloads
 from repro.workloads.base import Workload
 
@@ -273,7 +273,7 @@ class _SharedPool:
         #: Broken executors whose worker death has been counted.
         self._counted = weakref.WeakSet()
 
-    def submit(self, specs: Sequence[PointSpec], jobs: int, metrics):
+    def submit(self, specs: Sequence[PointSpec], jobs: int, counters):
         """Queue ``specs`` on the pool; returns ``(executor, futures)``.
 
         A pool found broken here (an idle worker died since the last
@@ -284,8 +284,8 @@ class _SharedPool:
         with self._lock:
             current = self._executor
             if current is not None and _is_broken(current):
-                self.note_break(current, metrics)
-                metrics.add("pool_rebuilds")
+                self.note_break(current, counters)
+                counters.add("eval.pool_rebuilds")
                 self._retire(current)
             elif current is not None and self._jobs != jobs:
                 self._retire(current)
@@ -302,14 +302,14 @@ class _SharedPool:
                     futures.append(failed)
         return executor, futures
 
-    def note_break(self, executor: ProcessPoolExecutor, metrics) -> None:
+    def note_break(self, executor: ProcessPoolExecutor, counters) -> None:
         """Count a broken pool's worker death once, however many batches
         saw it break."""
         with self._lock:
             if executor in self._counted:
                 return
             self._counted.add(executor)
-        metrics.add("worker_deaths")
+        counters.add("eval.worker_deaths")
 
     def retire(self, executor: ProcessPoolExecutor) -> None:
         """Give ``executor`` no more batches: one of its workers is stuck."""
@@ -465,8 +465,8 @@ def _recover_point(spec: PointSpec, timeout: Optional[float],
 _FRESH = ("ok", None)
 
 #: The pool-health counter each recovered outcome adds once per point.
-_OUTCOME_METRICS = {"retried": "retried_points",
-                    "lost-worker": "lost_worker_points"}
+_OUTCOME_COUNTERS = {"retried": "eval.retried_points",
+                     "lost-worker": "eval.lost_worker_points"}
 
 
 class _Entry:
@@ -526,7 +526,7 @@ class _InflightTable:
         return len(self._entries)
 
     def hold(self, points: Sequence[tuple[str, PointSpec]], jobs: int,
-             metrics) -> list[_Entry]:
+             counters) -> list[_Entry]:
         """Register one request per ``(key, spec)``, in order; with
         ``jobs > 1``, submit every point nothing has started yet."""
         with self._cond:
@@ -541,7 +541,7 @@ class _InflightTable:
                     entry.todo = None
                     fresh.append(entry)
             if fresh:
-                self._submit(fresh, jobs, metrics)
+                self._submit(fresh, jobs, counters)
         return held
 
     def release(self, entry: _Entry) -> None:
@@ -562,7 +562,7 @@ class _InflightTable:
 
     def resolve(self, entry: _Entry, timeout: Optional[float],
                 cancel: Optional[threading.Event],
-                heartbeat: Optional[Callable[[], None]], metrics) -> tuple:
+                heartbeat: Optional[Callable[[], None]], counters) -> tuple:
         """This request's ``(result, seconds, outcome)`` of ``entry``.
 
         Waits while the pool or another request's thread computes the
@@ -600,7 +600,7 @@ class _InflightTable:
                     if broken_at is None and _is_broken(entry.executor):
                         broken_at = now
                     if future.done():
-                        work = self._collect(entry, metrics)
+                        work = self._collect(entry, counters)
                     elif deadline is not None and now >= deadline:
                         entry.future = None
                         _shared_pool.retire(entry.executor)
@@ -611,7 +611,7 @@ class _InflightTable:
                         # A broken pool fails its pending futures without
                         # the lock ``submit`` holds, so a submission that
                         # raced a worker death may never be resolved.
-                        work = self._broke(entry, metrics)
+                        work = self._broke(entry, counters)
                     else:
                         self._cond.wait(_CANCEL_POLL_S)
                         continue
@@ -619,10 +619,10 @@ class _InflightTable:
                         continue
             self._run_here(entry, work, cancel)
 
-    def _submit(self, entries: list[_Entry], jobs: int, metrics) -> None:
+    def _submit(self, entries: list[_Entry], jobs: int, counters) -> None:
         try:
             executor, futures = _shared_pool.submit(
-                [entry.spec for entry in entries], jobs, metrics)
+                [entry.spec for entry in entries], jobs, counters)
         except Exception:
             # No pool to submit to: each point is recomputed here.
             for entry in entries:
@@ -644,13 +644,13 @@ class _InflightTable:
                 and (entry.future is None or entry.future.done())):
             del self._entries[entry.key]
 
-    def _collect(self, entry: _Entry, metrics) -> Optional[tuple]:
+    def _collect(self, entry: _Entry, counters) -> Optional[tuple]:
         """Take the finished pool future's value; returns the recovery
         this request must run when it failed."""
         try:
             result, seconds = entry.future.result()
         except BrokenProcessPool:
-            return self._broke(entry, metrics)
+            return self._broke(entry, counters)
         except Exception:
             # Recomputed here, so the serial path is the one that reports
             # a genuine simulation error.
@@ -662,15 +662,15 @@ class _InflightTable:
         self._cond.notify_all()
         return None
 
-    def _broke(self, entry: _Entry, metrics) -> Optional[tuple]:
+    def _broke(self, entry: _Entry, counters) -> Optional[tuple]:
         """A worker died under the point: resubmit it to a replaced pool
         once, then recompute it here."""
         entry.future = None
-        _shared_pool.note_break(entry.executor, metrics)
+        _shared_pool.note_break(entry.executor, counters)
         if entry.resubmitted:
             return ("lost-worker", None)
         entry.resubmitted = True
-        self._submit([entry], entry.jobs, metrics)
+        self._submit([entry], entry.jobs, counters)
         work, entry.todo = entry.todo, None
         return work
 
@@ -709,7 +709,7 @@ def run_points(points: Sequence[tuple[str, PointSpec]],
                cancel: Optional[threading.Event] = None,
                on_point: Optional[PointCallback] = None,
                heartbeat: Optional[Callable[[], None]] = None,
-               metrics=NULL_METRICS) -> list:
+               counters: Optional[Counters] = None) -> list:
     """Evaluate ``(key, spec)`` points, fanning out over ``jobs`` workers.
 
     Each point is one request on the process-wide in-flight table, under
@@ -741,10 +741,11 @@ def run_points(points: Sequence[tuple[str, PointSpec]],
     replaced pool, once. A point that completes there reports outcome
     ``"retried"``; a point poisoned again is recomputed here with outcome
     ``"lost-worker"`` — one murdered child degrades to one retried point,
-    never a failed sweep. ``metrics`` (an object with ``add``) counts
-    ``worker_deaths`` and ``pool_rebuilds`` once per broken pool, however
-    many batches saw it break, and ``retried_points`` and
-    ``lost_worker_points`` once per point.
+    never a failed sweep. ``counters`` (a private bag when omitted)
+    counts ``eval.worker_deaths`` and ``eval.pool_rebuilds`` once per
+    broken pool, however many batches saw it break, and
+    ``eval.retried_points`` and ``eval.lost_worker_points`` once per
+    point.
 
     ``cancel`` is a cooperative stop: once the event fires, every point
     of this batch not yet delivered — including one mid-recompute after a
@@ -767,13 +768,15 @@ def run_points(points: Sequence[tuple[str, PointSpec]],
     ``"cancelled"``.
     """
     points = list(points)
+    if counters is None:
+        counters = Counters()
     results: list = [None] * len(points)
     if outcomes is not None:
         outcomes[:] = ["ok"] * len(points)
     order = (dispatch_order([spec for _key, spec in points]) if jobs > 1
              else list(range(len(points))))
     held = dict(zip(order, _inflight.hold([points[index] for index in order],
-                                          jobs, metrics)))
+                                          jobs, counters)))
 
     def settle(index: int, value: Optional[tuple]) -> None:
         entry = held.pop(index)
@@ -783,8 +786,8 @@ def run_points(points: Sequence[tuple[str, PointSpec]],
                 result, seconds, outcome = value
                 if _inflight.report(entry):
                     _point_costs[_cost_key(entry.spec)] = seconds
-                    if outcome in _OUTCOME_METRICS:
-                        metrics.add(_OUTCOME_METRICS[outcome])
+                    if outcome in _OUTCOME_COUNTERS:
+                        counters.add(_OUTCOME_COUNTERS[outcome])
                 else:
                     outcome = "coalesced"
             results[index] = result
@@ -807,7 +810,7 @@ def run_points(points: Sequence[tuple[str, PointSpec]],
         for index in order:
             try:
                 landed[index] = _inflight.resolve(
-                    held[index], timeout, cancel, heartbeat, metrics)
+                    held[index], timeout, cancel, heartbeat, counters)
             except _Cancelled:
                 break
             while cursor in landed and not (cancel is not None
@@ -836,7 +839,7 @@ def run_suite_parallel(lanes: int = 8,
                        cancel: Optional[threading.Event] = None,
                        on_result: Optional[PointCallback] = None,
                        heartbeat: Optional[Callable[[], None]] = None,
-                       metrics=NULL_METRICS) -> list:
+                       counters: Optional[Counters] = None) -> list:
     """Parallel, cached equivalent of :func:`repro.eval.runner.run_suite`.
 
     Returns one :class:`Comparison` per workload, in input order,
@@ -855,7 +858,7 @@ def run_suite_parallel(lanes: int = 8,
     ``"cached"``, ``"coalesced"`` (shared another request's computation),
     ``"cancelled"`` (see below), or the :func:`run_points` outcome
     (``"ok"`` / ``"retried"`` / ``"lost-worker"`` / ``"recovered"`` /
-    ``"recovered-after-timeout"``). ``heartbeat`` and ``metrics`` are
+    ``"recovered-after-timeout"``). ``heartbeat`` and ``counters`` are
     passed through to :func:`run_points` (lease renewal and pool-health
     counters for ``repro serve``).
 
@@ -905,7 +908,7 @@ def run_suite_parallel(lanes: int = 8,
         if cache is None:
             return
         if outcome == "coalesced":
-            cache.store.metrics.add("coalesced")
+            cache.store.counters.add("cache.coalesced")
         elif comparison is not None:
             cache.put(key, comparison)
 
@@ -913,5 +916,5 @@ def run_suite_parallel(lanes: int = 8,
         run_points([(key, spec) for _index, key, spec in pending],
                    jobs=resolve_jobs(jobs), timeout=timeout,
                    cancel=cancel, on_point=on_point,
-                   heartbeat=heartbeat, metrics=metrics)
+                   heartbeat=heartbeat, counters=counters)
     return results

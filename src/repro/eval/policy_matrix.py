@@ -3,7 +3,7 @@
 The scheduler lab (:mod:`repro.sched`) makes dispatch policies pluggable;
 this module races them. Each registered policy runs the evaluation suite
 twice — fault-free, then under one canned :class:`~repro.sim.faults
-.FaultPlan` — always with the opt-in ``sched.*`` counter group armed, so
+.FaultPlan` — always with the opt-in ``sched.*`` counters armed, so
 every row carries both ends of the trade-off: raw speedup over the static
 baseline, and how gracefully that speedup degrades when a lane fail-stops
 mid-run and tasks fault transiently.
@@ -128,20 +128,20 @@ def run_policy_matrix(lanes: int = 8,
                 continue
             faulty_speedups.append(point.speedup)
 
+        delta = [c.delta.counters for c in clean]
         outcomes.append(PolicyOutcome(
             policy=name,
             uses_structure=policy_uses_structure(name),
             speedup=suite_geomean(clean),
             faulty_speedup=(geomean(faulty_speedups)
                             if faulty_speedups else float("nan")),
-            pool_peak=max((c.delta.metrics.sched.pool_peak
-                           for c in clean), default=0.0),
-            steal_attempts=sum(c.delta.metrics.sched.steal_attempts
-                               for c in clean),
-            steal_hits=sum(c.delta.metrics.sched.steal_hits
-                           for c in clean),
-            inversions=sum(c.delta.metrics.sched.priority_inversions
-                           for c in clean),
+            pool_peak=max((c.get("sched.pool_peak") for c in delta),
+                          default=0.0),
+            steal_attempts=sum(c.get("sched.steal_attempts")
+                               for c in delta),
+            steal_hits=sum(c.get("sched.steal_hits") for c in delta),
+            inversions=sum(c.get("sched.priority_inversions")
+                           for c in delta),
             failures=tuple(failures)))
     return outcomes
 

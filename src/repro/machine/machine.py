@@ -4,8 +4,8 @@ The paper's apples-to-apples claim rests on Delta and the static-parallel
 baseline sharing the *exact same datapath*. :class:`Machine` is that
 datapath, built once, in one place, from a
 :class:`~repro.arch.config.MachineConfig`: the event environment, the
-typed metrics bus, the mesh NoC, DRAM, the place-and-route mapper, and
-the lanes. Execution models (the Delta dispatcher + multicast manager,
+counter bag, the mesh NoC, DRAM, the place-and-route mapper, and the
+lanes. Execution models (the Delta dispatcher + multicast manager,
 the static phase schedule, the software runtime) layer their policy on
 top without touching machine internals.
 
@@ -25,7 +25,6 @@ from repro.arch.dram import Dram
 from repro.arch.lane import Lane
 from repro.arch.mapper import Mapper
 from repro.arch.noc import Noc
-from repro.machine.metrics import MetricsBus
 from repro.sim import Environment, make_environment
 from repro.sim.faults import (
     FaultInjector,
@@ -38,15 +37,16 @@ from repro.sim.sanitize import (
     env_sanitize_requested,
 )
 from repro.sim.trace import NullTracer, Tracer
+from repro.util.counters import Counters
 
 
 @dataclass
 class Machine:
-    """One instantiated datapath: environment, metrics, NoC, DRAM, lanes."""
+    """One instantiated datapath: environment, counters, NoC, DRAM, lanes."""
 
     config: MachineConfig
     env: Environment
-    metrics: MetricsBus
+    counters: Counters
     noc: Noc
     dram: Dram
     mapper: Mapper
@@ -92,24 +92,24 @@ class Machine:
         env = make_environment()
         if sanitizer.enabled:
             env.clock_monitor = sanitizer.clock_advanced
-        metrics = MetricsBus()
+        counters = Counters()
         if multicast_enabled is None:
             multicast_enabled = config.noc.multicast
-        noc = Noc(env, metrics, config.lanes,
+        noc = Noc(env, counters, config.lanes,
                   config.noc.link_bytes_per_cycle,
                   config.noc.hop_latency, config.noc.header_bytes,
                   multicast_enabled=multicast_enabled,
                   sanitizer=sanitizer, injector=injector)
-        dram = Dram(env, metrics, config.dram.bytes_per_cycle,
+        dram = Dram(env, counters, config.dram.bytes_per_cycle,
                     config.dram.latency, config.dram.random_penalty,
                     injector=injector)
         mapper = Mapper(config.lane.fabric, seed=config.seed)
         lanes = [
-            Lane(env, metrics, i, config.lane, noc, dram, mapper,
+            Lane(env, counters, i, config.lane, noc, dram, mapper,
                  element_bytes=config.element_bytes, sanitizer=sanitizer)
             for i in range(config.lanes)
         ]
-        return cls(config=config, env=env, metrics=metrics, noc=noc,
+        return cls(config=config, env=env, counters=counters, noc=noc,
                    dram=dram, mapper=mapper, lanes=lanes, tracer=tracer,
                    sanitizer=sanitizer, injector=injector)
 

@@ -7,9 +7,7 @@ so every experiment compares like with like. Its :class:`RunRecord` —
 the canonical statistics alone, without functional outputs, trace or
 configuration — is the only form of a run that crosses a process or disk
 boundary. Derived statistics are defined once for both, in
-:class:`RunStats`, and read the typed metrics bus
-(:class:`~repro.machine.metrics.MetricsBus`) rather than raw counter
-strings.
+:class:`RunStats`.
 """
 
 from __future__ import annotations
@@ -18,9 +16,8 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.arch.config import MachineConfig
-from repro.machine.metrics import MetricsBus
-from repro.sim import Counters
 from repro.sim.trace import Tracer
+from repro.util.counters import Counters
 from repro.util.stats import coefficient_of_variation
 
 
@@ -33,11 +30,6 @@ class RunStats:
     def lanes(self) -> int:
         """Lane count the run used."""
         return len(self.lane_busy)
-
-    @property
-    def metrics(self) -> MetricsBus:
-        """Typed, namespaced view of the run's counters."""
-        return MetricsBus.adopt(self.counters)
 
     @property
     def imbalance_cv(self) -> float:
@@ -56,12 +48,14 @@ class RunStats:
     @property
     def dram_bytes(self) -> float:
         """Actual DRAM bytes moved (reads + writes)."""
-        return self.metrics.dram.total_bytes
+        counters = self.counters
+        return (counters.get("dram.read_bytes")
+                + counters.get("dram.write_bytes"))
 
     @property
     def noc_bytes(self) -> float:
         """Total NoC link-bytes moved."""
-        return self.metrics.noc.bytes
+        return self.counters.get("noc.bytes")
 
     def summary(self) -> str:
         """One-line human-readable summary."""
@@ -96,10 +90,10 @@ class RunRecord(RunStats):
                 self.tasks_executed, self.lane_busy, self.counter_snapshot)
 
     @property
-    def counters(self) -> MetricsBus:
+    def counters(self) -> Counters:
         """The run's counter bag, rebuilt from the snapshot: a fresh copy
         on every read, so the record itself never changes."""
-        return MetricsBus.from_snapshot(self.counter_snapshot)
+        return Counters.from_snapshot(self.counter_snapshot)
 
 
 @dataclass

@@ -5,7 +5,7 @@ Every execution model runs the same way: submit work, run the event loop
 under an optional max-cycle guard, check that the program actually drained
 (raising :class:`ExecutionStalled` with diagnostics otherwise), and
 assemble the canonical :class:`~repro.machine.result.RunResult` from the
-machine's metrics bus. :class:`RunSession` owns that lifecycle so Delta
+machine's counter bag. :class:`RunSession` owns that lifecycle so Delta
 and the static baseline cannot drift apart in how they account progress
 or report results. It also owns the two task-execution steps both models
 share: riding out transient task faults and draining unread input.
@@ -67,7 +67,7 @@ class RunSession:
         timing event, so degraded runs stay functionally correct.
         """
         machine = self.machine
-        env, metrics = machine.env, machine.metrics
+        env, counters = machine.env, machine.counters
         nominal = mapping.compute_cycles(task.trips)
         attempt = 1
         while True:
@@ -75,12 +75,12 @@ class RunSession:
                 task.name, lane.lane_id, attempt, nominal, env.now)
             if wasted is None:
                 return
-            metrics.faults.add("injected")
-            metrics.faults.add("task_transient")
+            counters.add("faults.injected")
+            counters.add("faults.task_transient")
             machine.sanitizer.task_retried(task, lane.lane_id, attempt,
                                            env.now)
-            metrics.recovery.add("retries")
-            metrics.recovery.add("recovery_cycles", wasted)
+            counters.add("recovery.retries")
+            counters.add("recovery.recovery_cycles", wasted)
             yield env.timeout(wasted)
             attempt += 1
 
@@ -132,7 +132,7 @@ class RunSession:
     # -- result assembly ---------------------------------------------------
 
     def result(self, cycles: Optional[float] = None) -> RunResult:
-        """Assemble the canonical result from the machine's metrics bus.
+        """Assemble the canonical result from the machine's counter bag.
 
         ``cycles`` defaults to the completion time of the last retired
         task; barrier-structured models pass the final barrier time
@@ -143,14 +143,14 @@ class RunSession:
         run here, before the result is assembled.
         """
         machine = self.machine
-        machine.sanitizer.finish(machine.metrics, machine.lane_busy)
+        machine.sanitizer.finish(machine.counters, machine.lane_busy)
         return RunResult(
             machine=self.machine_name,
             program_name=self.program_name,
             config=machine.config,
             cycles=self.last_completion if cycles is None else cycles,
             tasks_executed=self.tasks_executed,
-            counters=machine.metrics,
+            counters=machine.counters,
             lane_busy=machine.lane_busy,
             state=self.state,
             trace=machine.tracer if machine.tracer.enabled else None,

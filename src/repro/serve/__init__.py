@@ -1,7 +1,7 @@
 """``repro serve`` — the async multi-tenant sweep server.
 
-Layering: serve sits *above* the evaluation harness (``repro.eval``),
-the store, and the metrics bus, and *below* only the CLI. Nothing in the
+Layering: serve sits *above* the evaluation harness (``repro.eval``)
+and the store, and *below* only the CLI. Nothing in the
 simulation stack may import it (enforced by ``tools/check_layering.py``).
 """
 

@@ -18,11 +18,11 @@ One :class:`Server` composes the whole subsystem:
 - a **watchdog task** that enforces job leases (a crashed or wedged
   worker's job is requeued with backoff, then failed typed once its
   retry budget is spent) and ages terminal job history out of the store;
-- one :class:`~repro.machine.metrics.MetricsBus` whose ``cache.*`` group
-  is wired into the store/eval-cache, whose ``serve.*`` group counts
-  the server's own activity (including ``lease_*`` and ``shed``), and
-  whose ``eval.*`` group counts worker-pool health — all reported by
-  ``/healthz``.
+- one :class:`~repro.util.counters.Counters` bag, passed to the store,
+  the queue, the executor and every responder: the store and the eval
+  cache count ``cache.*``, the server's own activity is ``serve.*``
+  (including ``lease_*`` and ``shed``), and worker-pool health is
+  ``eval.*`` — all reported by ``/healthz``.
 
 Threading model: the event loop owns every job's event log (worker
 threads publish points via ``call_soon_threadsafe``), the queue is
@@ -41,12 +41,12 @@ from typing import Optional
 
 from repro.eval.cache import EvalCache
 from repro.eval.parallel import inflight_points, shutdown_pool
-from repro.machine.metrics import MetricsBus
 from repro.serve.executor import JobExecutor
 from repro.serve.http import Responder, read_request
 from repro.serve.protocol import ServeError, UnknownJob
 from repro.serve.queue import TERMINAL, Job, JobQueue
 from repro.store import open_store
+from repro.util.counters import Counters
 
 #: How long an idle scheduler/streamer waits before re-polling, seconds.
 #: Wake events make the common path prompt; the poll is the safety net.
@@ -54,7 +54,7 @@ _POLL_S = 0.1
 
 
 class Server:
-    """The sweep server: queue + executor + HTTP front-end + metrics."""
+    """The sweep server: queue + executor + HTTP front-end + counters."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  root: Optional[Path] = None,
@@ -73,21 +73,20 @@ class Server:
                  start_paused: bool = False) -> None:
         self.host = host
         self.port = port
-        self.bus = MetricsBus()
+        self.counters = Counters()
         self.store = open_store(root, max_mb=cache_max_mb,
-                                metrics=self.bus.cache)
+                                counters=self.counters)
         self.queue = JobQueue(store=self.store,
                               max_active_per_tenant=max_active_per_tenant,
                               lease_s=lease_s,
                               max_lease_attempts=max_lease_attempts,
                               max_queued=max_queued,
                               max_backlog_per_tenant=max_backlog_per_tenant,
-                              metrics=self.bus.serve)
+                              counters=self.counters)
         self.cache = None if no_cache else EvalCache(store=self.store)
         self.executor = JobExecutor(self.cache, jobs=jobs, timeout=timeout,
                                     heartbeat=self.queue.heartbeat,
-                                    serve_metrics=self.bus.serve,
-                                    eval_metrics=self.bus.eval)
+                                    counters=self.counters)
         self.max_concurrent_jobs = max_concurrent_jobs
         self.job_ttl_s = job_ttl_s
         self.watchdog_interval_s = watchdog_interval_s
@@ -271,7 +270,7 @@ class Server:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        responder = Responder(writer, metrics=self.bus.serve)
+        responder = Responder(writer, counters=self.counters)
         try:
             request = await read_request(reader)
             if request is not None:
@@ -366,7 +365,9 @@ class Server:
 
     def healthz(self) -> dict:
         """The ``/healthz`` body: queue depths, tenants, cache hit rates."""
-        cache = self.bus.cache
+        get = self.counters.get
+        hits, misses = get("cache.hits"), get("cache.misses")
+        started, waited = get("serve.started"), get("serve.queue_wait_s")
         return {
             "status": "ok",
             "queue": self.queue.counts(),
@@ -374,14 +375,13 @@ class Server:
             "conservation_ok": self.queue.conservation_ok(),
             "inflight_points": inflight_points(),
             "cache": {
-                "hits": cache.hits, "misses": cache.misses,
-                "stores": cache.stores, "evictions": cache.evictions,
-                "coalesced": cache.coalesced, "corrupt": cache.corrupt,
-                "lock_waits": cache.lock_waits,
-                "hit_rate": cache.hit_rate(),
+                **{name: get(f"cache.{name}")
+                   for name in ("hits", "misses", "stores", "evictions",
+                                "coalesced", "corrupt", "lock_waits")},
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             },
             "serve": {
-                **{name: self.bus.serve.get(name)
+                **{name: get(f"serve.{name}")
                    for name in ("submitted", "started", "completed",
                                 "cancelled", "rejected", "failed",
                                 "replayed", "points",
@@ -389,10 +389,10 @@ class Server:
                                 "lease_expired", "lease_requeued",
                                 "lease_failed", "lease_zombie", "shed",
                                 "gc_jobs")},
-                "queue_wait_s": self.bus.serve.queue_wait_s,
-                "mean_queue_wait_s": self.bus.serve.mean_queue_wait_s(),
+                "queue_wait_s": waited,
+                "mean_queue_wait_s": waited / started if started else 0.0,
             },
-            "eval": {name: self.bus.eval.get(name)
+            "eval": {name: get(f"eval.{name}")
                      for name in ("worker_deaths", "pool_rebuilds",
                                   "retried_points", "lost_worker_points")},
             "overload": {

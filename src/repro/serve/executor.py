@@ -30,7 +30,7 @@ from repro.eval.cache import EvalCache
 from repro.eval.parallel import run_suite_parallel
 from repro.serve.protocol import point_event
 from repro.serve.queue import CANCELLED, COMPLETED, FAILED, Job
-from repro.store.metrics import NULL_METRICS
+from repro.util.counters import Counters
 
 
 class JobExecutor:
@@ -41,16 +41,16 @@ class JobExecutor:
                  timeout: Optional[float] = None,
                  heartbeat: Optional[Callable[[str, Optional[str]],
                                               bool]] = None,
-                 serve_metrics=NULL_METRICS,
-                 eval_metrics=NULL_METRICS) -> None:
+                 counters: Optional[Counters] = None) -> None:
         self.cache = cache
         self.jobs = jobs
         self.timeout = timeout
         #: Lease hook, wired to the server's queue (None standalone):
         #: ``heartbeat(job_id, owner)`` renews our claim while we work.
         self.heartbeat = heartbeat
-        self.serve_metrics = serve_metrics
-        self.eval_metrics = eval_metrics
+        #: Counts streamed points (``serve.points``) and, through the
+        #: harness, worker-pool health (``eval.*``).
+        self.counters = counters if counters is not None else Counters()
 
     def run_job(self, job: Job,
                 emit: Callable[[dict], None]) -> tuple[str, Optional[str]]:
@@ -71,7 +71,7 @@ class JobExecutor:
 
         def on_result(index: int, comparison, outcome: str) -> None:
             emit(point_event(index, comparison, outcome))
-            self.serve_metrics.add("points")
+            self.counters.add("serve.points")
 
         def pulse() -> None:
             if self.heartbeat is not None:
@@ -89,7 +89,7 @@ class JobExecutor:
                                sanitize=spec.sanitize,
                                cancel=cancel, on_result=on_result,
                                heartbeat=pulse,
-                               metrics=self.eval_metrics)
+                               counters=self.counters)
         except Exception as exc:  # noqa: BLE001 - the job, not us
             return FAILED, f"{type(exc).__name__}: {exc}"
         return (CANCELLED if cancel.is_set() else COMPLETED), None

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.serve.protocol import ServeError
-from repro.store.metrics import NULL_METRICS
+from repro.util.counters import Counters
 
 #: Refuse absurd request bodies before buffering them (1 MiB is roomy for
 #: a sweep spec; a million-point sweep is a workloads list, not a payload).
@@ -109,9 +109,9 @@ class Responder:
     """Writes exactly one response (JSON document or NDJSON stream)."""
 
     def __init__(self, writer: asyncio.StreamWriter,
-                 metrics=NULL_METRICS) -> None:
+                 counters: Optional[Counters] = None) -> None:
         self.writer = writer
-        self.metrics = metrics
+        self.counters = counters if counters is not None else Counters()
         self.started = False
 
     def _head(self, status: int, content_type: str) -> bytes:
@@ -152,10 +152,10 @@ class Responder:
 
         ``drain()`` suspends when the client reads slower than points
         land; a write that finds the previous one still buffered counts a
-        ``serve.stream_stalls`` metric before waiting it out.
+        ``serve.stream_stalls`` before waiting it out.
         """
         transport = self.writer.transport
         if transport is not None and transport.get_write_buffer_size() > 0:
-            self.metrics.add("stream_stalls")
+            self.counters.add("serve.stream_stalls")
         self.writer.write((json.dumps(event) + "\n").encode("utf-8"))
         await self.writer.drain()

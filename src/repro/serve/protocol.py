@@ -27,7 +27,9 @@ from typing import Optional
 #: Bump when the persisted job layout or the event schema changes.
 #: v2: job records grew lease fields (owner, attempts, next_eligible_at,
 #: finished_at) and typed error codes on ``failed`` events.
-PROTOCOL_VERSION = 2
+#: v3: job records are JSON, their spec a ``POST /jobs`` body; a record
+#: written by an earlier version reads as corrupt.
+PROTOCOL_VERSION = 3
 
 
 # -- typed errors -----------------------------------------------------------
@@ -119,7 +121,13 @@ class JobSpec:
     priority: int = 0
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "workloads": list(self.workloads),
+        """The spec as a ``POST /jobs`` body, which :func:`parse_job_spec`
+        reads back equal."""
+        if self.kind == "compare":
+            names = {"workload": self.workloads[0]}
+        else:
+            names = {"workloads": list(self.workloads)}
+        return {"kind": self.kind, **names,
                 "lanes": self.lanes, "policy": self.policy,
                 "seed": self.seed, "verify": self.verify,
                 "sanitize": self.sanitize, "tenant": self.tenant,

@@ -33,8 +33,10 @@ every transition and surfaced by ``/healthz``::
                  + rejected
 
 (``submitted`` counts every submission *attempt*, so quota rejections and
-overload sheds balance too.) The Hypothesis property tests in
-``tests/test_serve.py`` and ``tests/test_chaos.py`` drive random
+overload sheds balance too.) The queue keeps no count of its own: the
+settled terms are its bag's ``serve.*`` counters, and ``queued`` and
+``running`` are counted from the jobs it holds. The Hypothesis property
+tests in ``tests/test_serve.py`` and ``tests/test_chaos.py`` drive random
 submit/claim/cancel/expire/finish interleavings against exactly this
 check.
 
@@ -52,9 +54,13 @@ tenants with fewer running jobs win, ties going to the tenant served
 least recently, and each tenant's own jobs drain FIFO. A greedy tenant
 can saturate its quota, never the queue.
 
-**Persistence**: every accepted job is pickled into the shared
+**Persistence**: every accepted job is written as JSON into the shared
 :class:`repro.store.ShardedStore` under the ``jobs`` namespace on each
-state transition, so queued work survives a server restart.
+state transition, so queued work survives a server restart. A record's
+spec is its ``POST /jobs`` body and is read back through
+:func:`~repro.serve.protocol.parse_job_spec`, so a stored spec is
+validated like a submitted one; nothing read from the store is
+unpickled.
 :meth:`JobQueue.recover` re-queues persisted ``queued`` *and* ``running``
 jobs (a running job at recovery time was interrupted mid-flight; the
 interruption consumes one lease attempt, so a crash *loop* exhausts the
@@ -64,7 +70,7 @@ for event replay until :meth:`JobQueue.gc_terminal` ages them out.
 
 from __future__ import annotations
 
-import pickle
+import json
 import random
 import threading
 import time
@@ -82,7 +88,7 @@ from repro.serve.protocol import (
     parse_job_spec,
 )
 from repro.store import ShardedStore
-from repro.store.metrics import NULL_METRICS
+from repro.util.counters import Counters
 
 #: The store namespace persisted jobs live in (alongside eval/structure).
 JOBS_NAMESPACE = "jobs"
@@ -155,7 +161,7 @@ class JobQueue:
                  max_queued: Optional[int] = None,
                  max_backlog_per_tenant: Optional[int] = None,
                  clock: Callable[[], float] = time.monotonic,
-                 metrics=NULL_METRICS) -> None:
+                 counters: Optional[Counters] = None) -> None:
         self.store = store
         self.max_active_per_tenant = max_active_per_tenant
         self.lease_s = lease_s
@@ -166,7 +172,9 @@ class JobQueue:
         #: sleeping. Persisted timestamps use wall time instead, so GC
         #: works across restarts.
         self.clock = clock
-        self.metrics = metrics
+        #: The ``serve.*`` counters, the conservation terms among them:
+        #: this queue's alone, so a bag passed in serves one queue.
+        self.counters = counters if counters is not None else Counters()
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         #: FIFO order within a tenant: monotonically increasing per submit.
@@ -178,13 +186,6 @@ class JobQueue:
         #: estimation behind Retry-After.
         self._finish_times: deque = deque(maxlen=32)
         self._rng = random.Random()
-        # The conservation counters (ints, mutated under the lock only).
-        self.submitted = 0
-        self.rejected = 0
-        self.completed = 0
-        self.cancelled = 0
-        self.failed = 0
-        self.replayed = 0
 
     # -- submission ------------------------------------------------------
 
@@ -202,20 +203,17 @@ class JobQueue:
         spec = payload if isinstance(payload, JobSpec) \
             else parse_job_spec(payload)
         with self._lock:
-            self.submitted += 1
-            self.metrics.add("submitted")
+            self.counters.add("serve.submitted")
             shed = self._overload_reason(spec.tenant)
             if shed is not None:
-                self.rejected += 1
-                self.metrics.add("rejected")
-                self.metrics.add("shed")
+                self.counters.add("serve.rejected")
+                self.counters.add("serve.shed")
                 retry_s = self._retry_after_locked()
                 self._check_conservation()
                 raise QueueOverloaded(shed, retry_after_s=retry_s)
             active = self._tenant_active(spec.tenant)
             if active >= self.max_active_per_tenant:
-                self.rejected += 1
-                self.metrics.add("rejected")
+                self.counters.add("serve.rejected")
                 self._check_conservation()
                 raise QuotaExceeded(
                     f"tenant {spec.tenant!r} has {active} active job(s), "
@@ -301,8 +299,8 @@ class JobQueue:
             job.lease_expires_at = now + self.lease_s
             self._served[job.spec.tenant] = self._seq
             wait_s = max(now - job.submitted_at, 0.0)
-            self.metrics.add("started")
-            self.metrics.add("queue_wait_s", wait_s)
+            self.counters.add("serve.started")
+            self.counters.add("serve.queue_wait_s", wait_s)
             job.events.append(job_event("started", job.id, RUNNING,
                                         queue_wait_s=round(wait_s, 6),
                                         attempt=job.attempts))
@@ -326,7 +324,7 @@ class JobQueue:
             if job is None or job.state != RUNNING or job.owner != owner:
                 return False
             job.lease_expires_at = self.clock() + self.lease_s
-            self.metrics.add("lease_renewals")
+            self.counters.add("serve.lease_renewals")
             return True
 
     def expire_leases(self) -> list[Job]:
@@ -348,7 +346,7 @@ class JobQueue:
             for job in self._jobs.values():
                 if job.state != RUNNING or job.lease_expires_at > now:
                     continue
-                self.metrics.add("lease_expired")
+                self.counters.add("serve.lease_expired")
                 # Stop the (possibly still breathing) stale incarnation.
                 stale = job.cancel
                 stale.set()
@@ -358,7 +356,7 @@ class JobQueue:
                     job.events.append(job_event("done", job.id, CANCELLED,
                                                 reason=LEASE_EXPIRED))
                 elif job.attempts >= self.max_lease_attempts:
-                    self.metrics.add("lease_failed")
+                    self.counters.add("serve.lease_failed")
                     self._retire_locked(
                         job, FAILED,
                         error=(f"lease expired {job.attempts + 1} times; "
@@ -377,7 +375,7 @@ class JobQueue:
                     job.state = QUEUED
                     job.next_eligible_at = now + backoff
                     job.cancel = threading.Event()
-                    self.metrics.add("lease_requeued")
+                    self.counters.add("serve.lease_requeued")
                     job.events.append(job_event(
                         "requeued", job.id, QUEUED, reason=LEASE_EXPIRED,
                         attempt=job.attempts, backoff_s=round(backoff, 3)))
@@ -433,7 +431,7 @@ class JobQueue:
             job = self._jobs.get(job_id)
             if job is None or job.state != RUNNING or \
                     (owner is not None and job.owner != owner):
-                self.metrics.add("lease_zombie")
+                self.counters.add("serve.lease_zombie")
                 return None
             job.owner = None
             self._retire_locked(job, state, error=error,
@@ -457,13 +455,7 @@ class JobQueue:
         job.error = error
         job.error_code = error_code
         job.finished_at = time.time()
-        if state == COMPLETED:
-            self.completed += 1
-        elif state == CANCELLED:
-            self.cancelled += 1
-        else:
-            self.failed += 1
-        self.metrics.add(state)
+        self.counters.add(f"serve.{state}")
         self._finish_times.append(self.clock())
 
     # -- lookup / accounting ---------------------------------------------
@@ -498,10 +490,14 @@ class JobQueue:
         for job in self._jobs.values():
             if job.state in by_state:
                 by_state[job.state] += 1
-        return {"submitted": self.submitted, "queued": by_state[QUEUED],
-                "running": by_state[RUNNING], "completed": self.completed,
-                "cancelled": self.cancelled, "failed": self.failed,
-                "rejected": self.rejected, "replayed": self.replayed}
+        get = self.counters.get
+        return {"submitted": int(get("serve.submitted")),
+                "queued": by_state[QUEUED], "running": by_state[RUNNING],
+                "completed": int(get("serve.completed")),
+                "cancelled": int(get("serve.cancelled")),
+                "failed": int(get("serve.failed")),
+                "rejected": int(get("serve.rejected")),
+                "replayed": int(get("serve.replayed"))}
 
     def tenant_usage(self) -> dict[str, dict[str, int]]:
         """Live per-tenant queue usage for ``/healthz``."""
@@ -536,13 +532,13 @@ class JobQueue:
     def _persist(self, job: Job) -> None:
         if self.store is None:
             return
-        payload = pickle.dumps(
-            {"id": job.id, "spec": job.spec, "state": job.state,
-             "error": job.error, "error_code": job.error_code,
-             "attempts": job.attempts, "finished_at": job.finished_at,
-             "events": list(job.events)},
-            protocol=pickle.HIGHEST_PROTOCOL)
-        self.store.write(JOBS_NAMESPACE, job.id, payload)
+        record = {"id": job.id, "spec": job.spec.to_json(),
+                  "state": job.state, "error": job.error,
+                  "error_code": job.error_code, "attempts": job.attempts,
+                  "finished_at": job.finished_at,
+                  "events": list(job.events)}
+        self.store.write(JOBS_NAMESPACE, job.id,
+                         json.dumps(record).encode())
 
     def recover(self) -> int:
         """Replay the persisted ``jobs`` namespace after a restart.
@@ -562,13 +558,7 @@ class JobQueue:
         requeued = 0
         for key, payload in self.store.items(JOBS_NAMESPACE):
             try:
-                record = pickle.loads(payload)
-                job = Job(id=record["id"], spec=record["spec"],
-                          state=record["state"], error=record["error"],
-                          error_code=record.get("error_code"),
-                          attempts=record.get("attempts", 0),
-                          finished_at=record.get("finished_at"),
-                          events=list(record["events"]))
+                job = _load_job(payload)
             except Exception as exc:
                 self.store.discard_corrupt(JOBS_NAMESPACE, key, repr(exc))
                 continue
@@ -589,16 +579,14 @@ class JobQueue:
                 job.error_code = None
                 job.owner = None
                 job.submitted_at = self.clock()
-                self.submitted += 1
-                self.replayed += 1
                 self._seq += 1
                 self._order[job.id] = self._seq
                 self._jobs[job.id] = job
-                self.metrics.add("submitted")
-                self.metrics.add("replayed")
+                self.counters.add("serve.submitted")
+                self.counters.add("serve.replayed")
                 if interrupted and job.attempts > self.max_lease_attempts:
                     # The crash loop spent the whole retry budget.
-                    self.metrics.add("lease_failed")
+                    self.counters.add("serve.lease_failed")
                     self._retire_locked(
                         job, FAILED,
                         error=(f"interrupted {job.attempts} times; retry "
@@ -638,7 +626,7 @@ class JobQueue:
                 del self._jobs[job_id]
                 self._order.pop(job_id, None)
             if dead:
-                self.metrics.add("gc_jobs", len(dead))
+                self.counters.add("serve.gc_jobs", len(dead))
             live = {j.id for j in self._jobs.values()
                     if j.state not in TERMINAL}
         if self.store is not None:
@@ -653,10 +641,23 @@ class JobQueue:
                           key=lambda j: -self._order.get(j.id, 0))
 
 
+def _load_job(payload: bytes) -> Job:
+    """The job a persisted record holds; raises on a record that is not
+    one, or whose spec would not be accepted as a submission."""
+    record = json.loads(payload)
+    return Job(id=record["id"], spec=parse_job_spec(record["spec"]),
+               state=record["state"], error=record["error"],
+               error_code=record["error_code"],
+               attempts=record["attempts"],
+               finished_at=record["finished_at"],
+               events=record["events"])
+
+
 # -- offline inspection (no server required) -----------------------------
 
 def scan_jobs(store: ShardedStore) -> Iterator[dict]:
-    """Yield a summary dict per persisted job record, corrupt ones skipped.
+    """Yield a summary dict per persisted job record; an unreadable one
+    reads as state ``corrupt``.
 
     Powers ``repro jobs list`` — reads the ``jobs`` namespace directly, so
     operators can inspect (and then prune) history while the server is
@@ -664,21 +665,18 @@ def scan_jobs(store: ShardedStore) -> Iterator[dict]:
     """
     for key, payload in store.items(JOBS_NAMESPACE):
         try:
-            record = pickle.loads(payload)
-            spec: JobSpec = record["spec"]
-            yield {"job": record["id"], "state": record["state"],
-                   "tenant": spec.tenant, "kind": spec.kind,
-                   "workloads": list(spec.workloads),
-                   "attempts": record.get("attempts", 0),
-                   "error": record["error"],
-                   "error_code": record.get("error_code"),
-                   "finished_at": record.get("finished_at"),
-                   "events": len(record["events"])}
+            job = _load_job(payload)
         except Exception:
             yield {"job": key, "state": "corrupt", "tenant": None,
                    "kind": None, "workloads": [], "attempts": 0,
                    "error": "unreadable record", "error_code": "corrupt",
                    "finished_at": None, "events": 0}
+            continue
+        yield {"job": job.id, "state": job.state, "tenant": job.spec.tenant,
+               "kind": job.spec.kind, "workloads": list(job.spec.workloads),
+               "attempts": job.attempts, "error": job.error,
+               "error_code": job.error_code, "finished_at": job.finished_at,
+               "events": len(job.events)}
 
 
 def gc_jobs(store: ShardedStore, older_than_s: float) -> int:

@@ -12,7 +12,7 @@ events, resource requests, and queue operations. The kernel provides:
 - :class:`Store` — bounded FIFO queue with blocking put/get (backpressure).
 - :class:`BandwidthServer` — FIFO serialization server for links/DRAM
   channels (service time proportional to bytes transferred).
-- :class:`Counters` — named statistic counters with utilization tracking.
+- :class:`UtilizationTracker` — busy-time accounting into a counter bag.
 
 Time is measured in integer-ish *cycles* (floats are permitted so rates
 like 2.5 bytes/cycle work; the kernel orders events by time then FIFO).
@@ -49,7 +49,7 @@ from repro.sim.sanitize import (
     Sanitizer,
     env_sanitize_requested,
 )
-from repro.sim.stats import Counters, UtilizationTracker
+from repro.sim.stats import UtilizationTracker
 from repro.sim.trace import Tracer, NullTracer, TraceEvent
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "Resource",
     "Store",
     "BandwidthServer",
-    "Counters",
     "UtilizationTracker",
     "Tracer",
     "NullTracer",

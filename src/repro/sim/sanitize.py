@@ -582,25 +582,25 @@ class Sanitizer:
                 f"{len(self._completed)} completed"
                 + (f"; unfinished: {shown}" if unfinished else ""))
 
-    def finish(self, metrics, lane_busy: list) -> None:
+    def finish(self, counters, lane_busy: list) -> None:
         """Whole-run balance checks, called once at result assembly.
 
-        ``metrics`` is the machine's counter store (read-only use);
+        ``counters`` is the machine's counter store (read-only use);
         ``lane_busy`` the machine's per-lane tracker totals, in lane order.
         """
         if not self.enabled or self._finished:
             return
         self._finished = True
         self.checks += 1
-        self._check_conservation(metrics)
+        self._check_conservation(counters)
         self._check_occupancy()
         self._check_work_accounting(lane_busy)
         self._check_streams()
-        self._check_multicast(metrics)
-        self._check_noc(metrics)
-        self._check_recovery(metrics)
+        self._check_multicast(counters)
+        self._check_noc(counters)
+        self._check_recovery(counters)
 
-    def _check_conservation(self, metrics) -> None:
+    def _check_conservation(self, counters) -> None:
         for task_id, name in self._submitted.items():
             if task_id not in self._completed:
                 state = ("started" if task_id in self._started
@@ -613,7 +613,7 @@ class Sanitizer:
             return  # no hardware dispatcher in the loop (static runtime)
         names = ("submitted", "dispatched", "completed")
         for name, observed in zip(names, self._counted):
-            counted = metrics.get(f"dispatch.{name}")
+            counted = counters.get(f"dispatch.{name}")
             if not self._close(counted, observed):
                 self._fail("task-conservation",
                            f"dispatch.{name} counter reads {counted:,.0f} "
@@ -655,7 +655,7 @@ class Sanitizer:
                            f"produced {produced:,.0f} B but its consumer "
                            f"drained {consumed:,.0f} B")
 
-    def _check_multicast(self, metrics) -> None:
+    def _check_multicast(self, counters) -> None:
         if not self._close(self._shared_demand,
                            self._shared_fetched + self._shared_saved):
             self._fail("multicast-consistency",
@@ -671,23 +671,23 @@ class Sanitizer:
         for counter, outcome in (("fetches", "fetch"),
                                  ("coalesced", "coalesced"),
                                  ("hits", "hit")):
-            counted = metrics.get(f"mcast.{counter}")
+            counted = counters.get(f"mcast.{counter}")
             if not self._close(counted, self._outcomes[outcome]):
                 self._fail("multicast-consistency",
                            f"mcast.{counter} counter reads {counted:,.0f} "
                            f"but the sanitizer observed "
                            f"{self._outcomes[outcome]} requests")
 
-    def _check_noc(self, metrics) -> None:
+    def _check_noc(self, counters) -> None:
         for counter, observed in (("messages", self._noc_unicasts),
                                   ("multicasts", self._noc_multicasts)):
-            counted = metrics.get(f"noc.{counter}")
+            counted = counters.get(f"noc.{counter}")
             if not self._close(counted, observed):
                 self._fail("noc-accounting",
                            f"noc.{counter} counter reads {counted:,.0f} "
                            f"but the sanitizer observed {observed} sends")
 
-    def _check_recovery(self, metrics) -> None:
+    def _check_recovery(self, counters) -> None:
         """Every recovery counter agrees with the observed event stream.
 
         On a fault-free run every pair below is (0, 0), so this check
@@ -703,7 +703,7 @@ class Sanitizer:
             ("faults.lane_failstop", float(self._lanes_failed)),
         )
         for counter, observed in pairs:
-            counted = metrics.get(counter)
+            counted = counters.get(counter)
             if not self._close(counted, observed):
                 self._fail("recovery-accounting",
                            f"{counter} counter reads {counted:,.0f} but "

@@ -14,11 +14,9 @@ over this package, so concurrent tenants (the ``eval`` worker pool and
   (``REPRO_CACHE_MAX_MB`` / ``repro eval --cache-max-mb``): after every
   write the store sheds the least-recently-used entries until it is back
   under budget. Reads refresh an entry's mtime, so warm entries survive.
-- metrics — every operation lands on a ``cache.*`` counter sink (hits,
-  misses, stores, evictions, coalesced, corrupt, lock_waits). Any object
-  with ``add(name, amount)`` works; :class:`repro.machine.metrics
-  .CacheMetrics` is the typed MetricsBus group, :class:`StoreMetrics`
-  the dependency-free default.
+- counters — every operation adds to a ``cache.*`` counter (hits,
+  misses, stores, evictions, coalesced, corrupt, lock_waits) of the
+  :class:`~repro.util.counters.Counters` bag the store was opened with.
 
 The store holds completed results only. A point still being computed is
 shared in flight by :mod:`repro.eval.parallel`'s in-flight table, which
@@ -37,14 +35,11 @@ from repro.store.keys import (
     workload_cache_key,
 )
 from repro.store.locks import ShardLock
-from repro.store.metrics import NULL_METRICS, StoreMetrics
 from repro.store.sharded import ShardedStore, open_store
 
 __all__ = [
-    "NULL_METRICS",
     "ShardLock",
     "ShardedStore",
-    "StoreMetrics",
     "cache_budget_bytes",
     "code_version",
     "default_cache_root",

@@ -9,7 +9,7 @@ Locks are ``fcntl.flock`` on a ``.lock`` file per shard directory —
 advisory, crash-safe (the OS drops them with the process, so no stale
 lock files survive a kill), and cheap: the uncontended path is one
 non-blocking ``flock`` call. A contended acquisition counts one
-``lock_waits`` metric, then blocks. On platforms without ``fcntl`` the
+``cache.lock_waits``, then blocks. On platforms without ``fcntl`` the
 lock degrades to a no-op — the rename publish keeps single-entry
 operations safe.
 """
@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Optional
 
 try:  # POSIX; on other platforms the lock degrades to a no-op.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
-from repro.store.metrics import NULL_METRICS
+from repro.util.counters import Counters
 
 #: Name of the lock file inside each shard directory.
 LOCK_FILENAME = ".lock"
@@ -38,9 +39,10 @@ class ShardLock:
     process) contend with each other.
     """
 
-    def __init__(self, shard_dir: Path, metrics=NULL_METRICS) -> None:
+    def __init__(self, shard_dir: Path,
+                 counters: Optional[Counters] = None) -> None:
         self.path = Path(shard_dir) / LOCK_FILENAME
-        self.metrics = metrics
+        self.counters = counters if counters is not None else Counters()
         self._fd: int | None = None
 
     def acquire(self) -> None:
@@ -52,7 +54,7 @@ class ShardLock:
             fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
             # Someone else holds the shard: record the wait, then block.
-            self.metrics.add("lock_waits")
+            self.counters.add("cache.lock_waits")
             fcntl.flock(self._fd, fcntl.LOCK_EX)
 
     def release(self) -> None:

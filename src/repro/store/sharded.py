@@ -5,8 +5,8 @@ One :class:`ShardedStore` manages a directory tree of opaque payloads::
     <root>/<namespace>/<shard>/<key>.pkl
 
 - **namespace** — one per schema ("eval" comparisons, "jobs" records),
-  so schemas share the root, the size budget, and the metrics sink
-  without ever touching each other's files;
+  so schemas share the root, the size budget, and the ``cache.*``
+  counters without ever touching each other's files;
 - **shard** — the first two hex characters of the key, so a namespace
   with tens of thousands of entries never degenerates into one directory
   with tens of thousands of files, and writers contend per shard, not
@@ -41,7 +41,7 @@ from typing import Collection, Iterator, Optional
 
 from repro.store.keys import cache_budget_bytes, default_cache_root
 from repro.store.locks import ShardLock
-from repro.store.metrics import StoreMetrics
+from repro.util.counters import Counters
 
 logger = logging.getLogger("repro.store")
 
@@ -63,7 +63,7 @@ class ShardedStore:
     #: Hex-prefix length used to pick an entry's shard directory.
     SHARD_WIDTH = 2
     #: On-disk entry suffix, whatever the schema's encoding (eval entries
-    #: are a digest and ``marshal`` bytes, job records a pickle).
+    #: are a digest and ``marshal`` bytes, job records JSON).
     SUFFIX = ".pkl"
     #: Namespaces that hold *live state*, not recomputable cache entries.
     #: They are exempt from the LRU size-cap sweep and from a blanket
@@ -75,12 +75,14 @@ class ShardedStore:
 
     def __init__(self, root: Optional[Path] = None, *,
                  max_bytes=_BUDGET_FROM_ENV,
-                 metrics=None) -> None:
+                 counters: Optional[Counters] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
         if max_bytes is _BUDGET_FROM_ENV:
             max_bytes = cache_budget_bytes()
         self.max_bytes: Optional[int] = max_bytes
-        self.metrics = metrics if metrics is not None else StoreMetrics()
+        #: Where store activity is counted (``cache.*``); the harness
+        #: passes the bag it reports, a library caller gets its own.
+        self.counters = counters if counters is not None else Counters()
 
     # -- layout ------------------------------------------------------------
 
@@ -99,7 +101,7 @@ class ShardedStore:
                 f"{key[:self.SHARD_WIDTH]}{sep}{key}{self.SUFFIX}")
 
     def _lock(self, namespace: str, key: str) -> ShardLock:
-        return ShardLock(self.shard_dir(namespace, key), self.metrics)
+        return ShardLock(self.shard_dir(namespace, key), self.counters)
 
     def _namespace_dirs(self) -> list[Path]:
         if not self.root.is_dir():
@@ -166,7 +168,7 @@ class ShardedStore:
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_bytes(payload)
         os.replace(tmp, path)
-        self.metrics.add("stores")
+        self.counters.add("cache.stores")
 
     # -- discard / clear -------------------------------------------------------
 
@@ -186,7 +188,7 @@ class ShardedStore:
         """
         logger.warning("corrupt cache entry %s/%s (%s); discarding",
                        namespace, key, reason)
-        self.metrics.add("corrupt")
+        self.counters.add("cache.corrupt")
         self.delete(namespace, key)
 
     def clear(self, namespace: Optional[str] = None) -> int:
@@ -295,8 +297,8 @@ class ShardedStore:
                 continue  # another process evicted it first
             total -= size
             evicted += 1
-            self.metrics.add("evictions")
-            self.metrics.add("evicted_bytes", size)
+            self.counters.add("cache.evictions")
+            self.counters.add("cache.evicted_bytes", size)
         return evicted
 
     def sweep_aged(self, max_age_s: float,
@@ -331,7 +333,7 @@ class ShardedStore:
 
 def open_store(root: Optional[Path] = None,
                max_mb: Optional[float] = None,
-               metrics=None) -> ShardedStore:
+               counters: Optional[Counters] = None) -> ShardedStore:
     """Open the shared store the CLI and the server front-ends use.
 
     ``root`` defaults to the shared cache root (``.repro-cache/`` or
@@ -340,4 +342,4 @@ def open_store(root: Optional[Path] = None,
     """
     return ShardedStore(root if root is None else Path(root),
                         max_bytes=cache_budget_bytes(max_mb),
-                        metrics=metrics)
+                        counters=counters)

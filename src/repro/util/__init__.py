@@ -1,4 +1,5 @@
-"""Shared utilities: deterministic RNG, validation helpers, small math."""
+"""Shared utilities: deterministic RNG, validation helpers, small math;
+the counter bag is :mod:`repro.util.counters`."""
 
 from repro.util.rng import DeterministicRng
 from repro.util.fingerprint import (

@@ -1,7 +1,7 @@
 """Summary-statistics helpers used by the evaluation harness.
 
-Pure functions over sequences of numbers; no simulator state. Kept separate
-from :mod:`repro.sim.stats` (which holds per-run hardware counters).
+Pure functions over sequences of numbers; no simulator state. A run's
+counters are :class:`repro.util.counters.Counters`.
 """
 
 from __future__ import annotations

@@ -152,7 +152,7 @@ def test_live_and_unpickled_comparisons_read_back_equal(
         assert fingerprint(live) == fingerprint(unpickled) == \
             fingerprint(c), point
     assert cache.hits == 2 * len(registry_comparisons)
-    assert cache.store.metrics.get("corrupt") == 0
+    assert cache.store.counters.get("cache.corrupt") == 0
     assert len(registry_comparisons) == 3 * len(workload_names()) + 2
 
 
@@ -245,7 +245,7 @@ def test_one_changed_field_reads_as_corrupt(tmp_path, edit):
     misses = cache.misses  # the fill's own miss
     assert cache.get(key) is None
     assert cache.misses == misses + 1
-    assert cache.store.metrics.get("corrupt") == 1
+    assert cache.store.counters.get("cache.corrupt") == 1
     before = simulation_count()
     (fresh,) = run_suite_parallel(workloads=[SkewedTasks(num_tasks=24)],
                                   jobs=1, cache=cache,
@@ -288,7 +288,7 @@ def test_a_foreign_body_behind_a_matching_digest_reads_as_corrupt(
     foreign = FOREIGN_BODIES[body](original)
     cache._path(key).write_bytes(hashlib.sha256(foreign).digest() + foreign)
     assert cache.get(key) is None
-    assert cache.store.metrics.get("corrupt") == 1
+    assert cache.store.counters.get("cache.corrupt") == 1
     assert not cache._path(key).exists()
 
 
@@ -306,7 +306,7 @@ def test_a_pickled_body_is_never_unpickled(tmp_path):
     misses = cache.misses
     assert cache.get(key) is None
     assert cache.misses == misses + 1
-    assert cache.store.metrics.get("corrupt") == 1
+    assert cache.store.counters.get("cache.corrupt") == 1
     assert not marker.exists()
     assert not cache._path(key).exists()
 

@@ -37,7 +37,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.metrics import MetricsBus
 from repro.serve import JobQueue, JobSpec, QuotaExceeded
 from repro.serve.protocol import QueueOverloaded
 from repro.serve.queue import (
@@ -48,6 +47,7 @@ from repro.serve.queue import (
     QUEUED,
     RUNNING,
 )
+from repro.util.counters import Counters
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,14 +95,14 @@ def test_killed_pool_child_degrades_to_a_retried_point(tmp_path,
                         _compare_point_with_murder)
 
     serial = run_suite(lanes=4, workloads=suite(), jobs=1)
-    bus = MetricsBus()
+    counters = Counters()
     outcomes = []
     survived = parallel_mod.run_suite_parallel(
         lanes=4, workloads=suite(), jobs=2, outcomes=outcomes,
-        metrics=bus.eval)
+        counters=counters)
 
     assert not flag.exists(), "no worker picked up the kill flag"
-    assert bus.eval.get("worker_deaths") >= 1
+    assert counters.get("eval.worker_deaths") >= 1
     # The murdered point (and any point in flight beside it) must have
     # been re-run, not failed: every outcome is a survivable one.
     assert set(outcomes) <= {"ok", "retried", "lost-worker"}

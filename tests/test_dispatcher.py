@@ -10,7 +10,8 @@ from repro.arch.dfg import dot_product_dfg
 from repro.core.annotations import WorkHint
 from repro.core.dispatcher import Dispatcher
 from repro.core.task import TaskType
-from repro.sim import Environment, Counters
+from repro.sim import Environment
+from repro.util.counters import Counters
 from repro.util.rng import DeterministicRng
 
 

@@ -5,7 +5,7 @@
 (``reference``). Every component runs the same code under both; the
 kernels differ only in how they queue a scheduling slot. The contract is
 that the switch is *invisible*: every statistic the harness reads —
-fingerprints, :class:`RunResult` fields, the full MetricsBus counter bag
+fingerprints, :class:`RunResult` fields, the full counter bag
 — is bit-identical between the two engines, and both drain the same
 number of slots.
 
@@ -32,7 +32,6 @@ from repro.arch.config import (
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
 from repro.eval.runner import compare
-from repro.machine.metrics import MetricsBus
 from repro.sim import (
     BandwidthServer,
     Environment,
@@ -103,11 +102,8 @@ def _assert_results_identical(reference, fast, label: str) -> None:
     assert fast.tasks_executed == reference.tasks_executed
     assert fast.lane_busy == reference.lane_busy
     assert fast.counters.snapshot() == reference.counters.snapshot()
-    # MetricsBus derives from the counter bag; check the headline views.
-    ref_metrics, fast_metrics = reference.metrics, fast.metrics
-    assert isinstance(fast_metrics, MetricsBus)
-    assert fast_metrics.dram.total_bytes == ref_metrics.dram.total_bytes
-    assert fast_metrics.noc.bytes == ref_metrics.noc.bytes
+    assert fast.dram_bytes == reference.dram_bytes
+    assert fast.noc_bytes == reference.noc_bytes
     assert fast.imbalance_cv == reference.imbalance_cv
 
 

@@ -351,8 +351,9 @@ class TestSharingAgainstSimulator:
         assert degrees > 0
         result = Delta(default_delta_config(lanes=4)).run(
             workload.build_program())
-        m = result.metrics.mcast
-        assert m.fetches + m.hits + m.coalesced == degrees
+        c = result.counters
+        assert (c.get("mcast.fetches") + c.get("mcast.hits")
+                + c.get("mcast.coalesced")) == degrees
 
     def test_static_duplicate_bytes_equal_sharing_sets(self):
         """The static baseline re-fetches each shared region once per
@@ -361,7 +362,7 @@ class TestSharingAgainstSimulator:
         summary = structure_summary(workload)
         result = StaticParallel(default_baseline_config(lanes=4)).run(
             workload.build_program())
-        assert result.metrics.static.duplicate_shared_bytes == \
+        assert result.counters.get("static.duplicate_shared_bytes") == \
             summary.duplicate_shared_bytes
         assert summary.duplicate_shared_bytes == \
             sum(s.nbytes * s.degree for s in summary.sharing)

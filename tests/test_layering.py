@@ -212,6 +212,18 @@ class TestCheckerMechanics:
         assert len(violations) == 1
         assert "repro.baseline.bad imports repro.core.delta" in violations[0]
 
+    def test_pickle_import_is_reported(self, tmp_path):
+        checker = load_checker()
+        pkg = tmp_path / "repro" / "serve"
+        pkg.mkdir(parents=True)
+        (tmp_path / "repro" / "__init__.py").write_text("import pickle\n")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "bad.py").write_text("from pickle import loads\n")
+        violations = checker.check_layering(tmp_path)
+        assert len(violations) == 2
+        assert "repro imports pickle" in violations[0]
+        assert "repro.serve.bad imports pickle" in violations[1]
+
     def test_prefix_matching_is_on_module_boundaries(self):
         checker = load_checker()
         # "repro.corelib" must NOT match the "repro.core" prefix.

@@ -2,8 +2,7 @@
 
 Machine.build composes the shared datapath; RunSession owns the run
 lifecycle (progress accounting, stall detection, canonical result
-assembly); MetricsBus layers typed namespaced groups over the plain
-Counters store without changing any dotted counter name.
+assembly); every component of a machine adds to its one counter bag.
 """
 
 import dataclasses
@@ -15,16 +14,10 @@ from repro.arch.config import default_baseline_config, default_delta_config
 from repro.arch.energy import estimate_energy
 from repro.baseline.static import StaticParallel
 from repro.core.delta import Delta
-from repro.machine import (
-    ExecutionStalled,
-    Machine,
-    MetricsBus,
-    RunResult,
-    RunSession,
-)
-from repro.machine.metrics import CounterGroup, LaneMetrics
-from repro.sim import Counters
+from repro.machine import (ExecutionStalled, Machine, RunRecord, RunResult,
+                           RunSession)
 from repro.sim.trace import NullTracer, Tracer
+from repro.util.counters import Counters
 from repro.util.fingerprint import result_stats
 from repro.workloads.synthetic import SharedReadTasks
 
@@ -40,9 +33,9 @@ class TestMachineBuild:
         assert machine.noc.env is machine.env
         assert machine.dram.env is machine.env
         assert all(lane.env is machine.env for lane in machine.lanes)
-        assert isinstance(machine.metrics, MetricsBus)
-        assert machine.noc.counters is machine.metrics
-        assert machine.dram.counters is machine.metrics
+        assert isinstance(machine.counters, Counters)
+        assert machine.noc.counters is machine.counters
+        assert machine.dram.counters is machine.counters
 
     def test_multicast_follows_config_by_default(self):
         config = default_delta_config(lanes=2)
@@ -135,7 +128,7 @@ class TestRunSession:
         assert result.machine == "delta"
         assert result.program_name == "prog"
         assert result.state == {"k": "v"}
-        assert result.counters is session.machine.metrics
+        assert result.counters is session.machine.counters
         assert result.trace is None  # NullTracer is not reported
 
     def test_result_explicit_cycles_for_barrier_models(self):
@@ -150,86 +143,51 @@ class TestRunSession:
 
 
 class TestMetricsBus:
-    def test_group_writes_land_on_dotted_counters(self):
-        bus = MetricsBus()
-        bus.dram.add("read_bytes", 64)
-        bus.pipe.add("bytes", 16)
-        bus.dispatch.add("steals")
-        assert bus.get("dram.read_bytes") == 64
-        assert bus.get("pipe.bytes") == 16
-        assert bus.get("dispatch.steals") == 1
-        assert bus.dram.read_bytes == 64
-        assert bus.pipe.bytes == 16
-        assert bus.dispatch.steals == 1
+    """A machine's one counter bag: every component adds to it by full
+    dotted name, and a run's result reads it back."""
+
+    def make_machine(self):
+        return Machine.build(default_delta_config(lanes=2))
 
     def test_undeclared_reads_default_to_zero(self):
-        bus = MetricsBus()
-        assert bus.noc.bytes == 0.0
-        assert bus.mcast.get("nonexistent") == 0.0
+        counters = self.make_machine().counters
+        assert counters.get("noc.bytes") == 0.0
+        assert counters.get("mcast.nonexistent") == 0.0
+        assert "noc.bytes" not in counters
 
     def test_dram_total_and_group_total(self):
-        bus = MetricsBus()
-        bus.dram.add("read_bytes", 100)
-        bus.dram.add("write_bytes", 20)
-        assert bus.dram.total_bytes == 120
-        assert bus.dram.total() == 120
-        assert bus.dram.as_dict() == {"read_bytes": 100.0,
-                                      "write_bytes": 20.0}
+        machine = self.make_machine()
+        machine.counters.add("dram.read_bytes", 100)
+        machine.counters.add("dram.write_bytes", 20)
+        record = RunRecord("delta", "p", 1.0, 0, (0.0, 0.0),
+                           machine.counters.snapshot())
+        assert record.dram_bytes == 120
+        assert machine.counters.render(prefix="dram.").splitlines() == [
+            "dram.read_bytes   100.0", "dram.write_bytes  20.0"]
 
     def test_set_max_through_group(self):
-        bus = MetricsBus()
-        bus.dispatch.set_max("cycles", 5)
-        bus.dispatch.set_max("cycles", 3)
-        assert bus.dispatch.cycles == 5
-
-    def test_lane_groups(self):
-        bus = MetricsBus()
-        bus.add("lane3.trips", 11)
-        lane = bus.lane(3)
-        assert isinstance(lane, LaneMetrics)
-        assert lane.trips == 11
-        assert [g.lane_id for g in bus.lanes(2)] == [0, 1]
-
-    def test_untyped_group_view(self):
-        bus = MetricsBus()
-        group = bus.group("custom")
-        assert isinstance(group, CounterGroup)
-        group.add("thing", 2)
-        assert bus.get("custom.thing") == 2
-        assert "thing" in group
-
-    def test_declared_metric_names(self):
-        assert "steals" in MetricsBus().dispatch.declared()
-        assert "read_bytes" in MetricsBus().dram.declared()
-
-    def test_adopt_shares_store_without_copying(self):
-        plain = Counters()
-        plain.add("noc.bytes", 7)
-        bus = MetricsBus.adopt(plain)
-        assert bus.noc.bytes == 7
-        bus.noc.add("bytes", 3)
-        assert plain.get("noc.bytes") == 10  # same underlying store
-
-    def test_adopt_of_a_bus_is_identity(self):
-        bus = MetricsBus()
-        assert MetricsBus.adopt(bus) is bus
+        counters = self.make_machine().counters
+        counters.set_max("dispatch.cycles", 5)
+        counters.set_max("dispatch.cycles", 3)
+        assert counters.get("dispatch.cycles") == 5
 
     def test_snapshot_matches_sorted_items(self):
-        bus = MetricsBus()
-        bus.noc.add("bytes", 1)
-        bus.dram.add("read_bytes", 2)
-        assert bus.snapshot() == (("dram.read_bytes", 2.0),
-                                  ("noc.bytes", 1.0))
+        counters = self.make_machine().counters
+        counters.add("noc.bytes", 1)
+        counters.add("dram.read_bytes", 2)
+        assert counters.snapshot() == (("dram.read_bytes", 2.0),
+                                       ("noc.bytes", 1.0))
+        assert tuple(counters.items()) == counters.snapshot()
 
     def test_from_snapshot_round_trips(self):
-        bus = MetricsBus()
-        bus.noc.add("bytes", 1)
-        bus.dram.add("read_bytes", 2)
-        rebuilt = MetricsBus.from_snapshot(bus.snapshot())
-        assert rebuilt.snapshot() == bus.snapshot()
-        assert rebuilt.dram.total_bytes == 2
-        rebuilt.noc.add("bytes", 1)
-        assert bus.noc.bytes == 1  # a copy, not a view
+        counters = self.make_machine().counters
+        counters.add("noc.bytes", 1)
+        counters.add("dram.read_bytes", 2)
+        rebuilt = Counters.from_snapshot(counters.snapshot())
+        assert rebuilt.snapshot() == counters.snapshot()
+        assert rebuilt.get("dram.read_bytes") == 2
+        rebuilt.add("noc.bytes", 1)
+        assert counters.get("noc.bytes") == 1  # a copy, not a view
 
 
 class TestRunResultMetrics:
@@ -246,7 +204,6 @@ class TestRunResultMetrics:
         plain.add("dram.write_bytes", 12)
         plain.add("noc.bytes", 8)
         result = self.make_result(plain)
-        assert result.metrics.dram.total_bytes == 42
         assert result.dram_bytes == 42
         assert result.noc_bytes == 8
 
@@ -268,7 +225,7 @@ class TestRunRecord:
         assert record.lanes == live.lanes == live.config.lanes
         assert record.imbalance_cv == live.imbalance_cv
         assert record.mean_lane_utilization == live.mean_lane_utilization
-        assert record.metrics.snapshot() == live.metrics.snapshot()
+        assert record.counters.snapshot() == live.counters.snapshot()
         assert record.summary() == live.summary()
 
     def test_record_is_frozen_pure_data(self, live):

@@ -5,8 +5,9 @@ import pytest
 from repro.arch.dram import Dram
 from repro.arch.noc import DISP_NODE, MEM_NODE, Noc
 from repro.arch.spad import CapacityError, Scratchpad
-from repro.sim import Counters, Environment
+from repro.sim import Environment
 from repro.sim.engine import SimulationError
+from repro.util.counters import Counters
 
 
 def make_env():

@@ -8,7 +8,8 @@ from repro.arch.lane import Lane
 from repro.arch.mapper import Mapper
 from repro.arch.noc import Noc
 from repro.core.multicast import MulticastManager
-from repro.sim import Counters, Environment
+from repro.sim import Environment
+from repro.util.counters import Counters
 
 
 def make_system(lanes=4, window=16, spad_bytes=16 * 1024):

@@ -37,9 +37,9 @@ from repro.eval.parallel import (
     run_suite_parallel,
 )
 from repro.eval.runner import run_suite, simulation_count
-from repro.machine.metrics import MetricsBus
 from repro.sim.faults import FaultPlan, LaneFailure, RetryPolicy
 from repro.store.keys import workload_cache_key
+from repro.util.counters import Counters
 from repro.util.fingerprint import comparison_fingerprint, result_stats
 from repro.workloads import all_workloads
 from repro.workloads.spmv import SpmvWorkload
@@ -507,7 +507,7 @@ class TestSharedPool:
             return spec[0].name
 
         monkeypatch.setattr(parallel_mod, "_compare_point", point)
-        bus = MetricsBus()
+        counters = Counters()
         start = threading.Barrier(2)
         results: dict = {}
         outcomes: dict = {"abc": [], "xyz": []}
@@ -516,12 +516,12 @@ class TestSharedPool:
             start.wait(timeout=30)
             results[names] = run_points(named_points(names), jobs=2,
                                         outcomes=outcomes[names],
-                                        metrics=bus.eval)
+                                        counters=counters)
 
         run_threads(lambda: batch("abc"), lambda: batch("xyz"))
         assert not kill.exists()
-        assert bus.eval.get("worker_deaths") == 1
-        assert bus.eval.get("pool_rebuilds") == 1
+        assert counters.get("eval.worker_deaths") == 1
+        assert counters.get("eval.pool_rebuilds") == 1
         for names in ("abc", "xyz"):
             assert results[names] == list(names)
             assert "retried" in outcomes[names]
@@ -530,9 +530,9 @@ class TestSharedPool:
     def test_pool_broken_between_batches_is_replaced_first(self,
                                                            monkeypatch):
         monkeypatch.setattr(parallel_mod, "_compare_point", pid_after(0.3))
-        bus = MetricsBus()
+        counters = Counters()
         points = named_points("abcd")
-        old = set(run_points(points, jobs=2, metrics=bus.eval))
+        old = set(run_points(points, jobs=2, counters=counters))
         os.kill(min(old), signal.SIGKILL)
         # The pool sees the death and stops its other worker too.
         deadline = time.monotonic() + 30
@@ -541,11 +541,11 @@ class TestSharedPool:
             time.sleep(0.05)
         outcomes: list = []
         new = set(run_points(points, jobs=2, outcomes=outcomes,
-                             metrics=bus.eval))
+                             counters=counters))
         assert outcomes == ["ok"] * 4
         assert new.isdisjoint(old)
-        assert bus.eval.get("worker_deaths") == 1
-        assert bus.eval.get("pool_rebuilds") == 1
+        assert counters.get("eval.worker_deaths") == 1
+        assert counters.get("eval.pool_rebuilds") == 1
 
     def test_workers_never_collect_the_parents_garbage(self, monkeypatch):
         # A worker that collected garbage the parent left would run its
@@ -587,16 +587,16 @@ class TestSharedPool:
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", pools)
         serial = run_suite(lanes=LANES, workloads=[SkewedTasks(num_tasks=24)],
                            jobs=1)
-        bus = MetricsBus()
+        counters = Counters()
         outcomes: list = []
         pooled: list = []
         run_threads(lambda: pooled.extend(run_suite_parallel(
             lanes=LANES, workloads=[SkewedTasks(num_tasks=24)], jobs=2,
-            outcomes=outcomes, metrics=bus.eval)), timeout=60)
+            outcomes=outcomes, counters=counters)), timeout=60)
         assert outcomes == ["retried"]
         assert_field_identical(serial, pooled)
-        assert bus.eval.get("worker_deaths") == 1
-        assert bus.eval.get("pool_rebuilds") == 1
+        assert counters.get("eval.worker_deaths") == 1
+        assert counters.get("eval.pool_rebuilds") == 1
 
     def test_point_that_kills_every_worker_is_recomputed_here(
             self, monkeypatch):
@@ -612,16 +612,16 @@ class TestSharedPool:
             return compare_point(spec)
 
         monkeypatch.setattr(parallel_mod, "_compare_point", point)
-        bus = MetricsBus()
+        counters = Counters()
         outcomes: list = []
         pooled = run_suite_parallel(
             lanes=LANES, workloads=[SkewedTasks(num_tasks=24)], jobs=2,
-            outcomes=outcomes, metrics=bus.eval)
+            outcomes=outcomes, counters=counters)
         assert outcomes == ["lost-worker"]
         assert_field_identical(serial, pooled)
-        assert bus.eval.get("worker_deaths") == 2
-        assert bus.eval.get("pool_rebuilds") == 1
-        assert bus.eval.get("lost_worker_points") == 1
+        assert counters.get("eval.worker_deaths") == 2
+        assert counters.get("eval.pool_rebuilds") == 1
+        assert counters.get("eval.lost_worker_points") == 1
 
 
 @needs_fork
@@ -758,7 +758,7 @@ class TestEvalCache:
                                       jobs=1, cache=cache)
         assert simulation_count() == before + 1, \
             "the altered entry must be recomputed"
-        assert cache.store.metrics.get("corrupt") == 1
+        assert cache.store.counters.get("cache.corrupt") == 1
         assert fresh.parallelism == cold.parallelism
 
     def test_tampered_payload_fails_fingerprint_check(self, tmp_path):
@@ -818,7 +818,7 @@ class TestCodeVersionInvalidation:
         from repro.store.keys import source_files
         covered = {p.as_posix() for p in source_files()}
         for module in ("machine/machine.py", "machine/session.py",
-                       "machine/metrics.py", "machine/result.py"):
+                       "machine/result.py"):
             assert any(path.endswith(f"repro/{module}") for path in covered), \
                 f"repro/{module} missing from code-version digest"
 

@@ -40,8 +40,9 @@ from repro.sched import (
     register_policy,
 )
 from repro.sched.structure import hints_from_graph
-from repro.sim import Counters, Environment
+from repro.sim import Environment
 from repro.sim.faults import FaultPlan, LaneFailure
+from repro.util.counters import Counters
 from repro.util.fingerprint import result_stats
 from repro.util.rng import DeterministicRng
 from repro.workloads import get_workload
@@ -707,15 +708,6 @@ class TestSchedStats:
                        .with_sched_stats(True)).run(
             get_workload("micro-skewed").build_program())
         assert result.counters.get("sched.steal_attempts") > 0
-
-    def test_metrics_bus_declares_sched_group(self):
-        from repro.machine.metrics import MetricsBus
-
-        bus = MetricsBus()
-        bus.sched.set_max("pool_peak", 3)
-        bus.sched.add("steal_attempts")
-        assert bus.get("sched.pool_peak") == 3
-        assert bus.get("sched.steal_attempts") == 1
 
 
 # ------------------------------------------------------------ tournament

@@ -325,6 +325,72 @@ class TestOverloadShedding:
             assert health["conservation_ok"] is True
 
 
+#: The ``/healthz`` body's keys, section by section. Tools and the
+#: benchmark read these: serve_smoke.py and chaos_smoke.py fields of
+#: ``queue``, ``cache``, ``serve`` and ``eval``, serve-mix ``serve.shed``
+#: and ``serve.mean_queue_wait_s``.
+HEALTHZ_KEYS = {
+    "status", "queue", "tenants", "conservation_ok", "inflight_points",
+    "cache", "serve", "eval", "overload"}
+HEALTHZ_SECTION_KEYS = {
+    "queue": {"submitted", "queued", "running", "completed", "cancelled",
+              "failed", "rejected", "replayed"},
+    "cache": {"hits", "misses", "stores", "evictions", "coalesced",
+              "corrupt", "lock_waits", "hit_rate"},
+    "serve": {"submitted", "started", "completed", "cancelled", "rejected",
+              "failed", "replayed", "points", "stream_stalls",
+              "lease_renewals", "lease_expired", "lease_requeued",
+              "lease_failed", "lease_zombie", "shed", "gc_jobs",
+              "queue_wait_s", "mean_queue_wait_s"},
+    "eval": {"worker_deaths", "pool_rebuilds", "retried_points",
+             "lost_worker_points"},
+    "overload": {"max_queued", "max_backlog_per_tenant", "retry_after_s"},
+}
+#: The job-lifecycle terms ``queue`` and ``serve`` both report.
+LIFECYCLE = ("submitted", "completed", "cancelled", "failed", "rejected",
+             "replayed")
+
+
+class TestHealthz:
+    def test_body_shape_and_lifecycle_counts(self, tmp_path):
+        # One completion, one cancelled queued job, one quota rejection
+        # and one shed.
+        with serving(tmp_path, start_paused=True, max_queued=2,
+                     max_active_per_tenant=1) as server:
+            port = server.port
+            spec = sweep_spec(workloads=["micro-chain"], sanitize=False)
+            done = submit(port, spec)
+            status, _ = request(port, "POST", "/jobs", body=spec)
+            assert status == 429
+            doomed = submit(port, dict(spec, tenant="other"))
+            status, _ = request(port, "POST", "/jobs",
+                                body=dict(spec, tenant="third"))
+            assert status == 503
+            assert request(port, "DELETE", f"/jobs/{doomed}")[0] == 202
+            server.resume()
+            assert stream(port, done)[-1]["state"] == "completed"
+            health = request(port, "GET", "/healthz")[1]
+
+        assert set(health) == HEALTHZ_KEYS
+        for section, keys in HEALTHZ_SECTION_KEYS.items():
+            assert set(health[section]) == keys, section
+        assert all(type(value) is int for value in health["queue"].values())
+        assert health["queue"] == {
+            "submitted": 4, "queued": 0, "running": 0, "completed": 1,
+            "cancelled": 1, "failed": 0, "rejected": 2, "replayed": 0}
+        for name in LIFECYCLE:
+            assert health["queue"][name] == health["serve"][name], name
+        assert health["serve"]["shed"] == 1
+        assert health["serve"]["started"] == 1
+        assert health["serve"]["points"] == 1
+        assert health["serve"]["mean_queue_wait_s"] == \
+            health["serve"]["queue_wait_s"]
+        assert health["cache"]["misses"] == 1
+        assert health["cache"]["hit_rate"] == 0
+        assert health["conservation_ok"] is True
+        assert health["tenants"] == {}
+
+
 class TestJobsCli:
     """``repro jobs`` inspects/GCs the jobs namespace with no server."""
 
@@ -371,14 +437,12 @@ class TestTerminalHistoryGc:
     minute, with a 24 h TTL)."""
 
     def test_old_terminal_jobs_leave_memory_and_store(self, tmp_path):
-        from repro.machine.metrics import MetricsBus
         from repro.serve import UnknownJob
         from repro.serve.queue import JOBS_NAMESPACE, QUEUED
         from repro.store import open_store
 
         store = open_store(tmp_path / "store")
-        bus = MetricsBus()
-        queue = JobQueue(store=store, metrics=bus.serve)
+        queue = JobQueue(store=store)
         submitted = {queue.submit(_spec(i)).id for i in range(4)}
         finished = []
         for _ in range(2):
@@ -398,7 +462,7 @@ class TestTerminalHistoryGc:
             os.utime(path, (stale, stale))
 
         assert queue.gc_terminal(ttl_s) == 1
-        assert bus.serve.gc_jobs == 1
+        assert queue.counters.get("serve.gc_jobs") == 1
         with pytest.raises(UnknownJob):
             queue.get(old)
         assert store.read(JOBS_NAMESPACE, old) is None
@@ -409,7 +473,7 @@ class TestTerminalHistoryGc:
         assert queue.get(queued).state == QUEUED
         # Nothing is left to drop.
         assert queue.gc_terminal(ttl_s) == 0
-        assert bus.serve.gc_jobs == 1
+        assert queue.counters.get("serve.gc_jobs") == 1
 
 
 class TestCancellation:
@@ -528,6 +592,86 @@ class TestRestartRecovery:
             health = request(reborn.port, "GET", "/healthz")[1]
             assert health["queue"]["submitted"] == 0
             assert health["conservation_ok"] is True
+
+
+def job_fields(job) -> tuple:
+    """Everything a job record persists."""
+    return (job.id, job.spec, job.state, job.error, job.error_code,
+            job.attempts, job.finished_at, job.events)
+
+
+class TestJobRecords:
+    """Job records are JSON; a stored spec reads back through
+    ``parse_job_spec``, so it is validated like a submitted one."""
+
+    def test_every_state_of_both_kinds_survives_a_restart(self, tmp_path):
+        from repro.serve.protocol import point_event
+        from repro.serve.queue import QUEUED, scan_jobs
+        from repro.store import open_store
+
+        store = open_store(tmp_path / "store")
+        queue = JobQueue(store=store)
+        sweep = sweep_spec(tenant="s")
+        one = {"kind": "compare", "workload": NAMES[0], "lanes": LANES,
+               "seed": 3, "tenant": "c", "priority": 2, "verify": False}
+        done, running_sweep, failed, running_one = (
+            queue.submit(spec).id
+            for spec in (sweep, dict(sweep, seed=1), one, dict(one, seed=4)))
+        while queue.claim_next() is not None:
+            pass
+        point = compare(get_workload(NAMES[0]),
+                        default_delta_config(lanes=LANES))
+        queue.get(done).events.append(point_event(0, point, "ok"))
+        queue.finish(done, COMPLETED)
+        queue.finish(failed, FAILED, "boom", error_code="bad-thing")
+        queued_sweep = queue.submit(dict(sweep, seed=2)).id
+        queued_one = queue.submit(dict(one, seed=5)).id
+        before = {job.id: job_fields(job) for job in queue.jobs()}
+
+        reborn = JobQueue(store=store)
+        assert reborn.recover() == 4
+        assert store.counters.get("cache.corrupt") == 0
+        after = {job.id: job_fields(job) for job in reborn.jobs()}
+        assert sorted(after) == sorted(before)
+        for job_id in (done, failed):
+            assert after[job_id] == before[job_id]
+        # A live record re-enters the queue with a ``requeued`` event; an
+        # interrupted one has spent an attempt.
+        for job_id, attempts in ((queued_sweep, 0), (queued_one, 0),
+                                 (running_sweep, 1), (running_one, 1)):
+            old, new = before[job_id], after[job_id]
+            assert new[:2] == old[:2]
+            assert new[2:7] == (QUEUED, None, None, attempts, None)
+            assert new[7][:-1] == old[7]
+            assert new[7][-1]["event"] == "requeued"
+        kinds = {s["job"]: s["kind"] for s in scan_jobs(store)}
+        assert kinds == {job_id: fields[1].kind
+                         for job_id, fields in before.items()}
+
+    def test_a_pickled_record_is_never_unpickled(self, tmp_path):
+        import pickle
+
+        from repro.serve.queue import JOBS_NAMESPACE, scan_jobs
+        from repro.store import open_store
+        from tests.test_cache_hits import Marker
+
+        # The payload is armed: unpickling it creates its marker.
+        armed = tmp_path / "armed"
+        pickle.loads(pickle.dumps(Marker(armed)))
+        assert armed.is_dir()
+
+        store = open_store(tmp_path / "store")
+        marker = tmp_path / "marker"
+        key = "ab" * 32
+        store.write(JOBS_NAMESPACE, key, pickle.dumps(Marker(marker)))
+        assert [(s["job"], s["state"]) for s in scan_jobs(store)] == \
+            [(key, "corrupt")]
+        queue = JobQueue(store=store)
+        assert queue.recover() == 0
+        assert queue.jobs() == []
+        assert store.counters.get("cache.corrupt") == 1
+        assert store.read(JOBS_NAMESPACE, key) is None
+        assert not marker.exists()
 
 
 class TestMultiClientSoak:
@@ -705,6 +849,14 @@ class TestSpecParsing:
     def test_compare_kind_is_one_workload(self):
         spec = parse_job_spec({"kind": "compare", "workload": NAMES[0]})
         assert spec.workloads == (NAMES[0],)
+
+    @pytest.mark.parametrize("body", [
+        {"kind": "compare", "workload": NAMES[0], "seed": 2},
+        {"kind": "sweep", "workloads": NAMES, "tenant": "t", "priority": 1},
+    ])
+    def test_to_json_is_a_body_that_parses_back_equal(self, body):
+        spec = parse_job_spec(body)
+        assert parse_job_spec(spec.to_json()) == spec
 
     def test_bool_is_not_an_int(self):
         from repro.serve.protocol import SpecError

@@ -23,9 +23,10 @@ from repro.arch.dram import Dram
 from repro.arch.lane import Lane
 from repro.arch.mapper import Mapper
 from repro.arch.noc import MEM_NODE, Noc
-from repro.sim import Counters, Environment, Store
+from repro.sim import Environment, Store
 from repro.sim.fastengine import FastEnvironment
 from repro.sim.faults import FaultInjector, FaultPlan
+from repro.util.counters import Counters
 
 KERNELS = pytest.mark.parametrize("env_cls", [Environment, FastEnvironment])
 

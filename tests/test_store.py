@@ -1,4 +1,4 @@
-"""The shared store layer: sharding, locking, eviction, metrics.
+"""The shared store layer: sharding, locking, eviction, counters.
 
 The contract under test (see docs/storage.md):
 
@@ -28,15 +28,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.machine.metrics import MetricsBus
 from repro.store import (
     ShardLock,
     ShardedStore,
-    StoreMetrics,
     cache_budget_bytes,
     open_store,
 )
 from repro.store import sharded
+from repro.util.counters import Counters
 from repro.workloads.synthetic import SharedReadTasks, SkewedTasks
 
 KEY_A = hashlib.sha256(b"a").hexdigest()
@@ -152,7 +151,7 @@ class TestCorruptEntries:
             assert cache.get(key) is None  # dropped, not raised
         assert "corrupt" in caplog.text
         assert not path.exists(), "corrupt entry must be deleted"
-        assert cache.store.metrics.get("corrupt") == 1
+        assert cache.store.counters.get("cache.corrupt") == 1
         # The sweep recomputes the point and repopulates the entry.
         (again,) = run_suite_parallel(lanes=4,
                                       workloads=[SkewedTasks(num_tasks=24)],
@@ -165,7 +164,7 @@ class TestCorruptEntries:
         cache._path(key).write_bytes(b"\x00\xff garbage, not a pickle")
         misses_before = cache.misses
         assert cache.get(key) is None
-        assert cache.store.metrics.get("corrupt") == 1
+        assert cache.store.counters.get("cache.corrupt") == 1
         assert cache.misses == misses_before + 1, "corruption counts a miss"
 
 
@@ -184,8 +183,8 @@ class TestEviction:
         for key in (KEY_A, KEY_B, KEY_C):
             store.write("eval", key, bytes(100))
         assert store.total_bytes() <= 250
-        assert store.metrics.get("evictions") >= 1
-        assert store.metrics.get("evicted_bytes") >= 100
+        assert store.counters.get("cache.evictions") >= 1
+        assert store.counters.get("cache.evicted_bytes") >= 100
 
     def test_least_recently_used_goes_first(self, tmp_path):
         store = ShardedStore(tmp_path, max_bytes=None)
@@ -308,19 +307,19 @@ class TestProtectedNamespaces:
 
 class TestShardLock:
     def test_uncontended_acquire_counts_no_wait(self, tmp_path):
-        metrics = StoreMetrics()
-        with ShardLock(tmp_path / "ab", metrics):
+        counters = Counters()
+        with ShardLock(tmp_path / "ab", counters):
             pass
-        assert metrics.get("lock_waits") == 0
+        assert counters.get("cache.lock_waits") == 0
 
     def test_contended_acquire_blocks_and_counts(self, tmp_path):
-        metrics = StoreMetrics()
-        holder = ShardLock(tmp_path / "ab", metrics)
+        counters = Counters()
+        holder = ShardLock(tmp_path / "ab", counters)
         holder.acquire()
         acquired = threading.Event()
 
         def contender():
-            with ShardLock(tmp_path / "ab", metrics):
+            with ShardLock(tmp_path / "ab", counters):
                 acquired.set()
 
         thread = threading.Thread(target=contender)
@@ -330,7 +329,7 @@ class TestShardLock:
         holder.release()
         thread.join(timeout=5)
         assert acquired.is_set()
-        assert metrics.get("lock_waits") == 1
+        assert counters.get("cache.lock_waits") == 1
 
     def test_lock_file_lives_in_shard_dir(self, tmp_path):
         with ShardLock(tmp_path / "cd") as lock:
@@ -338,34 +337,26 @@ class TestShardLock:
             assert lock.path.exists()
 
 
-# ----------------------------------------------------- metrics plumbing
+# ----------------------------------------------------- counter plumbing
 
 class TestCacheMetrics:
     def test_store_reports_through_a_metrics_bus(self, tmp_path):
+        # The bag a store is opened with is the one it adds ``cache.*`` to.
         from repro.eval.cache import EvalCache
         from repro.eval.parallel import run_suite_parallel
 
-        bus = MetricsBus()
+        counters = Counters()
         cache = EvalCache(
-            store=ShardedStore(tmp_path, max_bytes=None, metrics=bus.cache))
+            store=ShardedStore(tmp_path, max_bytes=None, counters=counters))
         workloads = [SkewedTasks(num_tasks=24)]
         run_suite_parallel(lanes=4, workloads=list(workloads), jobs=1,
                            cache=cache)
-        assert bus.cache.misses == 1
-        assert bus.cache.stores == 1
+        assert counters.snapshot() == (("cache.misses", 1.0),
+                                       ("cache.stores", 1.0))
         run_suite_parallel(lanes=4, workloads=list(workloads), jobs=1,
                            cache=cache)
-        assert bus.cache.hits == 1
-        assert bus.cache.hit_rate() == 0.5
-        # The dotted names land in the ordinary counter store.
-        assert bus.get("cache.hits") == 1
-
-    def test_cache_group_is_declared(self):
-        bus = MetricsBus()
-        declared = bus.cache.declared()
-        for name in ("hits", "misses", "stores", "evictions",
-                     "coalesced", "corrupt", "lock_waits"):
-            assert name in declared
+        assert counters.get("cache.hits") == 1
+        assert counters.get("cache.misses") == 1
 
 
 # ----------------------------------------------- multiprocessing stress
@@ -461,19 +452,20 @@ class TestConcurrencyStress:
                     SharedReadTasks(num_tasks=12)]
 
         serial = run_suite(lanes=4, workloads=point_workloads(), jobs=1)
-        bus = MetricsBus()
+        counters = Counters()
         cache = EvalCache(store=ShardedStore(tmp_path, max_bytes=1,
-                                             metrics=bus.cache))
+                                             counters=counters))
         outcomes: list = []
         parallel = run_suite_parallel(lanes=4, workloads=point_workloads(),
                                       jobs=2, cache=cache, outcomes=outcomes)
         assert [comparison_fingerprint(c) for c in serial] == \
             [comparison_fingerprint(c) for c in parallel]
         assert outcomes[1] == "coalesced"
-        assert bus.cache.coalesced == 1
+        assert counters.get("cache.coalesced") == 1
         # Exactly one computation per distinct key reached the pool.
         assert cache.stores == 2
-        assert bus.cache.evictions >= 1, "a 1-byte budget must evict"
+        assert counters.get("cache.evictions") >= 1, \
+            "a 1-byte budget must evict"
 
     def test_coalesced_points_compute_once_without_a_cache(self):
         from repro.eval.parallel import run_suite_parallel
@@ -524,6 +516,10 @@ class TestCliStoreFlags:
         assert "store:" in out
         assert "hit rate" in out
         assert "coalesced" in out
+        assert cli.main(["eval", "--jobs", "1",
+                         "--workloads", "micro-chain"]) == 0
+        assert "store: 1 hits / 0 misses (100% hit rate)" in \
+            capsys.readouterr().out
 
     def test_cache_max_mb_flag_caps_the_store(self, tmp_path, capsys,
                                               monkeypatch):

@@ -8,8 +8,9 @@ from repro.arch.dram import Dram
 from repro.arch.lane import Lane
 from repro.arch.mapper import Mapper
 from repro.arch.noc import Noc
-from repro.sim import Counters, Environment, Store
+from repro.sim import Environment, Store
 from repro.sim.fastengine import FastEnvironment
+from repro.util.counters import Counters
 
 
 def make_system(lanes=2, chunk_bytes=64, config_cycles=16,

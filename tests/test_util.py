@@ -4,7 +4,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Counters, Environment, UtilizationTracker
+from repro.sim import Environment, UtilizationTracker
 from repro.util import (
     DeterministicRng,
     Histogram,
@@ -17,6 +17,7 @@ from repro.util import (
     mean,
     percentile,
 )
+from repro.util.counters import Counters
 from repro.util.validate import ConfigError
 
 
@@ -187,12 +188,15 @@ def test_counters_add_get_prefix():
     c.add("dram.bytes", 100)
     c.add("dram.bytes", 50)
     c.add("noc.bytes", 10)
+    c.add("noc.messages")
     assert c.get("dram.bytes") == 150
-    assert c.sum_prefix("dram.") == 150
-    assert c.sum_prefix("") == 160
-    assert c.by_prefix("dram.") == {"bytes": 150}
+    assert c.get("noc.messages") == 1
     assert "dram.bytes" in c
+    assert "missing" not in c
     assert c.get("missing") == 0
+    assert c.get("missing", 7.0) == 7.0
+    assert c.render("noc.").splitlines() == ["noc.bytes     10.0",
+                                             "noc.messages  1.0"]
 
 
 def test_counters_set_max():
@@ -203,16 +207,25 @@ def test_counters_set_max():
     assert c.get("depth") == 7
 
 
-def test_counters_merge_and_render():
-    a = Counters()
-    a.add("x", 1)
-    b = Counters()
-    b.add("x", 2)
-    b.add("y", 3)
-    a.merge(b)
-    assert a.get("x") == 3
-    assert "y" in a.render()
+def test_counters_render():
+    c = Counters()
+    c.add("x", 3)
+    c.add("y", 1234.5)
+    assert c.render() == "x  3.0\ny  1,234.5"
+    assert c.render("z") == "(no counters)"
     assert Counters().render() == "(no counters)"
+
+
+def test_counters_snapshot_round_trips():
+    c = Counters()
+    c.add("noc.bytes", 1)
+    c.add("dram.read_bytes", 2)
+    assert c.snapshot() == (("dram.read_bytes", 2.0), ("noc.bytes", 1.0))
+    assert list(c.items()) == list(c.snapshot())
+    rebuilt = Counters.from_snapshot(c.snapshot())
+    assert rebuilt.snapshot() == c.snapshot()
+    rebuilt.add("noc.bytes", 1)
+    assert c.get("noc.bytes") == 1  # a copy, not a view
 
 
 def test_utilization_tracker():

@@ -139,35 +139,37 @@ def measure_store(lanes: int = 8,
     A cold sweep fills a throwaway store, a warm sweep must be served
     entirely from it (hit rate 1.0), and then the size cap is pulled
     below the store's footprint to prove the eviction policy actually
-    reclaims space — all observed through the same ``cache.*`` MetricsBus
-    counters ``repro eval`` reports.
+    reclaims space — all observed through the same ``cache.*`` counters
+    ``repro eval`` reports.
     """
     import tempfile
 
     from repro.eval.cache import EvalCache
     from repro.eval.parallel import run_suite_parallel
-    from repro.machine.metrics import MetricsBus
     from repro.store import ShardedStore
+    from repro.util.counters import Counters
     from repro.workloads.registry import get_workload
 
     def points():
         return [get_workload(name) for name in workloads]
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
-        bus = MetricsBus()
+        counters = Counters()
         cache = EvalCache(store=ShardedStore(Path(tmp), max_bytes=None,
-                                             metrics=bus.cache))
+                                             counters=counters))
         t0 = time.perf_counter()
         run_suite_parallel(lanes=lanes, workloads=points(), jobs=1,
                            cache=cache, verify=False)
         cold_s = time.perf_counter() - t0
-        cold_hits, cold_misses = bus.cache.hits, bus.cache.misses
+        cold_hits = counters.get("cache.hits")
+        cold_misses = counters.get("cache.misses")
         t0 = time.perf_counter()
         run_suite_parallel(lanes=lanes, workloads=points(), jobs=1,
                            cache=cache, verify=False)
         warm_s = time.perf_counter() - t0
-        warm_hits = bus.cache.hits - cold_hits
-        warm_lookups = warm_hits + (bus.cache.misses - cold_misses)
+        warm_hits = counters.get("cache.hits") - cold_hits
+        warm_lookups = warm_hits + (counters.get("cache.misses")
+                                    - cold_misses)
         footprint = cache.store.total_bytes()
         # Pull the cap below the footprint: the policy must evict back
         # under budget (and the counters must say so).
@@ -184,7 +186,7 @@ def measure_store(lanes: int = 8,
             "eviction": {
                 "budget_bytes": cache.store.max_bytes,
                 "evicted_entries": evicted,
-                "evicted_bytes": round(bus.cache.evicted_bytes),
+                "evicted_bytes": round(counters.get("cache.evicted_bytes")),
                 "within_budget":
                     cache.store.total_bytes() <= cache.store.max_bytes,
             },

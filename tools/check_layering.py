@@ -7,13 +7,13 @@ The architecture is layered bottom-up::
     repro.store     (the on-disk cache substrate; imports util ONLY)
     repro.sim       (discrete-event kernel)
     repro.arch      (hardware component models)
-    repro.machine   (datapath composition + run lifecycle + metrics bus)
+    repro.machine   (datapath composition + run lifecycle)
     repro.core      (the Delta / TaskStream execution model)
     repro.graph     (the TaskGraph IR: recovered program structure)
     repro.sched     (scheduling policies: protocol, registry, hints)
     repro.baseline  (alternative execution models on the same machine)
     repro.isa / repro.workloads / repro.eval
-    repro.serve     (the sweep server: harness + store + metrics, no sim)
+    repro.serve     (the sweep server: harness + store, no sim)
     repro.cli       (top)
 
 The store layer is deliberately narrow: it sits just above util and
@@ -38,7 +38,8 @@ edge that points down-to-up, most importantly:
   prevent: baselines must run through ``repro.machine``, never reach into
   the Delta runtime;
 - ``arch -> core`` — hardware component models must stay
-  execution-model agnostic.
+  execution-model agnostic;
+- ``repro -> pickle`` — nothing the package reads back is unpickled.
 
 Run from the repository root (CI does)::
 
@@ -143,10 +144,9 @@ FORBIDDEN_EDGES: list[tuple[str, str, str]] = [
      "policies schedule tasks; caching lives in the schemas above"),
     ("repro.workloads", "repro.store",
      "workloads build programs; caching lives in the harness above"),
-    # The serve layer: the sweep server drives the harness (eval), the
-    # store, and the metrics bus — it must never reach into the
-    # simulation stack directly, and nothing below the CLI may know the
-    # server exists.
+    # The serve layer: the sweep server drives the harness (eval) and the
+    # store — it must never reach into the simulation stack directly, and
+    # nothing below the CLI may know the server exists.
     ("repro.serve", "repro.sim",
      "serve drives the harness; it never touches the event kernel"),
     ("repro.serve", "repro.core",
@@ -172,6 +172,12 @@ FORBIDDEN_EDGES: list[tuple[str, str, str]] = [
     ("repro.workloads", "repro.serve", "workloads never serve"),
     ("repro.eval", "repro.serve",
      "the harness is the server's engine, not its client"),
+    # Nothing the package reads back from disk is unpickled: cache entries
+    # are marshal bytes behind a digest, job records JSON. (The worker
+    # pool's IPC pickles inside the standard library, not through an
+    # import of ours.)
+    ("repro", "pickle",
+     "unpickling can run arbitrary code; store data as marshal or JSON"),
 ]
 
 
